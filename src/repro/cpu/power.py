@@ -233,9 +233,10 @@ class FleetCoefficients:
             scaled_coef[:, j] = c_scaled
         return cls(base, scaled_coef, inv_slope, arg_cap, tuple(columns))
 
-    @property
-    def num_machines(self) -> int:
-        return self.base.shape[1]
+    def fused_terms(self) -> Tuple[float, float, np.ndarray]:
+        """``(inv_slope, arg_cap, scaled_coef)`` — the
+        :meth:`PowerCoefficients.fused_terms` contract, column-stacked."""
+        return self.inv_slope, self.arg_cap, self.scaled_coef
 
     def matches(self, columns: Sequence[PowerCoefficients]) -> bool:
         """True when this stack was built from exactly these objects

@@ -1,10 +1,13 @@
 """The assembled testbed: chip + thermal + scheduler + instruments.
 
 A :class:`Machine` is the simulated equivalent of the paper's 1U server
-(§3.2).  It wires the discrete-event simulator to the physics: every
-time the simulated clock advances, the thermal network is integrated
-over the elapsed interval with the chip's current per-core power state,
-splitting at C-state promotion instants so idle power is time-accurate.
+(§3.2).  It is a fleet of one: node 0 of a
+:class:`~repro.fleet.machine.FleetMachine`, where the server is wired
+(:class:`~repro.fleet.machine.FleetNode`) and its physics integrated.
+Every callback scheduled on :attr:`Machine.sim` first records the
+thermal gap since the machine's last event — split at C-state
+promotion instants so idle power is time-accurate — and the recorded
+pieces are integrated whenever temperatures or energy are read.
 
 The machine starts from *thermal equilibrium at idle* — the paper's
 baseline "idle temperature" — so temperature-rise metrics are
@@ -17,24 +20,14 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.injector import IdleInjector, IdleMode
-from ..cpu.chip import Chip
-from ..errors import ConfigurationError
+from ..core.injector import IdleMode
+from ..fleet.machine import FleetMachine
 from ..health import HealthMonitor, HealthParams
-from ..instruments.powermeter import PowerMeter
-from ..instruments.templog import TemperatureLog
-from ..sched.scheduler import Scheduler
-from ..sched.syscalls import DimetrodonControl
-from ..sim.engine import Simulator
-from ..sim.rng import RngRegistry
-from ..thermal.floorplan import build_network
-from ..thermal.rcnetwork import ThermalIntegrator
-from ..thermal.sensors import SensorBank
 from .config import ExperimentConfig
 
 
 class Machine:
-    """A fully wired simulated server."""
+    """A fully wired simulated server (a one-machine fleet)."""
 
     def __init__(
         self,
@@ -42,86 +35,38 @@ class Machine:
         *,
         idle_mode: IdleMode = IdleMode.HALT,
         co_schedule_smt: bool = False,
-        fast_physics: bool = True,
     ):
         self.config = config or ExperimentConfig()
-        cfg = self.config
-        #: Integrate thermals via the fused vectorized kernel (default)
-        #: or the scalar power-callback reference path.  The two are
-        #: numerically equivalent (tests pin end-to-end agreement to
-        #: 1e-9 °C); the scalar path exists as the oracle.
-        self.fast_physics = fast_physics
-
-        self.sim = Simulator()
-        self.rng = RngRegistry(cfg.seed)
-        self.chip = Chip(
-            cfg.power,
-            num_cores=cfg.num_cores,
-            smt=cfg.smt,
-            cstate_params=cfg.cstates,
-            c1e_enabled=cfg.c1e_enabled,
+        self.fleet = FleetMachine(
+            self.config,
+            machines=1,
+            idle_mode=idle_mode,
+            co_schedule_smt=co_schedule_smt,
         )
-        self.network = build_network(cfg.thermal, cfg.num_cores)
-
-        # --- idle-equilibrium initial condition -----------------------
-        for core in self.chip.cores:
-            core.set_idle(-1e6)  # long-idle: deep state from the start
-        self.integrator = ThermalIntegrator(
-            self.network, max_substep=cfg.thermal.max_substep
-        )
-        _, idle_power_fn = self.chip.power_function(time=0.0)
-        self.integrator.settle(idle_power_fn)
+        node = self.node = self.fleet.nodes[0]
+        #: Node 0's view of the shared simulator: callbacks scheduled on
+        #: it see physics integrated up to their firing instant.
+        self.sim = node.simview
+        self.rng = node.rng
+        self.chip = node.chip
+        self.network = self.fleet.network
+        self.injector = node.injector
+        self.scheduler = node.scheduler
+        self.control = node.control
+        self.powermeter = node.powermeter
+        self.sensors = node.sensors
+        self.templog = node.templog
         #: Per-core idle temperatures — the paper's baseline, °C.
-        self.idle_core_temps = self.integrator.temps[: cfg.num_cores].copy()
-
-        # --- OS and Dimetrodon ----------------------------------------
-        self.injector = IdleInjector(mode=idle_mode, co_schedule_smt=co_schedule_smt)
-        if cfg.scheduler_queue == "ule":
-            from ..sched.ule import UleRunqueue
-
-            runqueue = UleRunqueue(num_cores=cfg.num_cores)
-        elif cfg.scheduler_queue == "bsd":
-            runqueue = None  # Scheduler builds the default 4.4BSD MLFQ
-        else:
-            raise ConfigurationError(
-                f"unknown scheduler_queue {cfg.scheduler_queue!r} (bsd|ule)"
-            )
-        self.scheduler = Scheduler(
-            self.sim,
-            self.chip,
-            quantum=cfg.quantum,
-            context_switch_cost=cfg.context_switch_cost,
-            injector=self.injector,
-            runqueue=runqueue,
-        )
-        self.control = DimetrodonControl(self.scheduler, rng=self.rng.stream("inject"))
-
-        # --- instruments ----------------------------------------------
-        meter_rng = self.rng.stream("clamp") if cfg.clamp_gain_error > 0 else None
-        self.powermeter = PowerMeter(
-            clamp_gain_error=cfg.clamp_gain_error, rng=meter_rng
-        )
-        core_nodes = list(range(cfg.num_cores))
-        if cfg.noisy_sensors:
-            self.sensors = SensorBank.coretemp(core_nodes, self.rng.stream("sensors"))
-        else:
-            self.sensors = SensorBank.ideal(core_nodes)
-        self.templog = TemperatureLog(
-            self.sim,
-            lambda: self.sensors.read(self.integrator.temps),
-            period=cfg.temp_sample_period,
-            num_cores=cfg.num_cores,
-        )
-
-        #: Optional thermal health monitor (see :meth:`attach_health`).
-        self.health: Optional[HealthMonitor] = None
-
-        self.sim.add_advance_listener(self._advance_physics)
-        self.scheduler.start()
+        self.idle_core_temps = self.fleet.idle_core_temps
 
     # ------------------------------------------------------------------
     # Health monitoring
     # ------------------------------------------------------------------
+    @property
+    def health(self) -> Optional[HealthMonitor]:
+        """The thermal health monitor, once :meth:`attach_health` ran."""
+        return self.node.health
+
     def attach_health(
         self, params: Optional[HealthParams] = None
     ) -> HealthMonitor:
@@ -133,85 +78,43 @@ class Machine:
         pinned to this machine's idle baseline.  Call once; the monitor
         is also exposed as :attr:`health`.
         """
-        if self.health is not None:
-            raise ConfigurationError("health monitor already attached")
-        params = params or HealthParams()
-        cfg = self.config
-        core_nodes = list(range(cfg.num_cores))
-        rng = self.rng.stream("health-sensors") if params.noisy else None
-        self.health = HealthMonitor(
-            self.sim,
-            params.sensor_bank(core_nodes, rng),
-            lambda: self.integrator.temps,
-            thresholds=params.thresholds(self.idle_mean_temp),
-            period=params.period,
-        )
-        return self.health
+        self.fleet.attach_health(params)
+        return self.node.health
 
     # ------------------------------------------------------------------
-    # Physics co-simulation
-    # ------------------------------------------------------------------
-    def _advance_physics(self, t0: float, t1: float) -> None:
-        """Integrate thermals over [t0, t1], splitting at C-state edges."""
-        chip = self.chip
-        integrator = self.integrator
-        powermeter = self.powermeter
-        edges = [t0] + chip.cstate_breakpoints(t0, t1) + [t1]
-        fast = self.fast_physics
-        for a, b in zip(edges, edges[1:]):
-            if b <= a:
-                continue
-            # Evaluate C-states at the piece midpoint: a piece boundary
-            # sits exactly on a promotion instant, where float roundoff
-            # on the comparison could misclassify the whole piece.
-            if fast:
-                # Segment-reusing fused path: coefficient sets survive
-                # across event gaps while no core/DVFS/TCC state changes.
-                cstates, coefficients = chip.power_segment(0.5 * (a + b))
-                result = integrator.advance_coefficients(b - a, coefficients)
-            else:
-                cstates, power_fn = chip.power_function(time=0.5 * (a + b))
-                result = integrator.advance(b - a, power_fn)
-            chip.record_residency(cstates, b - a)
-            powermeter.record_segment(a, b - a, result.average_power)
-
-    # ------------------------------------------------------------------
-    # Running
+    # Running and measurements
     # ------------------------------------------------------------------
     def run(self, duration: float) -> None:
         """Advance the simulation by ``duration`` seconds."""
-        self.sim.run(until=self.sim.now + duration)
+        self.fleet.run(duration)
 
-    # ------------------------------------------------------------------
-    # Convenience measurements
-    # ------------------------------------------------------------------
     @property
     def now(self) -> float:
-        return self.sim.now
+        return self.fleet.now
 
     @property
     def core_temps(self) -> np.ndarray:
         """Current true per-core temperatures, °C."""
-        return self.integrator.temps[: self.config.num_cores].copy()
+        return self.node.core_temps
 
     @property
     def idle_mean_temp(self) -> float:
         """Mean per-core idle (baseline) temperature, °C."""
-        return float(np.mean(self.idle_core_temps))
+        return self.node.idle_mean_temp
 
     def mean_core_temp_over_window(self, window: Optional[float] = None) -> float:
-        """Mean core temperature over the trailing window (default: the
+        """Mean core temperature over the trailing window (``None``: the
         config's measurement window — the paper's last-30 s average)."""
-        return self.templog.mean_over_window(window or self.config.measure_window)
+        return self.node.mean_core_temp_over_window(window)
 
     def temp_rise_over_idle(self, window: Optional[float] = None) -> float:
         """Mean core temperature rise over the idle baseline, °C."""
-        return self.mean_core_temp_over_window(window) - self.idle_mean_temp
+        return self.node.temp_rise_over_idle(window)
 
     def total_work_done(self) -> float:
         """Total useful work completed by all threads, CPU-seconds."""
-        return sum(t.stats.work_done for t in self.scheduler.threads)
+        return self.node.total_work_done()
 
     def energy(self, start: float = -np.inf, end: float = np.inf) -> float:
         """Package energy over [start, end], J."""
-        return self.powermeter.energy(start, end)
+        return self.node.energy(start, end)

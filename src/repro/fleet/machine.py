@@ -1,11 +1,13 @@
-"""A rack of simulated servers sharing one event queue and one
-structure-of-arrays physics state.
+"""Simulated servers sharing one event queue and one structure-of-arrays
+physics state — the only place a server is wired.
 
-A :class:`FleetMachine` is ``N`` copies of the single-server testbed
-(:class:`repro.experiments.machine.Machine`): each node gets its own
-chip, scheduler, idle injector, RNG registry, power meter, sensors and
-temperature log, and all nodes' events interleave on one shared
-:class:`~repro.sim.engine.Simulator`.  What is *not* per-node is the
+A :class:`FleetNode` is one simulated server, the paper's 1U testbed
+(§3.2): chip, scheduler, idle injector, RNG registry, power meter,
+sensors and temperature log.  A :class:`FleetMachine` is ``N`` nodes
+whose events interleave on one shared
+:class:`~repro.sim.engine.Simulator`; the single-server
+:class:`repro.experiments.machine.Machine` is a fleet of one, so every
+experiment runs through this wiring.  What is *not* per-node is the
 physics: every machine is a copy of the same thermal network, so the
 whole fleet's temperatures live in one ``(machines, nodes)`` array
 inside a :class:`~repro.thermal.rcnetwork.FleetThermalIntegrator` and
@@ -14,22 +16,21 @@ cohorts of machines advance with one fused matmul per substep.
 How per-machine event streams drive batched physics
 ---------------------------------------------------
 
-The single-server machine integrates eagerly: an advance listener runs
-the thermal model over every inter-event gap before each event fires.
-A fleet cannot do that directly — splitting machine A's quiet interval
-at machine B's event times would change A's substep lengths and with
-them the leakage-lag discretization, breaking run-for-run equivalence
-with a standalone machine.  Instead, each node schedules its callbacks
-through a :class:`_NodeSimView`, a node-scoped view of the shared
-simulator that wraps every callback: immediately before a node's event
-runs, the node's physics *gap* (from its last event to now) is closed
-by **recording** power segments — split at that node's own C-state
-promotion instants, coefficients evaluated at piece midpoints, exactly
-the piece structure the standalone machine integrates.  Nothing is
-integrated yet; segments queue per node.
+Integrating eagerly — running the thermal model over every inter-event
+gap of the shared clock — would split machine A's quiet interval at
+machine B's event times, which changes A's substep lengths and with
+them the leakage-lag discretization: a machine's result would depend
+on its neighbours.  Instead, each node schedules its callbacks through
+a :class:`_NodeSimView`, a node-scoped view of the shared simulator
+that wraps every callback: immediately before a node's event runs, the
+node's physics *gap* (from its last event to now) is closed by
+**recording** power segments — split at that node's own C-state
+promotion instants, coefficients evaluated at piece midpoints.  Nothing
+is integrated yet; segments queue per node.
 
-Integration happens in batch when temperatures are actually needed
-(a temperature-log sample, a ``core_temps`` read, or the end of
+Integration happens in batch when temperatures or energy are actually
+needed (a temperature-log sample, a health-monitor sample, a
+power-meter read, a ``core_temps`` read, or the end of
 :meth:`FleetMachine.run`): the drain repeatedly groups the
 head-of-queue segments across nodes into cohorts of equal duration —
 equal duration means equal substep length ``h``, the precondition for
@@ -37,11 +38,10 @@ sharing one step kernel — and advances each cohort with one batched
 call.  Deferring is sound because power coefficients are segment
 constants: they capture the chip state at recording time and do not
 depend on when the integral is evaluated.  Per-node segment order is
-preserved, so each machine sees exactly the integral a standalone
-machine would have computed; a fleet of one machine is *bit-identical*
-to a standalone :class:`Machine` (the tests pin this), and an N-machine
-fleet matches N independent runs to well under the repo-wide 1e-9 °C
-equivalence tolerance.
+preserved, so each machine's result is independent of the rest of the
+rack: an N-machine fleet matches N fleets of one to well under the
+repo-wide 1e-9 °C equivalence tolerance (cohort membership only changes
+floating-point summation order inside the gemm).
 
 When the fleet's event streams align (lockstep workloads, or the
 synchronized benchmark), cohorts span the whole fleet and the batched
@@ -51,9 +51,10 @@ cohorts shrink and the path degrades gracefully toward per-machine
 gemvs that still share the step-kernel cache.
 
 Telemetry (shared registry, additive across nodes): the integrator's
-``fleet.machines`` / ``fleet.substeps`` / ``fleet.advance_wall``, plus
-``fleet.segments`` (recorded pieces), ``fleet.drains``, and coefficient
-stack build/reuse counters from this module.
+``fleet.machines`` / ``fleet.substeps`` / ``fleet.batched_advances`` /
+``fleet.advance_wall``, plus ``fleet.segments`` (recorded pieces),
+``fleet.drains``, and coefficient stack build/reuse counters from this
+module.
 """
 
 from __future__ import annotations
@@ -128,11 +129,11 @@ class FleetNode:
     """One server of the fleet: the full single-machine OS stack, with
     physics delegated to the fleet's batched integrator.
 
-    Wiring mirrors :class:`repro.experiments.machine.Machine` component
-    for component (same construction order, same RNG stream names, same
-    instrument parameters) — that is what makes a fleet node's event
-    stream, and therefore its physics piece structure, identical to a
-    standalone machine built from the same config.
+    Every instrument read brings this node's physics up to the present
+    first (the temperature log and health monitors through their reader
+    callables, the power meter through its ``sync`` hook), so a
+    controller never sees a partially integrated window.  The owning
+    :class:`FleetMachine` starts the scheduler once the node is built.
     """
 
     def __init__(
@@ -183,7 +184,9 @@ class FleetNode:
 
         meter_rng = self.rng.stream("clamp") if cfg.clamp_gain_error > 0 else None
         self.powermeter = PowerMeter(
-            clamp_gain_error=cfg.clamp_gain_error, rng=meter_rng
+            clamp_gain_error=cfg.clamp_gain_error,
+            rng=meter_rng,
+            sync=lambda: fleet._sync(index),
         )
         core_nodes = list(range(cfg.num_cores))
         if cfg.noisy_sensors:
@@ -204,8 +207,6 @@ class FleetNode:
         #: This node's health monitor once the fleet attaches one.
         self.health: Optional[HealthMonitor] = None
 
-        self.scheduler.start()
-
     # ------------------------------------------------------------------
     # Convenience measurements (the Machine API, per node)
     # ------------------------------------------------------------------
@@ -220,9 +221,11 @@ class FleetNode:
         return float(np.mean(self.fleet.idle_core_temps))
 
     def mean_core_temp_over_window(self, window: Optional[float] = None) -> float:
-        """Mean core temperature over the trailing window (default: the
-        config's measurement window)."""
-        return self.templog.mean_over_window(window or self.config.measure_window)
+        """Mean core temperature over the trailing window (``None``: the
+        config's measurement window — the paper's last-30 s average)."""
+        if window is None:
+            window = self.config.measure_window
+        return self.templog.mean_over_window(window)
 
     def temp_rise_over_idle(self, window: Optional[float] = None) -> float:
         """Mean core temperature rise over the idle baseline, °C."""
@@ -234,7 +237,6 @@ class FleetNode:
 
     def energy(self, start: float = -np.inf, end: float = np.inf) -> float:
         """Package energy over [start, end], J (drains physics)."""
-        self.fleet._drain()
         return self.powermeter.energy(start, end)
 
 
@@ -242,9 +244,9 @@ class FleetMachine:
     """``machines`` fully wired servers advancing as one batch.
 
     Node ``j`` is built from ``config.with_seed(config.seed + j)``, so
-    node 0 of a fleet is the *same* simulated server as a standalone
-    ``Machine(config)`` and the other nodes are independent replicas
-    with decorrelated workload randomness.
+    node 0 is the server a standalone ``Machine(config)`` wraps and the
+    other nodes are independent replicas with decorrelated workload
+    randomness.
     """
 
     def __init__(
@@ -273,45 +275,36 @@ class FleetMachine:
         self._metric_stack_builds = scope.counter("coefficient_stacks.builds")
         self._metric_stack_reuses = scope.counter("coefficient_stacks.reuses")
 
-        # --- idle-equilibrium initial condition, computed once --------
-        # All chips are identical and idle at t=0, so one settle seeds
-        # every row of the fleet state with the temperatures a
-        # standalone machine's own settle would produce (bitwise: same
-        # network parameters, same iteration).  The settle must see the
-        # chip *long-idle* — Machine settles before its scheduler's
-        # ``start()`` re-marks cores naturally idle — so it runs on a
-        # dedicated probe chip, not a node's.
-        probe_chip = Chip(
-            cfg.power,
-            num_cores=cfg.num_cores,
-            smt=cfg.smt,
-            cstate_params=cfg.cstates,
-            c1e_enabled=cfg.c1e_enabled,
-        )
-        for core in probe_chip.cores:
-            core.set_idle(-1e6)
-        probe = ThermalIntegrator(self.network, max_substep=cfg.thermal.max_substep)
-        _, idle_power_fn = probe_chip.power_function(time=0.0)
-        probe.settle(idle_power_fn)
-
-        self.nodes: List[FleetNode] = [
-            FleetNode(
+        self.nodes: List[FleetNode] = []
+        for j in range(machines):
+            node = FleetNode(
                 self,
                 j,
                 cfg.with_seed(cfg.seed + j),
                 idle_mode=idle_mode,
                 co_schedule_smt=co_schedule_smt,
             )
-            for j in range(machines)
-        ]
+            if j == 0:
+                # Idle-equilibrium initial condition, the paper's
+                # baseline "idle temperature".  Chips are built
+                # long-idle, so node 0's chip is settled before its
+                # scheduler's start() re-marks cores naturally idle;
+                # all chips are identical, so this one settle seeds
+                # every row of the fleet state.
+                _, idle_power_fn = node.chip.power_function(time=0.0)
+                idle_temps = ThermalIntegrator(
+                    self.network, max_substep=cfg.thermal.max_substep
+                ).settle(idle_power_fn)
+            node.scheduler.start()
+            self.nodes.append(node)
         self.integrator = FleetThermalIntegrator(
             self.network,
             machines,
-            initial_temps=probe.temps,
+            initial_temps=idle_temps,
             max_substep=cfg.thermal.max_substep,
         )
         #: Per-core idle temperatures — the baseline, °C (all nodes).
-        self.idle_core_temps = probe.temps[: cfg.num_cores].copy()
+        self.idle_core_temps = idle_temps[: cfg.num_cores].copy()
 
         #: Cohort-width -> last coefficient stack, for epoch-multiplexed
         #: reuse (aligned fleets rebuild nothing in steady state).
@@ -364,10 +357,11 @@ class FleetMachine:
     def _close_gap(self, index: int) -> None:
         """Record node ``index``'s physics from its last event to now.
 
-        Mirrors ``Machine._advance_physics`` piece for piece — split at
-        the node's own C-state promotion instants, skip empty pieces,
-        evaluate coefficients at piece midpoints, account residency —
-        but queues the segments instead of integrating them.
+        The gap is split at the node's own C-state promotion instants;
+        each non-empty piece accounts residency and queues its power
+        coefficients, evaluated at the piece midpoint (a piece boundary
+        sits exactly on a promotion instant, where float roundoff on
+        the comparison could misclassify the whole piece).
         """
         node = self.nodes[index]
         now = self.sim.now
@@ -412,7 +406,8 @@ class FleetMachine:
         until all queues are empty.  Per-node segment order is
         preserved, which is all machine-level equivalence needs —
         cohort membership only changes floating-point summation order
-        inside the gemm.
+        inside the gemm.  A cohort of one advances on its segment's own
+        coefficients, with no stack to build.
         """
         nodes = self.nodes
         active = [j for j in range(self.num_machines) if nodes[j].pending]
@@ -425,8 +420,13 @@ class FleetMachine:
                 groups.setdefault(nodes[j].pending[0].duration, []).append(j)
             for duration, members in groups.items():
                 segments = [nodes[j].pending.popleft() for j in members]
-                stack = self._cohort_stack([s.coefficients for s in segments])
-                energies = integrator.advance_machines(members, duration, stack)
+                if len(segments) == 1:
+                    coefficients = segments[0].coefficients
+                else:
+                    coefficients = self._cohort_stack([s.coefficients for s in segments])
+                energies = integrator.advance_machines(
+                    members, duration, coefficients
+                )
                 for j, segment, energy in zip(members, segments, energies):
                     nodes[j].powermeter.record_segment(
                         segment.start, segment.duration, energy / segment.duration
@@ -434,12 +434,17 @@ class FleetMachine:
             active = [j for j in active if nodes[j].pending]
         self._metric_drains.inc()
 
+    def _sync(self, index: int) -> None:
+        """Bring node ``index``'s physics up to now: record its open
+        gap and integrate everything queued."""
+        self._close_gap(index)
+        self._drain()
+
     def _node_temps(self, index: int) -> np.ndarray:
         """Node ``index``'s current node temperatures (°C), integrating
         everything recorded so far.  Returns a live row view; callers
         that keep the array must copy."""
-        self._close_gap(index)
-        self._drain()
+        self._sync(index)
         return self.integrator.temps[index]
 
     # ------------------------------------------------------------------
@@ -448,10 +453,9 @@ class FleetMachine:
     def run(self, duration: float) -> None:
         """Advance the whole fleet by ``duration`` seconds.
 
-        Like the standalone machine's run, the final partial interval
-        is integrated too: every node's gap is closed at the end time
-        and all queues drain, so temperatures and energy are current
-        when this returns.
+        The final partial interval is integrated too: every node's gap
+        is closed at the end time and all queues drain, so temperatures
+        and energy are current when this returns.
         """
         self.sim.run(until=self.sim.now + duration)
         for j in range(self.num_machines):
@@ -478,7 +482,6 @@ class FleetMachine:
 
     def total_energy(self, start: float = -np.inf, end: float = np.inf) -> float:
         """Aggregate package energy over [start, end], J."""
-        self._drain()
         return float(sum(node.powermeter.energy(start, end) for node in self.nodes))
 
     def total_work_done(self) -> float:

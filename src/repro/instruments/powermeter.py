@@ -13,7 +13,7 @@ for Figure 1 and the §3.3 energy-validation methodology.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -30,13 +30,20 @@ class PowerSegment:
 
 
 class PowerMeter:
-    """Collects exact power segments; resamples like a clamp+DMM."""
+    """Collects exact power segments; resamples like a clamp+DMM.
+
+    ``sync``, when given, is called before every read so the trace is
+    current: a machine that integrates its physics lazily passes a
+    callable that records and integrates everything up to the present
+    instant, so a controller reading mid-run sees whole windows.
+    """
 
     def __init__(
         self,
         *,
         clamp_gain_error: float = 0.0,
         rng: Optional[np.random.Generator] = None,
+        sync: Optional[Callable[[], None]] = None,
     ):
         if clamp_gain_error < 0:
             raise AnalysisError("clamp gain error must be non-negative")
@@ -45,6 +52,7 @@ class PowerMeter:
         self._starts: list = []
         self._durations: list = []
         self._powers: list = []
+        self._sync = sync
         #: Per-run multiplicative gain error (drawn once, like a real
         #: clamp's calibration offset).
         self.gain = 1.0
@@ -60,11 +68,17 @@ class PowerMeter:
         self._durations.append(duration)
         self._powers.append(power)
 
+    def _current(self) -> None:
+        if self._sync is not None:
+            self._sync()
+
     @property
     def num_segments(self) -> int:
+        self._current()
         return len(self._starts)
 
     def segments(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        self._current()
         return (
             np.asarray(self._starts),
             np.asarray(self._durations),
@@ -73,6 +87,7 @@ class PowerMeter:
 
     def iter_segments(self):
         """Yield the recorded trace as :class:`PowerSegment` objects."""
+        self._current()
         for start, duration, power in zip(self._starts, self._durations, self._powers):
             yield PowerSegment(start=start, duration=duration, power=power)
 

@@ -18,7 +18,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from ..errors import AnalysisError
+from ..errors import AnalysisError, ConfigurationError
 from ..sim.engine import Simulator
 from ..sim.process import PeriodicTask
 
@@ -132,6 +132,8 @@ class TemperatureLog:
     def per_core_mean_over_window(
         self, window: float, *, end: Optional[float] = None
     ) -> np.ndarray:
+        if not window > 0:
+            raise ConfigurationError(f"averaging window must be positive, got {window}")
         if self._count == 0:
             raise AnalysisError("no temperature samples recorded")
         key = (float(window), None if end is None else float(end))

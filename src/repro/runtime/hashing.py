@@ -15,9 +15,10 @@ leaves every cached result valid; editing the scheduler or the thermal
 model invalidates the whole cache.
 
 Rack-cell runs (:mod:`repro.fleet.cells`) additionally depend on the
-fleet, scheduling, health, and SLO-analysis layers, which the base
-fingerprint deliberately excludes (editing them must not invalidate
-figure sweeps).  :func:`fleet_fingerprint` covers those packages
+rest of the fleet layer (balancers, scheduling policies, the rack
+experiments), health, and SLO analysis, which the base fingerprint
+deliberately excludes (editing them must not invalidate figure
+sweeps).  :func:`fleet_fingerprint` covers those packages
 (:data:`FLEET_MODULES`); rack-cell specs fold it in through
 :func:`spec_key`'s ``extra_code`` parameter, so a fleet code edit
 invalidates exactly the rack-cell entries and nothing else.
@@ -41,6 +42,8 @@ CACHE_SCHEMA_VERSION = 1
 
 #: Paths (relative to the ``repro`` package) whose source determines
 #: simulation outcomes and therefore participates in the fingerprint.
+#: ``fleet/machine.py`` is where every server — a single-machine
+#: figure run's included — is wired and integrated.
 PHYSICS_MODULES = (
     "sim",
     "sched",
@@ -50,6 +53,7 @@ PHYSICS_MODULES = (
     "workloads",
     "instruments",
     "experiments",
+    "fleet/machine.py",
     "units.py",
     "errors.py",
 )
@@ -58,7 +62,8 @@ PHYSICS_MODULES = (
 #: additionally depend on: the fleet layer (machines, balancers,
 #: scheduling policies, the experiments themselves), health monitoring,
 #: and the SLO scorer.  Kept separate from :data:`PHYSICS_MODULES` so
-#: editing the fleet layer never invalidates cached figure sweeps.
+#: editing them never invalidates cached figure sweeps (the machine
+#: wiring, ``fleet/machine.py``, is physics as well).
 FLEET_MODULES = (
     "fleet",
     "health",

@@ -16,8 +16,9 @@ scheduler (§3.1):
   the analytical model (§3.3 reports ≈1 %).
 
 The scheduler only mutates chip core states and schedules events; all
-power/thermal integration happens lazily in the machine's clock-advance
-listener, so scheduler logic stays exact regardless of thermal substeps.
+power/thermal integration happens lazily in the machine model (see
+:mod:`repro.fleet.machine`), so scheduler logic stays exact regardless
+of thermal substeps.
 """
 
 from __future__ import annotations

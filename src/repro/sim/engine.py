@@ -6,7 +6,7 @@ by insertion order so runs are fully deterministic.
 
 The scheduler, workloads, and instruments all run on top of this engine;
 the thermal model is advanced *lazily* between events by the machine
-model (see :mod:`repro.experiments.machine`), so the engine itself knows
+model (see :mod:`repro.fleet.machine`), so the engine itself knows
 nothing about physics.
 """
 
@@ -70,22 +70,12 @@ class Simulator:
     ----------
     start_time:
         Initial value of the simulated clock, in seconds.
-
-    Notes
-    -----
-    Components may register *advance listeners* via
-    :meth:`add_advance_listener`; each listener is invoked as
-    ``listener(previous_time, new_time)`` immediately before the clock
-    moves forward to dispatch the next event.  The machine model uses
-    this to integrate the thermal network over every inter-event gap,
-    so no physics is skipped no matter how sparse the event stream is.
     """
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
         self._heap: List[_QueueEntry] = []
         self._seq = itertools.count()
-        self._advance_listeners: List[Callable[[float, float], None]] = []
         self._running = False
         self._event_count = 0
         # Metrics bind to the registry current at construction time, so
@@ -127,10 +117,6 @@ class Simulator:
         heapq.heappush(self._heap, _QueueEntry(time, next(self._seq), event))
         return event
 
-    def add_advance_listener(self, listener: Callable[[float, float], None]) -> None:
-        """Register ``listener(old_time, new_time)`` for clock advances."""
-        self._advance_listeners.append(listener)
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -159,8 +145,7 @@ class Simulator:
         """Run events in order until the queue empties or ``until``.
 
         If ``until`` is given, all events with ``time <= until`` are
-        dispatched and the clock is left exactly at ``until`` (advance
-        listeners see the final partial interval too).
+        dispatched and the clock is left exactly at ``until``.
 
         Each dispatched event costs exactly one ``heappop``: the loop
         inspects the heap head in place instead of going through
@@ -207,8 +192,5 @@ class Simulator:
             raise SimulationError("clock went backwards")
         if new_time == self._now:
             return
-        old = self._now
-        self._metric_virtual_time.inc(new_time - old)
-        for listener in self._advance_listeners:
-            listener(old, new_time)
+        self._metric_virtual_time.inc(new_time - self._now)
         self._now = new_time

@@ -34,18 +34,23 @@ The integrator has two equivalent paths:
 
 - :meth:`ThermalIntegrator.advance` — the scalar reference oracle: a
   Python power callback re-evaluated per substep plus a
-  ``steady_state`` solve.
-- :meth:`ThermalIntegrator.advance_coefficients` — the fused fast
-  path: per substep one gemv pair plus one vectorized exponential into
-  preallocated buffers, no allocation and no per-core Python work.
+  ``steady_state`` solve.  It validates the fused path in the tests and
+  backs :meth:`ThermalIntegrator.settle`'s fallback.
+- the fused path — per substep one elementwise leakage chain plus one
+  gemv (or gemm) of the stacked step kernel into preallocated buffers,
+  no allocation and no per-core Python work.  One substep loop
+  (:func:`_fused_substeps`) serves both
+  :meth:`ThermalIntegrator.advance_coefficients` (one chip) and
+  :meth:`FleetThermalIntegrator.advance_machines` (a cohort of ``K``
+  copies of the network, the simulation path for every machine).
 
-:class:`FleetThermalIntegrator` generalizes the fused path to ``N``
-independent copies of one network (a rack of identical servers): the
-whole fleet's temperature state is a single ``(N, nodes)`` array and a
-cohort of machines sharing a substep length advances with one
-``(nodes, 2·nodes+1) @ (2·nodes+1, K)`` matmul per substep instead of
-``K`` gemvs.  All three integration paths share the step-kernel LRU of
-the underlying :class:`ThermalNetwork`.
+:class:`FleetThermalIntegrator` holds ``N`` independent copies of one
+network (a rack of identical servers, or a single server as a rack of
+one): the whole fleet's temperature state is a single ``(N, nodes)``
+array and a cohort of machines sharing a substep length advances with
+one ``(nodes, 2·nodes+1) @ (2·nodes+1, K)`` matmul per substep instead
+of ``K`` gemvs.  Every path shares the step-kernel LRU of the
+underlying :class:`ThermalNetwork`.
 """
 
 from __future__ import annotations
@@ -244,6 +249,62 @@ class AdvanceResult:
     average_power: float
 
 
+def _state_buffers(nodes: int, width: int):
+    """Scratch for :func:`_fused_substeps`: two stacked ``[T; P; 1]``
+    state buffers and an energy accumulator — 1-D for one machine,
+    ``(·, width)`` blocks (machines along columns) for a cohort.  The
+    constant bottom row the kernel's ambient column multiplies is
+    written once here and never touched by the substep loop."""
+    shape = (2 * nodes + 1,) if width == 1 else (2 * nodes + 1, width)
+    state_a = np.zeros(shape)
+    state_b = np.zeros(shape)
+    state_a[2 * nodes] = 1.0
+    state_b[2 * nodes] = 1.0
+    return state_a, state_b, np.empty((nodes,) + shape[1:])
+
+
+def _fused_substeps(
+    fused: np.ndarray,
+    n_steps: int,
+    temps: np.ndarray,
+    base: np.ndarray,
+    scaled_coef: np.ndarray,
+    inv_slope: float,
+    arg_cap: float,
+    buffers,
+):
+    """The one fused substep loop: ``n_steps`` substeps of
+    ``[T; P; 1] ← fused @ [T; P; 1]`` from ``temps``, with P from the
+    folded leakage form — a gemv for ``(nodes,)`` arrays, a gemm for
+    ``(nodes, K)`` cohorts.  ``base``/``scaled_coef`` and ``buffers``
+    (from :func:`_state_buffers`) match the shape of ``temps``; no
+    allocation, no per-core Python work.
+
+    Returns views into ``buffers``: the end temperatures and the
+    per-node power summed over substeps (times ``h``: energy).  Callers
+    copy out before the buffers are reused.
+    """
+    state, other, acc = buffers
+    n = temps.shape[0]
+    s_temps, s_power = state[:n], state[n : 2 * n]
+    o_temps, o_power = other[:n], other[n : 2 * n]
+    s_temps[:] = temps
+    acc.fill(0.0)
+    multiply, minimum, add, vexp, dot = np.multiply, np.minimum, np.add, np.exp, np.dot
+    for _ in range(n_steps):
+        # P = base + scaled_coef * exp(min(T * inv_slope, arg_cap))
+        multiply(s_temps, inv_slope, out=s_power)
+        minimum(s_power, arg_cap, out=s_power)
+        vexp(s_power, out=s_power)
+        multiply(s_power, scaled_coef, out=s_power)
+        add(s_power, base, out=s_power)
+        add(acc, s_power, out=acc)
+        dot(fused, state, out=o_temps)
+        state, other = other, state
+        s_temps, s_power, o_temps, o_power = o_temps, o_power, s_temps, s_power
+    return s_temps, acc
+
+
 class ThermalIntegrator:
     """Advances a :class:`ThermalNetwork` through time.
 
@@ -251,10 +312,12 @@ class ThermalIntegrator:
     ``(nodes,)``, °C).  Every advance cuts its interval into
     ``ceil(duration / max_substep)`` equal substeps and advances each
     one exactly for the power evaluated at its starting temperatures.
-    The simulation hot path is :meth:`advance_coefficients` (fused,
-    allocation-free); :meth:`advance` is the scalar reference oracle a
-    Python power callback plugs into, kept for validation and for
-    callers whose power is not an affine-exponential decomposition.
+    :meth:`advance_coefficients` is the fused, allocation-free path for
+    one chip; :meth:`advance` is the scalar reference oracle a Python
+    power callback plugs into, kept for validation and for
+    :meth:`settle`.  Simulated machines advance through
+    :class:`FleetThermalIntegrator` instead; this class settles their
+    initial state and serves as the tests' reference.
     """
 
     def __init__(
@@ -277,17 +340,9 @@ class ThermalIntegrator:
             self.temps = np.array(initial_temps, dtype=float)
             if self.temps.shape != (network.num_nodes,):
                 raise ConfigurationError("initial temperature vector has wrong length")
-        # Preallocated work vectors for the fused path.  The stacked
-        # state buffers hold [T, P, 1]; one substep writes P into the
-        # middle block and new temperatures into the partner buffer's
-        # head block via a single gemv, with zero allocations.
-        n = network.num_nodes
-        self._power_buffer = np.empty(n)
-        self._energy_buffer = np.empty(n)
-        self._state_a = np.zeros(2 * n + 1)
-        self._state_b = np.zeros(2 * n + 1)
-        self._state_a[2 * n] = 1.0
-        self._state_b[2 * n] = 1.0
+        # Preallocated work vectors for the fused path.
+        self._power_buffer = np.empty(network.num_nodes)
+        self._buffers = _state_buffers(network.num_nodes, 1)
 
     def advance(self, duration: float, power_fn: PowerFunction) -> AdvanceResult:
         """Integrate forward by ``duration`` seconds.
@@ -344,12 +399,11 @@ class ThermalIntegrator:
             average (W); :attr:`temps` holds the end-of-interval node
             temperatures (°C).
 
-        Per substep this costs the folded leakage chain (multiply,
-        clip, exp, multiply, add) plus one gemv of the stacked
-        ``(nodes, 2·nodes+1)`` kernel against the ``[T, P, 1]`` state
-        buffer — no Python per-core loop, no ``steady_state`` solve,
-        no allocation.  Energy is accumulated vectorially per node and
-        reduced once at the end.  Numerically equivalent to
+        Runs :func:`_fused_substeps` on 1-D buffers — the same loop a
+        cohort of one machine runs in
+        :meth:`FleetThermalIntegrator.advance_machines`, so the two
+        agree bit for bit.  Energy is accumulated vectorially per node
+        and reduced once at the end.  Numerically equivalent to
         :meth:`advance` with the matching power callback (same
         propagator, algebraically identical update).
         """
@@ -364,29 +418,18 @@ class ThermalIntegrator:
         self._metric_advances.inc()
         self._metric_substeps.inc(n_steps)
         self._metric_fused_advances.inc()
-        fused = self.network.step_kernel(h).fused
         inv_slope, arg_cap, scaled_coef = coefficients.fused_terms()
-        base = coefficients.base
-        n = self.temps.shape[0]
-        state, other = self._state_a, self._state_b
-        s_temps, s_power = state[:n], state[n : 2 * n]
-        o_temps, o_power = other[:n], other[n : 2 * n]
-        s_temps[:] = self.temps
-        acc = self._energy_buffer
-        acc.fill(0.0)
-        multiply, minimum, add, vexp, dot = np.multiply, np.minimum, np.add, np.exp, np.dot
-        for _ in range(n_steps):
-            # P = base + scaled_coef * exp(min(T / slope, capped arg))
-            multiply(s_temps, inv_slope, out=s_power)
-            minimum(s_power, arg_cap, out=s_power)
-            vexp(s_power, out=s_power)
-            multiply(s_power, scaled_coef, out=s_power)
-            add(s_power, base, out=s_power)
-            add(acc, s_power, out=acc)
-            dot(fused, state, out=o_temps)
-            state, other = other, state
-            s_temps, s_power, o_temps, o_power = o_temps, o_power, s_temps, s_power
-        self.temps = s_temps.copy()
+        end_temps, acc = _fused_substeps(
+            self.network.step_kernel(h).fused,
+            n_steps,
+            self.temps,
+            coefficients.base,
+            scaled_coef,
+            inv_slope,
+            arg_cap,
+            self._buffers,
+        )
+        self.temps = end_temps.copy()
         energy = float(acc.sum()) * h
         return AdvanceResult(energy=energy, average_power=energy / duration)
 
@@ -437,18 +480,16 @@ class FleetThermalIntegrator:
     :class:`ThermalIntegrator` uses.  :meth:`advance_machines` moves
     any subset of machines forward by a common duration: the selected
     rows are gathered into one stacked ``(2·nodes+1, K)`` state block
-    ``[T; P; 1]`` (machines along columns, so the temperature block
-    stays contiguous for the matmul output) and every substep costs
-    one elementwise leakage chain on ``(nodes, K)`` blocks plus a
-    single ``(nodes, 2·nodes+1) @ (2·nodes+1, K)`` matmul — the
-    single-chip fused kernel's gemv widened to a gemm over the cohort.
+    ``[T; P; 1]`` and every substep costs one elementwise leakage chain
+    on ``(nodes, K)`` blocks plus a single
+    ``(nodes, 2·nodes+1) @ (2·nodes+1, K)`` matmul — the single-chip
+    gemv widened to a gemm over the cohort (see :func:`_fused_substeps`).
 
     Equivalence guarantees, relied on by the fleet tests:
 
-    - a cohort of one machine (``K = 1``) runs the *identical*
-      operation sequence as :meth:`ThermalIntegrator.advance_coefficients`
-      — 1-D buffers, same ufunc chain, same gemv — so a fleet of one
-      machine reproduces a standalone machine bit for bit;
+    - a cohort of one machine (``K = 1``) runs :func:`_fused_substeps`
+      on 1-D buffers — the loop :meth:`ThermalIntegrator.advance_coefficients`
+      runs — so it reproduces a single-chip fused advance bit for bit;
     - for ``K > 1`` the gemm accumulates in a different order than K
       gemvs, so per-substep results agree to float rounding (not
       bitwise); over any simulated horizon the accumulated difference
@@ -461,10 +502,12 @@ class FleetThermalIntegrator:
     machines pays for each ``expm`` once, not ``N`` times.
 
     Telemetry (``fleet`` scope): ``machines`` gauge, ``substeps``
-    counter in *chip-substeps* (``n_steps × K`` per advance, additive
-    with what ``N`` standalone integrators would have counted),
-    ``batched_advances`` counter, and the ``advance_wall`` timer over
-    every batched advance.
+    counter in *chip-substeps* (``n_steps × K`` per advance, so it is
+    additive across machines and fleet sizes), ``batched_advances``
+    counter, and the ``advance_wall`` timer over every batched
+    advance.  These are the simulation path's thermal counters; the
+    ``thermal.rcnetwork`` advance counters count only direct
+    :class:`ThermalIntegrator` use, so no advance is counted twice.
     """
 
     def __init__(
@@ -500,19 +543,9 @@ class FleetThermalIntegrator:
         self._metric_substeps = scope.counter("substeps")
         self._metric_batched_advances = scope.counter("batched_advances")
         self._metric_advance_wall = scope.timer("advance_wall")
-        # Stacked-state scratch, one pair per cohort width K (cohort
-        # widths repeat heavily, so this is a handful of entries).  The
-        # bottom row of each state block is the constant 1.0 the fused
-        # kernel's ambient column multiplies; it is written once here
-        # and never touched by the substep loop.
+        # Substep-loop scratch per cohort width K (cohort widths repeat
+        # heavily, so this is a handful of entries).
         self._scratch: dict = {}
-        # 1-D buffers for the K=1 bit-match path, mirroring
-        # ThermalIntegrator's layout exactly.
-        self._vec_state_a = np.zeros(2 * n + 1)
-        self._vec_state_b = np.zeros(2 * n + 1)
-        self._vec_state_a[2 * n] = 1.0
-        self._vec_state_b[2 * n] = 1.0
-        self._vec_energy = np.empty(n)
 
     # ------------------------------------------------------------------
     def machine_temps(self, machine: int) -> np.ndarray:
@@ -522,12 +555,7 @@ class FleetThermalIntegrator:
     def _cohort_scratch(self, width: int):
         buffers = self._scratch.get(width)
         if buffers is None:
-            n = self.network.num_nodes
-            state_a = np.zeros((2 * n + 1, width))
-            state_b = np.zeros((2 * n + 1, width))
-            state_a[2 * n] = 1.0
-            state_b[2 * n] = 1.0
-            buffers = (state_a, state_b, np.empty((n, width)))
+            buffers = _state_buffers(self.network.num_nodes, width)
             self._scratch[width] = buffers
         return buffers
 
@@ -547,10 +575,13 @@ class FleetThermalIntegrator:
         duration:
             Interval length, seconds (> 0).
         coefficients:
-            :class:`repro.cpu.power.FleetCoefficients` whose columns
-            line up with ``machines``: ``base``/``scaled_coef`` of
-            shape ``(nodes, K)`` in watts plus the shared scalar
-            leakage constants.
+            The cohort's power decomposition, anything with the
+            ``base`` / ``fused_terms()`` contract: a
+            :class:`repro.cpu.power.PowerCoefficients` for a single
+            machine, or a :class:`repro.cpu.power.FleetCoefficients`
+            whose columns line up with ``machines`` (``base`` and
+            ``scaled_coef`` of shape ``(nodes, K)`` in watts plus the
+            shared scalar leakage constants).
 
         Returns
         -------
@@ -565,84 +596,47 @@ class FleetThermalIntegrator:
             raise ConfigurationError(
                 f"cohort advance needs a positive duration, got {duration}"
             )
-        if coefficients.num_machines != count:
+        base = coefficients.base
+        width = base.shape[1] if base.ndim == 2 else 1
+        if width != count:
             raise ConfigurationError(
-                f"coefficient stack is {coefficients.num_machines} machines "
-                f"wide, cohort has {count}"
+                f"coefficients are {width} machines wide, cohort has {count}"
             )
+        inv_slope, arg_cap, scaled_coef = coefficients.fused_terms()
         with self._metric_advance_wall.time():
             n_steps = max(1, int(np.ceil(duration / self.max_substep - 1e-12)))
             h = duration / n_steps
             self._metric_substeps.inc(n_steps * count)
             self._metric_batched_advances.inc()
             fused = self.network.step_kernel(h).fused
+            buffers = self._cohort_scratch(count)
             if count == 1:
-                energy = self._advance_single(
-                    machines[0], n_steps, fused, coefficients
+                if base.ndim == 2:  # a one-column stack
+                    base, scaled_coef = base[:, 0], scaled_coef[:, 0]
+                (machine,) = machines
+                end_temps, acc = _fused_substeps(
+                    fused,
+                    n_steps,
+                    self.temps[machine],
+                    base,
+                    scaled_coef,
+                    inv_slope,
+                    arg_cap,
+                    buffers,
                 )
-                return np.array([energy * h])
-            base = coefficients.base
-            scaled_coef = coefficients.scaled_coef
-            inv_slope = coefficients.inv_slope
-            arg_cap = coefficients.arg_cap
-            n = self.network.num_nodes
-            state, other, acc = self._cohort_scratch(count)
-            s_temps, s_power = state[:n], state[n : 2 * n]
-            o_temps, o_power = other[:n], other[n : 2 * n]
-            rows = self.temps[machines]  # (K, n) gather
-            s_temps[:] = rows.T
-            acc.fill(0.0)
-            multiply, minimum, add, vexp, dot = (
-                np.multiply,
-                np.minimum,
-                np.add,
-                np.exp,
-                np.dot,
-            )
-            for _ in range(n_steps):
-                # P = base + scaled_coef * exp(min(T * inv_slope, arg_cap)),
-                # all (nodes, K) blocks — same chain as the 1-D path.
-                multiply(s_temps, inv_slope, out=s_power)
-                minimum(s_power, arg_cap, out=s_power)
-                vexp(s_power, out=s_power)
-                multiply(s_power, scaled_coef, out=s_power)
-                add(s_power, base, out=s_power)
-                add(acc, s_power, out=acc)
-                dot(fused, state, out=o_temps)
-                state, other = other, state
-                s_temps, s_power, o_temps, o_power = o_temps, o_power, s_temps, s_power
-            self.temps[machines] = s_temps.T
-            return acc.sum(axis=0) * h
-
-    def _advance_single(self, machine: int, n_steps: int, fused, coefficients) -> float:
-        """The K=1 path: bitwise the single-chip fused substep loop."""
-        n = self.network.num_nodes
-        base = coefficients.base[:, 0]
-        scaled_coef = coefficients.scaled_coef[:, 0]
-        inv_slope = coefficients.inv_slope
-        arg_cap = coefficients.arg_cap
-        state, other = self._vec_state_a, self._vec_state_b
-        s_temps, s_power = state[:n], state[n : 2 * n]
-        o_temps, o_power = other[:n], other[n : 2 * n]
-        s_temps[:] = self.temps[machine]
-        acc = self._vec_energy
-        acc.fill(0.0)
-        multiply, minimum, add, vexp, dot = (
-            np.multiply,
-            np.minimum,
-            np.add,
-            np.exp,
-            np.dot,
-        )
-        for _ in range(n_steps):
-            multiply(s_temps, inv_slope, out=s_power)
-            minimum(s_power, arg_cap, out=s_power)
-            vexp(s_power, out=s_power)
-            multiply(s_power, scaled_coef, out=s_power)
-            add(s_power, base, out=s_power)
-            add(acc, s_power, out=acc)
-            dot(fused, state, out=o_temps)
-            state, other = other, state
-            s_temps, s_power, o_temps, o_power = o_temps, o_power, s_temps, s_power
-        self.temps[machine] = s_temps
-        return float(acc.sum())
+                self.temps[machine] = end_temps
+                energies = np.array([float(acc.sum()) * h])
+            else:
+                end_temps, acc = _fused_substeps(
+                    fused,
+                    n_steps,
+                    self.temps[machines].T,  # (K, n) gather: machines on columns
+                    base,
+                    scaled_coef,
+                    inv_slope,
+                    arg_cap,
+                    buffers,
+                )
+                self.temps[machines] = end_temps.T
+                energies = acc.sum(axis=0) * h
+        return energies

@@ -5,6 +5,7 @@ import pytest
 from repro.core import PowerCapController
 from repro.errors import ConfigurationError
 from repro.experiments import Machine, fast_config
+from repro.fleet import FleetMachine
 from repro.workloads import CpuBurn
 
 
@@ -33,6 +34,22 @@ def test_cap_is_enforced_under_full_load():
     # Unconstrained package power is ~65-75 W; cap at 45 W.
     controller = build(machine, 45.0, idle_quantum=0.01)
     machine.run(100.0)
+    assert controller.compliance(tolerance=2.0, skip=40) > 0.9
+    assert 38.0 < controller.mean_power(skip=40) < 47.0
+    assert controller.p > 0.1
+
+
+def test_cap_is_enforced_on_a_fleet_node():
+    """A fleet node's meter integrates pending physics before every
+    read, so the controller sees whole windows and holds the cap."""
+    fleet = FleetMachine(fast_config(), machines=1)
+    node = fleet.nodes[0]
+    for _ in range(4):
+        node.scheduler.spawn(CpuBurn())
+    controller = PowerCapController(
+        node.simview, node.control, node.powermeter, cap_watts=45.0, idle_quantum=0.01
+    )
+    fleet.run(100.0)
     assert controller.compliance(tolerance=2.0, skip=40) > 0.9
     assert 38.0 < controller.mean_power(skip=40) < 47.0
     assert controller.p > 0.1

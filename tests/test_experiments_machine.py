@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cpu import CState
+from repro.errors import ConfigurationError
 from repro.experiments import ExperimentConfig, Machine, fast_config, full_config
 from repro.workloads import CpuBurn, FiniteCpuBurn
 
@@ -122,3 +123,16 @@ def test_now_property_tracks_clock():
     assert machine.now == pytest.approx(2.5)
     machine.run(1.0)
     assert machine.now == pytest.approx(3.5)
+
+
+def test_window_defaults_only_on_none():
+    """Only ``None`` selects the config's measurement window; a zero or
+    negative window is an error, not a silent fallback."""
+    machine = Machine(fast_config())
+    machine.run(5.0)
+    assert machine.mean_core_temp_over_window(None) == machine.templog.mean_over_window(
+        machine.config.measure_window
+    )
+    for window in (0.0, -1.0):
+        with pytest.raises(ConfigurationError):
+            machine.temp_rise_over_idle(window)

@@ -47,7 +47,7 @@ def test_fleet_of_one_bit_matches_standalone():
 
     assert np.array_equal(solo.templog.times, node.templog.times)
     assert np.array_equal(solo.templog.samples, node.templog.samples)
-    assert np.array_equal(solo.integrator.temps, fleet.integrator.temps[0])
+    assert np.array_equal(solo.fleet.integrator.temps, fleet.integrator.temps)
     assert np.array_equal(solo.idle_core_temps, fleet.idle_core_temps)
     assert solo.powermeter.energy(0.0, 6.0) == node.energy(0.0, 6.0)
     assert solo.total_work_done() == node.total_work_done()
@@ -75,7 +75,10 @@ def test_fleet_matches_independent_serial_runs():
 
         node = fleet.nodes[j]
         assert np.max(np.abs(solo.templog.samples - node.templog.samples)) <= 1e-9
-        assert np.max(np.abs(solo.integrator.temps - fleet.integrator.temps[j])) <= 1e-9
+        assert (
+            np.max(np.abs(solo.fleet.integrator.temps[0] - fleet.integrator.temps[j]))
+            <= 1e-9
+        )
         # Scheduling is physics-independent, so the request streams are
         # not merely close — they are the same events.
         assert [r.rid for r in server.log.requests] == [
@@ -126,7 +129,6 @@ def _coefficients(base=5.0, coef=0.1, ref=45.0, slope=12.0, cap=4.0):
 def test_fleet_coefficients_stack_and_identity_reuse():
     columns = [_coefficients(base=5.0 + j) for j in range(4)]
     stack = FleetCoefficients.from_coefficients(columns)
-    assert stack.num_machines == 4
     assert stack.base.shape == (3, 4)
     assert stack.matches(columns)
     assert not stack.matches(list(reversed(columns)))
@@ -193,7 +195,9 @@ def test_fleet_telemetry_counts_chip_substeps_additively():
             solo = Machine(cfg.with_seed(cfg.seed + j))
             _drive_burn(solo)
             solo.run(4.0)
-            standalone_substeps += reg.value("thermal.rcnetwork.substeps", 0)
+            standalone_substeps += reg.value("fleet.substeps", 0)
+            # Simulation advances are counted once, on the fleet scope.
+            assert reg.value("thermal.rcnetwork.substeps", 0) == 0
 
     with isolated() as reg:
         fleet = FleetMachine(cfg, machines=n)

@@ -85,6 +85,25 @@ def test_fleet_code_edit_invalidates_rack_cells_only(config, monkeypatch):
     assert characterization_spec(config, p=0.5).key == sweep_before
 
 
+def test_machine_wiring_edit_invalidates_figure_sweeps(config, monkeypatch):
+    """Every single-machine run executes the fleet wiring module, so an
+    edit there must change characterization keys."""
+    from pathlib import Path
+
+    from repro.runtime import characterization_spec, hashing
+
+    wiring = Path(hashing.__file__).resolve().parent.parent / "fleet" / "machine.py"
+    sweep_before = characterization_spec(config, p=0.5).key
+    read_bytes = Path.read_bytes
+    monkeypatch.setattr(
+        Path,
+        "read_bytes",
+        lambda path: read_bytes(path) + (b"# edited" if path == wiring else b""),
+    )
+    monkeypatch.setattr(hashing, "_fingerprint_cache", None)
+    assert characterization_spec(config, p=0.5).key != sweep_before
+
+
 def test_fleet_fingerprint_is_distinct_from_physics(config):
     from repro.runtime import code_fingerprint
 

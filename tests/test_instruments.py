@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ConfigurationError
 from repro.instruments import (
     PowerMeter,
     TemperatureLog,
@@ -169,6 +169,9 @@ def test_templog_errors():
     log = TemperatureLog(sim, lambda: np.array([1.0]), period=1.0)
     with pytest.raises(AnalysisError):
         log.mean_over_window(1.0)  # no samples yet
+    for window in (0.0, -2.0):  # a bad window is rejected before any lookup
+        with pytest.raises(ConfigurationError):
+            log.mean_over_window(window)
 
 
 def test_templog_empty_log_has_declared_width():

@@ -112,26 +112,6 @@ def test_events_can_schedule_events():
     assert times == [0.0, 1.0, 2.0, 3.0]
 
 
-def test_advance_listener_sees_every_interval():
-    sim = Simulator()
-    intervals = []
-    sim.add_advance_listener(lambda t0, t1: intervals.append((t0, t1)))
-    sim.schedule(1.0, lambda: None)
-    sim.schedule(2.5, lambda: None)
-    sim.run(until=4.0)
-    assert intervals == [(0.0, 1.0), (1.0, 2.5), (2.5, 4.0)]
-
-
-def test_advance_listener_not_called_for_zero_gap():
-    sim = Simulator()
-    intervals = []
-    sim.add_advance_listener(lambda t0, t1: intervals.append((t0, t1)))
-    sim.schedule(1.0, lambda: None)
-    sim.schedule(1.0, lambda: None)
-    sim.run()
-    assert intervals == [(0.0, 1.0)]
-
-
 def test_event_count():
     sim = Simulator()
     for i in range(5):

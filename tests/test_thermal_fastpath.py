@@ -6,8 +6,9 @@ The fast path has three layers, each pinned against its scalar oracle:
   (≤1e-12 W per node over randomized chip states);
 - integration: :meth:`ThermalIntegrator.advance_coefficients` vs
   :meth:`ThermalIntegrator.advance` (≤1e-9 °C over long intervals);
-- simulation: ``Machine(fast_physics=True)`` vs the scalar machine over
-  a fig2-style 60 s run (≤1e-9 °C on every logged sample).
+- simulation: the default machine vs the same machine with its physics
+  swapped for the scalar oracle over a fig2-style 60 s run (≤1e-9 °C
+  on every logged sample).
 
 Plus the supporting machinery: the bounded expm LRU, the chip's
 segment-reuse epoch logic, and their telemetry counters.
@@ -256,13 +257,49 @@ def test_tcc_affects_coefficients():
 # ----------------------------------------------------------------------
 # End to end
 # ----------------------------------------------------------------------
+def _use_scalar_oracle(machine: Machine) -> None:
+    """Swap ``machine``'s physics for the scalar oracle.
+
+    The machine's gap-closing hook is replaced by eager integration:
+    every gap is split at C-state promotion instants exactly as the
+    fused path splits it, and each piece is integrated with
+    :meth:`ThermalIntegrator.advance` on :meth:`Chip.power_function`
+    (a Python per-core power loop plus a steady-state solve per
+    substep).  The result lands in the fleet state, so every
+    temperature and energy read sees the oracle's numbers.
+    """
+    fleet, node, chip = machine.fleet, machine.node, machine.chip
+    oracle = ThermalIntegrator(
+        fleet.network, fleet.integrator.temps[0], max_substep=fleet.integrator.max_substep
+    )
+
+    def close_gap(index: int) -> None:
+        t0, now = node.last_physics_time, fleet.now
+        if now <= t0:
+            return
+        edges = [t0] + chip.cstate_breakpoints(t0, now) + [now]
+        for a, b in zip(edges, edges[1:]):
+            if b <= a:
+                continue
+            cstates, power_fn = chip.power_function(time=0.5 * (a + b))
+            result = oracle.advance(b - a, power_fn)
+            chip.record_residency(cstates, b - a)
+            machine.powermeter.record_segment(a, b - a, result.average_power)
+        node.last_physics_time = now
+        fleet.integrator.temps[0] = oracle.temps
+
+    fleet._close_gap = close_gap
+
+
 def test_end_to_end_fast_physics_matches_scalar():
     """A fig2-style 60 s run: the default (fused, segment-reusing)
     machine reproduces the scalar-oracle machine's logged temperatures
     to 1e-9 °C and its energy accounting to 1e-9 relative."""
 
     def build(fast: bool) -> Machine:
-        machine = Machine(fast_config(seed=0), fast_physics=fast)
+        machine = Machine(fast_config(seed=0))
+        if not fast:
+            _use_scalar_oracle(machine)
         machine.control.set_global_policy(0.5, 0.100)
         for _ in range(4):
             machine.scheduler.spawn(CpuBurn())
