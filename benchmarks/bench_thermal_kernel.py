@@ -86,9 +86,9 @@ def run_benchmark(
 ) -> dict:
     """Time both paths over identical substep sequences.
 
-    Returns a JSON-ready dict.  Timing is best-of-``repeats`` with the
-    expm cache warmed first, so the numbers measure the substep loops,
-    not one-time kernel construction.
+    Returns a JSON-ready dict.  Timing is best-of-``repeats`` after the
+    equivalence runs have warmed both paths, so the numbers measure the
+    substep loops, not first-call overhead.
     """
     chip, network, temps0 = _build_testbed(num_cores)
     _, power_fn = chip.power_function(time=0.0)
@@ -200,7 +200,7 @@ def run_fleet_benchmark(
     single_best = np.inf
     ThermalIntegrator(network, temps0.copy(), max_substep=max_substep).advance_coefficients(
         duration, columns[0]
-    )  # warm the expm cache
+    )  # warm-up call, untimed
     for _ in range(repeats):
         integ = ThermalIntegrator(network, temps0.copy(), max_substep=max_substep)
         t0 = time.perf_counter()

@@ -176,17 +176,9 @@ class FleetCoefficients:
     with different leakage constants raises
     :class:`~repro.errors.ConfigurationError` — such a fleet cannot be
     advanced by one fused kernel.
-
-    The per-machine source objects are kept (``sources``) so a caller
-    can cheaply test, via :meth:`matches`, whether a previously built
-    stack is still current: chips multiplex coefficient segments by
-    :attr:`~repro.cpu.chip.Chip.state_epoch`, handing out the *same*
-    ``PowerCoefficients`` object while no power-relevant state changed,
-    so identity over the column tuple means the whole stack can be
-    reused without copying a single float.
     """
 
-    __slots__ = ("base", "scaled_coef", "inv_slope", "arg_cap", "sources")
+    __slots__ = ("base", "scaled_coef", "inv_slope", "arg_cap")
 
     def __init__(
         self,
@@ -194,13 +186,11 @@ class FleetCoefficients:
         scaled_coef: np.ndarray,
         inv_slope: float,
         arg_cap: float,
-        sources: Tuple[PowerCoefficients, ...],
     ):
         self.base = base
         self.scaled_coef = scaled_coef
         self.inv_slope = inv_slope
         self.arg_cap = arg_cap
-        self.sources = sources
 
     @classmethod
     def from_coefficients(
@@ -231,20 +221,12 @@ class FleetCoefficients:
                 )
             base[:, j] = column.base
             scaled_coef[:, j] = c_scaled
-        return cls(base, scaled_coef, inv_slope, arg_cap, tuple(columns))
+        return cls(base, scaled_coef, inv_slope, arg_cap)
 
     def fused_terms(self) -> Tuple[float, float, np.ndarray]:
         """``(inv_slope, arg_cap, scaled_coef)`` — the
         :meth:`PowerCoefficients.fused_terms` contract, column-stacked."""
         return self.inv_slope, self.arg_cap, self.scaled_coef
-
-    def matches(self, columns: Sequence[PowerCoefficients]) -> bool:
-        """True when this stack was built from exactly these objects
-        (identity per column) — the epoch-multiplexed reuse test."""
-        sources = self.sources
-        return len(columns) == len(sources) and all(
-            column is source for column, source in zip(columns, sources)
-        )
 
 
 class PowerModel:

@@ -48,20 +48,19 @@ synchronized benchmark), cohorts span the whole fleet and the batched
 kernel does one ``(nodes, 2·nodes+1) @ (2·nodes+1, N)`` matmul per
 substep; under desynchronized workloads (per-node Poisson arrivals)
 cohorts shrink and the path degrades gracefully toward per-machine
-gemvs that still share the step-kernel cache.
+gemvs.
 
 Telemetry (shared registry, additive across nodes): the integrator's
 ``fleet.machines`` / ``fleet.substeps`` / ``fleet.batched_advances`` /
-``fleet.advance_wall``, plus ``fleet.segments`` (recorded pieces),
-``fleet.drains``, and coefficient stack build/reuse counters from this
-module.
+``fleet.advance_wall``, plus ``fleet.segments`` (recorded pieces) and
+``fleet.drains`` from this module.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -265,15 +264,12 @@ class FleetMachine:
 
         self.sim = Simulator()
         #: One network shared by every node: homogeneous machines share
-        #: the step-kernel LRU, so each distinct substep length costs
-        #: one ``expm`` for the whole fleet.
+        #: its eigendecomposition, from which every step kernel is built.
         self.network = build_network(cfg.thermal, cfg.num_cores)
 
         scope = _metrics_registry().scope("fleet")
         self._metric_segments = scope.counter("segments")
         self._metric_drains = scope.counter("drains")
-        self._metric_stack_builds = scope.counter("coefficient_stacks.builds")
-        self._metric_stack_reuses = scope.counter("coefficient_stacks.reuses")
 
         self.nodes: List[FleetNode] = []
         for j in range(machines):
@@ -306,9 +302,6 @@ class FleetMachine:
         #: Per-core idle temperatures — the baseline, °C (all nodes).
         self.idle_core_temps = idle_temps[: cfg.num_cores].copy()
 
-        #: Cohort-width -> last coefficient stack, for epoch-multiplexed
-        #: reuse (aligned fleets rebuild nothing in steady state).
-        self._stack_cache: Dict[int, FleetCoefficients] = {}
         #: Rack-level health aggregation once :meth:`attach_health` runs.
         self.health: Optional[FleetHealth] = None
 
@@ -382,22 +375,6 @@ class FleetMachine:
         node.last_physics_time = now
         self._metric_segments.inc(recorded)
 
-    def _cohort_stack(
-        self, columns: Sequence[PowerCoefficients]
-    ) -> FleetCoefficients:
-        """The node-major coefficient stack for one cohort, reusing the
-        previous stack of the same width when every column is the same
-        (epoch-unchanged) coefficient object."""
-        width = len(columns)
-        cached = self._stack_cache.get(width)
-        if cached is not None and cached.matches(columns):
-            self._metric_stack_reuses.inc()
-            return cached
-        stack = FleetCoefficients.from_coefficients(columns)
-        self._stack_cache[width] = stack
-        self._metric_stack_builds.inc()
-        return stack
-
     def _drain(self) -> None:
         """Integrate every recorded segment, batching across nodes.
 
@@ -423,7 +400,9 @@ class FleetMachine:
                 if len(segments) == 1:
                     coefficients = segments[0].coefficients
                 else:
-                    coefficients = self._cohort_stack([s.coefficients for s in segments])
+                    coefficients = FleetCoefficients.from_coefficients(
+                        [s.coefficients for s in segments]
+                    )
                 energies = integrator.advance_machines(
                     members, duration, coefficients
                 )

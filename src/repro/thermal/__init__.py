@@ -2,14 +2,13 @@
 
 from .floorplan import SINK, SPREADER, build_network, core_node_name
 from .params import ThermalParams, default, fast
-from .rcnetwork import AdvanceResult, StepKernel, ThermalIntegrator, ThermalNetwork
+from .rcnetwork import AdvanceResult, ThermalIntegrator, ThermalNetwork
 from .sensors import SensorBank, TemperatureSensor
 
 __all__ = [
     "AdvanceResult",
     "SensorBank",
     "SINK",
-    "StepKernel",
     "SPREADER",
     "TemperatureSensor",
     "ThermalIntegrator",

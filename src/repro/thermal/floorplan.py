@@ -69,5 +69,4 @@ def build_network(params: ThermalParams, num_cores: int = 4) -> ThermalNetwork:
         ambient_conductances=ambient,
         ambient_temp=params.ambient_temp,
         node_names=names,
-        expm_cache_size=params.expm_cache_size,
     )

@@ -54,13 +54,6 @@ class ThermalParams:
     #: Default integrator substep, s.
     max_substep: float = 5e-3
 
-    #: Bound on the network's step-kernel (matrix exponential) LRU
-    #: cache: distinct substep lengths kept before eviction.  Scheduler
-    #: runs reuse a handful of lengths, so the default is generous; the
-    #: bound exists so sweeps with pathological substep diversity cannot
-    #: grow the cache without limit.
-    expm_cache_size: int = 64
-
     @property
     def ambient_temp(self) -> float:
         """Effective ambient seen by the heatsink, °C."""

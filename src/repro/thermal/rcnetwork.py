@@ -22,13 +22,15 @@ is advanced exactly:
 
 This is unconditionally stable, exact for constant power, and the only
 error source is the leakage lag over one substep (second order in
-``h``).  Step kernels — the matrix exponential together with its
-power-injection and ambient companions — are cached per distinct ``h``
-in a bounded LRU (segments in the scheduler simulation reuse a small
-set of substep lengths, so the hit rate is essentially 100% after
-warm-up; the bound protects sweeps with pathological substep
-diversity).  Hit/miss/eviction counts are published on the
-``thermal.rcnetwork`` telemetry scope.
+``h``).  ``-C^{-1} G`` is similar to the symmetric ``S G S`` with
+``S = C^{-1/2}``, so one eigendecomposition at construction,
+``S G S = Q diag(λ) Qᵀ``, gives ``E(h) = Σₖ e^{−λₖ h} Pₖ`` for every
+``h`` through the spectral projectors ``Pₖ = S qₖ qₖᵀ S⁻¹``.  A step
+kernel — ``E(h)`` together with its power-injection and ambient
+companions — is therefore one ``exp`` of ``n`` values and one small
+gemv, cheap enough to build afresh for every substep length (idle
+injection on desynchronised machines produces a new one almost every
+time), so nothing is cached.
 
 The integrator has two equivalent paths:
 
@@ -49,18 +51,16 @@ network (a rack of identical servers, or a single server as a rack of
 one): the whole fleet's temperature state is a single ``(N, nodes)``
 array and a cohort of machines sharing a substep length advances with
 one ``(nodes, 2·nodes+1) @ (2·nodes+1, K)`` matmul per substep instead
-of ``K`` gemvs.  Every path shares the step-kernel LRU of the
-underlying :class:`ThermalNetwork`.
+of ``K`` gemvs.  Every path builds its kernels through
+:meth:`ThermalNetwork.step_kernel`.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from ..errors import ConfigurationError
 from ..telemetry.registry import registry as _metrics_registry
@@ -70,29 +70,6 @@ if TYPE_CHECKING:  # the integrator only needs its .evaluate() protocol
 
 #: Power callback: maps node temperatures (°C) to node power inputs (W).
 PowerFunction = Callable[[np.ndarray], np.ndarray]
-
-
-class StepKernel(NamedTuple):
-    """Precomputed linear-system kernel for one substep length ``h``.
-
-    Advancing the network by ``h`` under a frozen power vector ``P`` is
-
-        T(t+h) = propagator @ T(t) + inject @ P + ambient_shift
-
-    which is algebraically identical to the steady-state form
-    ``T_ss + E(h) (T - T_ss)`` with ``T_ss = T_amb·1 + L⁻¹ P``:
-    ``inject = (I − E(h)) L⁻¹`` and ``ambient_shift = (I − E(h)) T_amb·1``.
-
-    ``fused`` is the three blocks stacked as one ``(n, 2n+1)`` matrix
-    ``[propagator | inject | ambient_shift]`` so the whole update is a
-    single gemv against the stacked state vector ``[T, P, 1]`` — the
-    fused integrator's inner loop lives on this.
-    """
-
-    propagator: np.ndarray
-    inject: np.ndarray
-    ambient_shift: np.ndarray
-    fused: np.ndarray
 
 
 class ThermalNetwork:
@@ -105,16 +82,15 @@ class ThermalNetwork:
     conductances:
         Symmetric ``(n, n)`` matrix of pairwise conductances, W/K.
         ``conductances[i, j]`` is the conductance of the link between
-        nodes ``i`` and ``j``; the diagonal is ignored.
+        nodes ``i`` and ``j``; the diagonal is ignored.  Symmetry is
+        checked to within ``np.allclose``; the network keeps
+        ``(G + Gᵀ)/2``, so every derived matrix describes one network.
     ambient_conductances:
         Per-node conductance to ambient, W/K (0 for internal nodes).
     ambient_temp:
         Ambient temperature, °C.
     node_names:
         Optional human-readable node labels (defaults to ``node{i}``).
-    expm_cache_size:
-        Maximum number of distinct substep lengths whose step kernels
-        are kept (LRU eviction).  Must be at least 1.
     """
 
     def __init__(
@@ -124,7 +100,6 @@ class ThermalNetwork:
         ambient_conductances: Sequence[float],
         ambient_temp: float,
         node_names: Optional[Sequence[str]] = None,
-        expm_cache_size: int = 64,
     ):
         self.capacitances = np.asarray(capacitances, dtype=float)
         n = self.capacitances.shape[0]
@@ -144,6 +119,7 @@ class ThermalNetwork:
             raise ConfigurationError("conductances must be non-negative")
         if not np.allclose(conductances, conductances.T):
             raise ConfigurationError("pairwise conductance matrix must be symmetric")
+        conductances = 0.5 * (conductances + conductances.T)
         if np.all(self.ambient_conductances == 0):
             raise ConfigurationError(
                 "network has no path to ambient; temperatures would diverge"
@@ -161,16 +137,34 @@ class ThermalNetwork:
         np.fill_diagonal(off, 0.0)
         diag = conductances.sum(axis=1) - np.diag(conductances) + self.ambient_conductances
         self._laplacian = off + np.diag(diag)
-        self._a_matrix = -self._laplacian / self.capacitances[:, None]
         self._laplacian_inv = np.linalg.inv(self._laplacian)
-        if expm_cache_size < 1:
-            raise ConfigurationError("expm_cache_size must be at least 1")
-        self._expm_cache_size = int(expm_cache_size)
-        self._expm_cache: "OrderedDict[float, StepKernel]" = OrderedDict()
-        scope = _metrics_registry().scope("thermal.rcnetwork")
-        self._metric_cache_hits = scope.counter("expm_cache.hits")
-        self._metric_cache_misses = scope.counter("expm_cache.misses")
-        self._metric_cache_evictions = scope.counter("expm_cache.evictions")
+
+        # A = −C⁻¹G = S (−S G S) S⁻¹ with S = C^{-1/2}.  ``eigh`` of the
+        # symmetric S G S gives the decay rates λₖ > 0 and the spectral
+        # projectors Pₖ = S qₖ qₖᵀ S⁻¹, so E(h) = Σₖ e^{−λₖ h} Pₖ.  The
+        # step kernel [E | (I−E) G⁻¹ | (I−E) T_amb·1] is then
+        # K∞ + Σₖ e^{−λₖ h} Kₖ with K∞ = [0 | G⁻¹ | T_amb·1] and
+        # Kₖ = [Pₖ | −Pₖ G⁻¹ | −Pₖ T_amb·1]; the Kₖ are stored as the
+        # rows of one (n, n·(2n+1)) matrix.
+        scale = 1.0 / np.sqrt(self.capacitances)
+        self._rates, modes = np.linalg.eigh(
+            scale[:, None] * self._laplacian * scale[None, :]
+        )
+        projectors = np.einsum(  # projectors[k] = Pₖ
+            "ik,jk->kij", scale[:, None] * modes, modes / scale[:, None]
+        )
+        ambient = np.full(n, self.ambient_temp)
+        self._kernel_modes = np.concatenate(
+            [
+                projectors,
+                -projectors @ self._laplacian_inv,
+                -(projectors @ ambient)[:, :, None],
+            ],
+            axis=2,
+        ).reshape(n, -1)
+        self._kernel_limit = np.hstack(
+            [np.zeros((n, n)), self._laplacian_inv, ambient[:, None]]
+        ).ravel()
 
     # ------------------------------------------------------------------
     @property
@@ -195,48 +189,31 @@ class ThermalNetwork:
         return float(self._laplacian_inv[node, source])
 
     def time_constants(self) -> np.ndarray:
-        """Sorted (ascending) eigen time-constants of the network, seconds."""
-        eigvals = np.linalg.eigvals(self._a_matrix)
-        return np.sort(-1.0 / np.real(eigvals))
+        """Sorted (ascending) eigen time-constants ``1/λₖ`` of the network, seconds."""
+        return np.sort(1.0 / self._rates)
 
     def propagator(self, h: float) -> np.ndarray:
-        """``expm(A h)`` with LRU caching on the (rounded) step length."""
-        return self.step_kernel(h).propagator
+        """``E(h) = expm(A h)``: the first block of :meth:`step_kernel`."""
+        return self.step_kernel(h)[:, : self.num_nodes]
 
-    def step_kernel(self, h: float) -> StepKernel:
-        """The fused substep kernel for step length ``h`` (LRU-cached).
+    def step_kernel(self, h: float) -> np.ndarray:
+        """The stacked substep kernel for step length ``h``, shape ``(n, 2n+1)``.
 
-        One entry per distinct rounded ``h`` holds ``E(h)`` together
-        with the power-injection matrix and ambient shift, so both the
-        scalar and the fused integration paths share the same cache.
+        Advancing the network by ``h`` under a frozen power vector ``P``
+        is one gemv against the stacked state ``[T; P; 1]``:
+
+            T(t+h) = [E(h) | (I − E(h)) G⁻¹ | (I − E(h)) T_amb·1] @ [T; P; 1]
+
+        which is algebraically ``T_ss + E(h) (T − T_ss)`` with
+        ``T_ss = T_amb·1 + G⁻¹ P``.  ``h`` is rounded to the nanosecond
+        first, so lengths that differ only by float noise in the
+        ``duration / n_steps`` split get the same kernel.  Built fresh on
+        every call: one ``exp`` of ``n`` rates and one gemv.
         """
-        key = round(float(h), 9)
-        kernel = self._expm_cache.get(key)
-        if kernel is not None:
-            self._expm_cache.move_to_end(key)
-            self._metric_cache_hits.inc()
-            return kernel
-        self._metric_cache_misses.inc()
-        propagator = expm(self._a_matrix * key)
-        complement = np.eye(self.num_nodes) - propagator
-        inject = complement @ self._laplacian_inv
-        ambient_shift = complement @ np.full(self.num_nodes, self.ambient_temp)
-        kernel = StepKernel(
-            propagator=propagator,
-            inject=inject,
-            ambient_shift=ambient_shift,
-            fused=np.hstack([propagator, inject, ambient_shift[:, None]]),
-        )
-        self._expm_cache[key] = kernel
-        if len(self._expm_cache) > self._expm_cache_size:
-            self._expm_cache.popitem(last=False)
-            self._metric_cache_evictions.inc()
-        return kernel
-
-    @property
-    def expm_cache_len(self) -> int:
-        """Number of step kernels currently cached."""
-        return len(self._expm_cache)
+        decay = np.exp(-round(float(h), 9) * self._rates)
+        kernel = decay @ self._kernel_modes
+        kernel += self._kernel_limit
+        return kernel.reshape(self.num_nodes, -1)
 
 
 @dataclass
@@ -420,7 +397,7 @@ class ThermalIntegrator:
         self._metric_fused_advances.inc()
         inv_slope, arg_cap, scaled_coef = coefficients.fused_terms()
         end_temps, acc = _fused_substeps(
-            self.network.step_kernel(h).fused,
+            self.network.step_kernel(h),
             n_steps,
             self.temps,
             coefficients.base,
@@ -497,9 +474,9 @@ class FleetThermalIntegrator:
       the propagator is a contraction.
 
     Substep lengths come from the same ``ceil(duration / max_substep)``
-    rule as the single-chip integrator, and step kernels come from the
-    *shared* :class:`ThermalNetwork` LRU — a fleet of homogeneous
-    machines pays for each ``expm`` once, not ``N`` times.
+    rule as the single-chip integrator, and each advance builds its
+    step kernel once from the shared :class:`ThermalNetwork`'s
+    eigendecomposition, whatever the cohort width.
 
     Telemetry (``fleet`` scope): ``machines`` gauge, ``substeps``
     counter in *chip-substeps* (``n_steps × K`` per advance, so it is
@@ -608,7 +585,7 @@ class FleetThermalIntegrator:
             h = duration / n_steps
             self._metric_substeps.inc(n_steps * count)
             self._metric_batched_advances.inc()
-            fused = self.network.step_kernel(h).fused
+            fused = self.network.step_kernel(h)
             buffers = self._cohort_scratch(count)
             if count == 1:
                 if base.ndim == 2:  # a one-column stack

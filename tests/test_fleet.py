@@ -127,12 +127,17 @@ def _coefficients(base=5.0, coef=0.1, ref=45.0, slope=12.0, cap=4.0):
 
 
 def test_fleet_coefficients_stack_and_identity_reuse():
-    columns = [_coefficients(base=5.0 + j) for j in range(4)]
+    """Column ``j`` of the stack is machine ``j``'s folded decomposition,
+    and the shared leakage constants are the columns' own."""
+    columns = [_coefficients(base=5.0 + j, coef=0.1 * (j + 1)) for j in range(4)]
     stack = FleetCoefficients.from_coefficients(columns)
-    assert stack.base.shape == (3, 4)
-    assert stack.matches(columns)
-    assert not stack.matches(list(reversed(columns)))
-    assert not stack.matches(columns[:3])
+    assert stack.base.shape == stack.scaled_coef.shape == (3, 4)
+    inv_slope, arg_cap, scaled_coef = stack.fused_terms()
+    for j, column in enumerate(columns):
+        c_inv_slope, c_arg_cap, c_scaled = column.fused_terms()
+        assert (inv_slope, arg_cap) == (c_inv_slope, c_arg_cap)
+        assert np.array_equal(stack.base[:, j], column.base)
+        assert np.array_equal(scaled_coef[:, j], c_scaled)
 
 
 def test_fleet_coefficients_reject_heterogeneous_leakage():

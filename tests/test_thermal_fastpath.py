@@ -10,8 +10,8 @@ The fast path has three layers, each pinned against its scalar oracle:
   swapped for the scalar oracle over a fig2-style 60 s run (≤1e-9 °C
   on every logged sample).
 
-Plus the supporting machinery: the bounded expm LRU, the chip's
-segment-reuse epoch logic, and their telemetry counters.
+Plus the supporting machinery: the chip's segment-reuse epoch logic
+and its telemetry counters.
 """
 
 import numpy as np
@@ -25,7 +25,7 @@ from repro.experiments import Machine, fast_config
 from repro.telemetry import isolated
 from repro.thermal.floorplan import build_network
 from repro.thermal.params import ThermalParams
-from repro.thermal.rcnetwork import ThermalIntegrator, ThermalNetwork
+from repro.thermal.rcnetwork import ThermalIntegrator
 from repro.workloads import CpuBurn
 
 POWER_TOL_W = 1e-12
@@ -130,66 +130,6 @@ def test_advance_coefficients_zero_and_negative_duration():
     assert result.average_power == pytest.approx(float(power_fn(integ.temps).sum()))
     with pytest.raises(ConfigurationError):
         integ.advance_coefficients(-1.0, coefficients)
-
-
-# ----------------------------------------------------------------------
-# expm LRU cache
-# ----------------------------------------------------------------------
-def _tiny_network(cache_size: int) -> ThermalNetwork:
-    return ThermalNetwork(
-        capacitances=[1.0, 2.0],
-        conductances=np.array([[0.0, 0.5], [0.5, 0.0]]),
-        ambient_conductances=[0.0, 1.0],
-        ambient_temp=25.0,
-        expm_cache_size=cache_size,
-    )
-
-
-def test_expm_cache_is_bounded_with_lru_eviction():
-    with isolated() as registry:
-        network = _tiny_network(2)
-        network.step_kernel(0.1)
-        network.step_kernel(0.2)
-        network.step_kernel(0.1)  # refresh 0.1 -> 0.2 is now LRU
-        network.step_kernel(0.3)  # evicts 0.2
-        assert network.expm_cache_len == 2
-        network.step_kernel(0.1)  # still cached
-        assert registry.value("thermal.rcnetwork.expm_cache.misses") == 3
-        assert registry.value("thermal.rcnetwork.expm_cache.hits") == 2
-        assert registry.value("thermal.rcnetwork.expm_cache.evictions") == 1
-        # 0.2 was evicted: asking again is a miss and evicts 0.3 (LRU).
-        network.step_kernel(0.2)
-        assert registry.value("thermal.rcnetwork.expm_cache.misses") == 4
-        assert network.expm_cache_len == 2
-
-
-def test_expm_cache_size_validated():
-    with pytest.raises(ConfigurationError):
-        _tiny_network(0)
-
-
-def test_scalar_and_fused_paths_share_step_kernels():
-    with isolated() as registry:
-        network = _tiny_network(8)
-        integ = ThermalIntegrator(network, np.array([40.0, 30.0]), max_substep=1e-2)
-        integ.advance(0.1, lambda temps: np.array([1.0, 0.0]))
-        misses_after_scalar = registry.value("thermal.rcnetwork.expm_cache.misses")
-        from repro.cpu.power import PowerCoefficients
-
-        coefficients = PowerCoefficients(
-            base=np.array([1.0, 0.0]),
-            leak_coef=np.zeros(2),
-            leak_ref_temp=58.0,
-            leak_t_slope=11.5,
-            leak_exp_cap=0.7,
-        )
-        integ.advance_coefficients(0.1, coefficients)
-        # Same substep length: the fused path reuses the scalar's kernel.
-        assert (
-            registry.value("thermal.rcnetwork.expm_cache.misses")
-            == misses_after_scalar
-        )
-        assert registry.value("thermal.rcnetwork.expm_cache.hits") >= 1
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from repro.errors import ConfigurationError
 from repro.thermal import ThermalNetwork, ThermalParams, build_network, default
@@ -77,13 +78,6 @@ def test_default_network_has_separated_time_scales():
     assert taus[-1] > 30.0  # sink-scale: tens of seconds
 
 
-def test_propagator_cached():
-    net = two_node_network()
-    a = net.propagator(0.005)
-    b = net.propagator(0.005)
-    assert a is b
-
-
 def test_propagator_semigroup_property():
     """expm(A(h1+h2)) == expm(A h1) @ expm(A h2)."""
     net = two_node_network()
@@ -91,6 +85,112 @@ def test_propagator_semigroup_property():
     e2 = net.propagator(0.007)
     e3 = net.propagator(0.010)
     assert np.allclose(e1 @ e2, e3)
+
+
+# ----------------------------------------------------------------------
+# Spectral step kernel vs scipy's matrix exponential
+# ----------------------------------------------------------------------
+KERNEL_TOL = 1e-12
+
+
+def _laplacian(conductances, ambient_conductances):
+    """The conductance Laplacian of ``(G + Gᵀ)/2`` with ambient legs."""
+    g = 0.5 * (conductances + conductances.T)
+    np.fill_diagonal(g, 0.0)
+    return np.diag(g.sum(axis=1) + ambient_conductances) - g
+
+
+def _expm_kernel(laplacian, capacitances, ambient_temp, h):
+    """``[E | (I−E) L⁻¹ | (I−E) T_amb·1]`` with ``E = expm(−C⁻¹ L h)``."""
+    n = len(capacitances)
+    e = expm(-laplacian / np.asarray(capacitances)[:, None] * h)
+    complement = np.eye(n) - e
+    return np.hstack(
+        [
+            e,
+            complement @ np.linalg.inv(laplacian),
+            (complement @ np.full(n, ambient_temp))[:, None],
+        ]
+    )
+
+
+def _floorplan_case():
+    params = default()
+    net = build_network(params, num_cores=4)
+    spreader, sink = 4, 5
+    g = np.zeros((6, 6))
+    for i in range(4):
+        g[i, spreader] = g[spreader, i] = params.core_to_spreader
+    for i in range(3):
+        g[i, i + 1] = g[i + 1, i] = params.core_to_core
+    g[spreader, sink] = g[sink, spreader] = params.spreader_to_sink
+    ambient = np.zeros(6)
+    ambient[sink] = params.sink_to_ambient
+    return net, _laplacian(g, ambient)
+
+
+def _two_node_case():
+    net = two_node_network()
+    g = np.array([[0.0, 2.0], [2.0, 0.0]])
+    return net, _laplacian(g, np.array([0.0, 4.0]))
+
+
+@pytest.mark.parametrize("case", [_floorplan_case, _two_node_case], ids=["floorplan", "two-node"])
+def test_step_kernel_matches_expm(case):
+    """The spectral kernel reproduces the expm-built one to 1e-12 over
+    seven decades of step length, from sub-microsecond substeps to
+    longer than every die and spreader time constant."""
+    net, laplacian = case()
+    for h in np.geomspace(1e-7, 10.0, 1200):
+        reference = _expm_kernel(laplacian, net.capacitances, net.ambient_temp, round(h, 9))
+        kernel = net.step_kernel(h)
+        assert kernel.shape == (net.num_nodes, 2 * net.num_nodes + 1)
+        assert np.max(np.abs(kernel - reference)) <= KERNEL_TOL, h
+        assert np.array_equal(net.propagator(h), kernel[:, : net.num_nodes])
+
+
+def test_step_kernel_rounds_h_to_nanoseconds():
+    """The kernel argument is ``round(h, 9)``: float noise from the
+    ``duration / n_steps`` split never changes the kernel."""
+    net = build_network(default(), num_cores=4)
+    rng = np.random.default_rng(3)
+    durations = rng.uniform(1e-6, 0.05, size=500)
+    for duration in durations:
+        n_steps = int(np.ceil(duration / 5e-3))
+        h = duration / n_steps
+        assert np.array_equal(net.step_kernel(h), net.step_kernel(round(h, 9)))
+    assert np.array_equal(net.step_kernel(0.003 + 2e-13), net.step_kernel(0.003))
+
+
+@pytest.mark.parametrize("case", [_floorplan_case, _two_node_case], ids=["floorplan", "two-node"])
+def test_time_constants_match_eigenvalues_of_a(case):
+    net, laplacian = case()
+    a = -laplacian / net.capacitances[:, None]
+    expected = np.sort(-1.0 / np.real(np.linalg.eigvals(a)))
+    assert np.allclose(net.time_constants(), expected, rtol=1e-12, atol=0.0)
+
+
+def test_nearly_symmetric_conductances_are_symmetrised():
+    """A 1e-10 W/K asymmetry passes validation; the network then
+    describes ``(G + Gᵀ)/2`` consistently: its kernel matches expm of
+    that Laplacian, and the long-step limit ``K∞`` is the steady state."""
+    g = np.array([[0.0, 2.0 + 1e-10], [2.0, 0.0]])
+    net = ThermalNetwork(
+        capacitances=[0.1, 10.0],
+        conductances=g,
+        ambient_conductances=[0.0, 4.0],
+        ambient_temp=25.0,
+    )
+    laplacian = _laplacian(g, np.array([0.0, 4.0]))
+    for h in np.geomspace(1e-4, 10.0, 200):
+        reference = _expm_kernel(laplacian, net.capacitances, net.ambient_temp, round(h, 9))
+        assert np.max(np.abs(net.step_kernel(h) - reference)) <= KERNEL_TOL, h
+
+    limit = net.step_kernel(1e4)
+    power = np.array([8.0, 3.0])
+    for temps in (np.array([25.0, 25.0]), np.array([90.0, 40.0])):
+        stacked = np.concatenate([temps, power, [1.0]])
+        assert np.max(np.abs(limit @ stacked - net.steady_state(power))) <= KERNEL_TOL
 
 
 def test_rejects_asymmetric_conductances():
