@@ -79,6 +79,14 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #: The sweep journal lives inside the cache dir: resume needs both.
 JOURNAL_NAME = "journal.jsonl"
 
+#: The batch-runner flags (argparse destinations): set to anything but
+#: their parser default, they are a usage error on a non-batch
+#: experiment.
+BATCH_FLAGS = (
+    "jobs", "cache_dir", "no_cache", "progress", "timeout",
+    "max_retries", "resume", "keep_going", "inject_faults",
+)
+
 #: experiment name -> (description, runner).
 EXPERIMENTS: Dict[str, tuple] = {
     "fig1": ("race-to-idle vs Dimetrodon power trace", fig1_power_trace),
@@ -243,6 +251,14 @@ def supports_health(func: Callable) -> bool:
     return "health_params" in inspect.signature(func).parameters
 
 
+def experiments_supporting(supports: Callable[[Callable], bool]) -> str:
+    """The registered experiments whose entry point passes ``supports``,
+    comma-separated in name order (for error messages)."""
+    return ", ".join(
+        name for name in sorted(EXPERIMENTS) if supports(EXPERIMENTS[name][1])
+    )
+
+
 def health_params_from_args(args: argparse.Namespace) -> Optional[HealthParams]:
     """Build the ``--health-*`` override, or None when no flag was given
     (experiments then use the :class:`~repro.health.HealthParams`
@@ -267,7 +283,7 @@ def validate_health(experiment: str, params: Optional[HealthParams]) -> None:
     if func is None or not supports_health(func):
         raise ConfigurationError(
             f"--health-* flags apply only to experiments with health "
-            f"monitors (fig2, fleet, fleet-compare, scenarios), not "
+            f"monitors ({experiments_supporting(supports_health)}), not "
             f"{experiment!r}"
         )
 
@@ -285,7 +301,8 @@ def validate_policy(experiment: str, policy: Optional[str]) -> None:
     if func is None or not supports_policy(func):
         raise ConfigurationError(
             f"--policy applies only to experiments that take a scheduling "
-            f"policy (fleet, scenarios), not {experiment!r}"
+            f"policy ({experiments_supporting(supports_policy)}), not "
+            f"{experiment!r}"
         )
 
 
@@ -304,33 +321,17 @@ def validate_batch_flags(experiment: str, args: argparse.Namespace) -> None:
     func = EXPERIMENTS.get(experiment, (None, None))[1]
     if func is None or supports_runner(func):
         return
-    ignored = []
-    if args.jobs != 1:
-        ignored.append("--jobs")
-    if args.cache_dir != DEFAULT_CACHE_DIR:
-        ignored.append("--cache-dir")
-    if args.no_cache:
-        ignored.append("--no-cache")
-    if args.progress:
-        ignored.append("--progress")
-    if args.timeout is not None:
-        ignored.append("--timeout")
-    if args.max_retries != 1:
-        ignored.append("--max-retries")
-    if args.resume:
-        ignored.append("--resume")
-    if args.keep_going:
-        ignored.append("--keep-going")
-    if args.inject_faults:
-        ignored.append("--inject-faults")
+    parser = build_parser()
+    ignored = [
+        f"--{dest.replace('_', '-')}"
+        for dest in BATCH_FLAGS
+        if getattr(args, dest) != parser.get_default(dest)
+    ]
     if ignored:
-        batch = ", ".join(
-            name for name in sorted(EXPERIMENTS) if supports_runner(EXPERIMENTS[name][1])
-        )
         raise ConfigurationError(
             f"{', '.join(ignored)}: no effect on {experiment!r}, which runs "
             f"all its events on one simulated machine (batch experiments: "
-            f"{batch})"
+            f"{experiments_supporting(supports_runner)})"
         )
 
 
@@ -408,7 +409,7 @@ def run_experiment(
     through to experiments that take a scheduling policy (the fleet);
     asking for it elsewhere is a :class:`ConfigurationError`.
     ``artifacts``, when given, collects ``result.manifest_payload()``
-    under the experiment's name for results that define it (the
+    under the experiment's name for results that return one (the
     ``scenarios`` experiment's per-window SLO series).  ``health_params``
     overrides the monitoring thresholds for experiments that run health
     monitors; ``health``, when given, collects ``result.health_payload()``
@@ -440,8 +441,10 @@ def run_experiment(
         status = f"[{name}: {elapsed:.1f}s wall]"
     if timings is not None:
         timings[name] = elapsed
-    if artifacts is not None and hasattr(result, "manifest_payload"):
-        artifacts[name] = result.manifest_payload()
+    if artifacts is not None:
+        payload = getattr(result, "manifest_payload", lambda: None)()
+        if payload is not None:
+            artifacts[name] = payload
     if health is not None and hasattr(result, "health_payload"):
         health[name] = result.health_payload()
     return f"{result.render()}\n{status}"

@@ -9,37 +9,40 @@ structure-of-arrays batched physics.
   arrivals spread round-robin over per-machine web servers;
 - :mod:`~repro.fleet.scheduling` — thermal-aware placement and costed
   inter-chip migration policies (:func:`build_policy` registry);
-- :func:`~repro.fleet.experiment.fleet_experiment` — the ``fleet`` CLI
-  experiment: a datacenter rack serving the §3.7 web workload with and
-  without idle injection, under a selectable scheduling policy;
-- :func:`~repro.fleet.compare.fleet_compare_experiment` — the
-  ``fleet-compare`` CLI experiment: Dimetrodon vs DVFS vs TCC vs
-  placement vs migration on identical racks (fig4 at fleet scale);
-- :func:`~repro.fleet.scenarios.scenarios_experiment` — the
-  ``scenarios`` CLI experiment: injection probability × load shape
-  (diurnal/surge/bursty/trace) × policy, scored with the windowed SLO
-  scorer (see docs/scenarios.md);
-- :mod:`~repro.fleet.cells` — rack runs as batchable units of work:
-  every fleet experiment is a grid of independent
-  :func:`~repro.fleet.cells.rack_cell_spec` cells executed through the
-  :mod:`repro.runtime` pool/cache/journal stack (``--jobs``,
-  ``--cache-dir``, ``--resume``, ``--keep-going``), bit-identical to
-  the old serial loops.
+- :mod:`~repro.fleet.cells` — one rack run as a batchable, cacheable
+  unit of work (:func:`~repro.fleet.cells.run_rack_cell`, executed
+  through the :mod:`repro.runtime` pool/cache/journal stack);
+- :mod:`~repro.fleet.grid` — the one rack-grid driver: an experiment
+  is a function returning a :class:`~repro.fleet.grid.RackGrid` (row
+  labels mapped to rack cell parameters, preset sizes, baselines,
+  columns, Pareto scoring, manifest shape), made an entry point by
+  :func:`~repro.fleet.grid.rack_experiment`, which runs the grid
+  through :func:`~repro.fleet.grid.run_grid`.  Three such definitions
+  are CLI experiments:
+  :func:`~repro.fleet.experiment.fleet_experiment` (``fleet``: a rack
+  with and without idle injection under a selectable scheduling
+  policy), :func:`~repro.fleet.experiment.fleet_compare_experiment`
+  (``fleet-compare``: Dimetrodon vs DVFS vs TCC vs placement vs
+  migration, fig4 at rack scale) and
+  :func:`~repro.fleet.scenarios.scenarios_experiment` (``scenarios``:
+  injection x load shape x policy with windowed SLO scoring, see
+  docs/scenarios.md).
 
 See docs/fleet.md for the architecture and equivalence guarantees.
 """
 
 from .balancer import Balancer, RoundRobinBalancer
-from .cells import RackCellResult, rack_cell_spec, run_rack_cell
-from .compare import FleetCompareResult, fleet_compare_experiment
-from .experiment import FleetResult, fleet_experiment
-from .machine import FleetMachine, FleetNode
-from .scenarios import (
+from .cells import (
     SCENARIO_SHAPES,
-    ScenariosResult,
+    RackCellResult,
     build_scenario_arrivals,
-    scenarios_experiment,
+    rack_cell_spec,
+    run_rack_cell,
 )
+from .experiment import fleet_compare_experiment, fleet_experiment
+from .grid import RackGrid, RackGridResult
+from .machine import FleetMachine, FleetNode
+from .scenarios import scenarios_experiment
 from .scheduling import (
     POLICY_NAMES,
     CacheAwareMigrationPolicy,
@@ -53,18 +56,17 @@ from .scheduling import (
 __all__ = [
     "Balancer",
     "CacheAwareMigrationPolicy",
-    "FleetCompareResult",
     "FleetMachine",
     "FleetNode",
-    "FleetResult",
     "MigrationCostModel",
     "MigrationPolicy",
     "POLICY_NAMES",
     "PolicyBundle",
     "RackCellResult",
+    "RackGrid",
+    "RackGridResult",
     "RoundRobinBalancer",
     "SCENARIO_SHAPES",
-    "ScenariosResult",
     "ThermalBalancer",
     "build_policy",
     "build_scenario_arrivals",

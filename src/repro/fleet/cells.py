@@ -1,13 +1,10 @@
-"""Rack cells: fleet rack runs as batchable, cacheable units of work.
+"""Rack cells: one rack run as a batchable, cacheable unit of work.
 
 The fleet experiments (``fleet``, ``fleet-compare``, ``scenarios``)
 are grids of *fully independent* rack simulations — each cell builds
 its own :class:`~repro.fleet.machine.FleetMachine` from its own
-config and shares no state with any other cell.  Historically they
-ran those cells in a bare serial loop, bypassing the
-:mod:`repro.runtime` batch layer the figure sweeps use.  This module
-closes that gap by expressing one rack run as the runtime's unit of
-work:
+config and shares no state with any other cell.  This module expresses
+one rack run as the :mod:`repro.runtime` unit of work:
 
 - :func:`rack_cell_spec` builds a picklable
   :class:`~repro.runtime.parallel.RunSpec` (kind ``"rack-cell"``)
@@ -18,22 +15,21 @@ work:
   editing a scheduling policy invalidates exactly the rack cells, not
   the figure sweeps;
 - :func:`run_rack_cell` is the registered executor: it rebuilds the
-  rack from the declarative parameters (arrival shapes come from the
-  shape registry, node programming from scalar flags — nothing
-  unpicklable crosses a process boundary), runs it through
-  :func:`~repro.fleet.experiment._measure_rack`, and distils the
-  result into a :class:`RackCellResult`;
+  rack from the declarative parameters (arrival shapes come from
+  :func:`build_scenario_arrivals`, node programming from scalar flags
+  — nothing unpicklable crosses a process boundary), runs and
+  monitors it, and scores it into a :class:`RackCellResult`;
 - :class:`RackCellResult` is the serialisable cell result — the
-  :class:`~repro.fleet.experiment._FleetRun` measurement, the health
-  rollup, the windowed SLO report, and the cell's physics telemetry —
-  registered with the result cache's JSON codec so cached replay is
-  bit-identical to execution.
+  :class:`RackRun` measurement, the health rollup and the windowed SLO
+  report, all simulated data — registered with the result cache's
+  JSON codec so cached replay is bit-identical to execution.
 
 Because each cell rebuilds its rack from ``(config, params)`` alone,
-a ``jobs=N`` fan-out is bit-identical to the old serial loop, and the
+a ``jobs=N`` fan-out is bit-identical to a serial loop, and the
 pool/cache/journal/retry/timeout stack (``--jobs``, ``--cache-dir``,
 ``--resume``, ``--timeout``, ``--keep-going``) applies to fleet
-experiments exactly as it does to figure sweeps.
+experiments exactly as it does to figure sweeps.  The experiments
+themselves are grid definitions run by :mod:`repro.fleet.grid`.
 """
 
 from __future__ import annotations
@@ -47,80 +43,161 @@ import numpy as np
 from ..analysis.slo import SloReport, WindowScore, score_windows
 from ..core.migration import ThermalMigrationPolicy
 from ..cpu.tcc import TccSetting
-from ..errors import ExecutionError
+from ..errors import ConfigurationError, ExecutionError
 from ..health import HealthParams
 from ..runtime.cache import register_result_codec
 from ..runtime.hashing import fleet_fingerprint
 from ..runtime.parallel import ParallelRunner, RunSpec, execute_spec, register_executor
 from ..sim.rng import RngRegistry
 from ..telemetry.registry import registry as _metrics_registry
-from .experiment import _FleetRun, _measure_rack
-from .machine import FleetNode
+from ..workloads.loadshapes import (
+    ArrivalProcess,
+    ConstantLoad,
+    DiurnalLoad,
+    MergedArrivals,
+    ParetoBurstArrivals,
+    PoissonArrivals,
+    StepLoad,
+    TraceArrivals,
+    synthesize_request_trace,
+)
+from ..workloads.webserver import QOS_GOOD, QOS_TOLERABLE, WebServer
+from .machine import FleetMachine
+from .scheduling.registry import build_policy
 
 #: The executor kind rack cells run under (see ``repro.runtime``).
 RACK_CELL_KIND = "rack-cell"
+
+#: Load-shape registry; its order is presentation order in reports.
+SCENARIO_SHAPES = ("constant", "diurnal", "surge", "bursty", "trace")
+
+
+def build_scenario_arrivals(
+    name: str,
+    *,
+    rate: float,
+    duration: float,
+    rng: np.random.Generator,
+) -> ArrivalProcess:
+    """Construct the named shape's arrival process for a rack sized for
+    ``rate`` requests/s aggregate, over a ``duration``-second run.
+
+    ``rng`` is consumed only by the ``trace`` shape (to synthesize the
+    frozen trace); the live shapes draw from the balancer's stream at
+    run time.  Unknown names raise :class:`ConfigurationError` listing
+    the registry.
+    """
+    if name == "constant":
+        return PoissonArrivals(ConstantLoad(rate))
+    if name == "diurnal":
+        # One full day/night cycle compressed into the run: the trough
+        # is where injection gets free headroom, the crest where it
+        # must pay the deferred work back.
+        return PoissonArrivals(
+            DiurnalLoad(rate, amplitude=0.6, period=duration, phase=0.0)
+        )
+    if name == "surge":
+        # Flash crowd: double the nominal rate for the middle fifth.
+        return PoissonArrivals(
+            StepLoad(
+                0.75 * rate,
+                2.0 * rate,
+                start=0.4 * duration,
+                duration=0.2 * duration,
+            )
+        )
+    if name == "bursty":
+        # 70% smooth Poisson baseline + 30% of the load arriving as
+        # Pareto-sized bursts (heavy-tailed bunching).
+        burst_mean = 40.0
+        return MergedArrivals(
+            PoissonArrivals(ConstantLoad(0.7 * rate)),
+            ParetoBurstArrivals(
+                burst_rate=0.3 * rate / burst_mean,
+                mean_burst_size=burst_mean,
+                alpha=1.5,
+                in_burst_rate=max(4.0 * rate, 100.0),
+            ),
+        )
+    if name == "trace":
+        # Freeze a composed diurnal+surge shape into a concrete trace:
+        # every policy/p cell replays bit-identical arrival times.
+        shape = DiurnalLoad(
+            0.7 * rate, amplitude=0.5, period=duration
+        ) + StepLoad(
+            0.0, 0.6 * rate, start=0.5 * duration, duration=0.15 * duration
+        )
+        trace = synthesize_request_trace(rng, duration=duration, shape=shape)
+        return TraceArrivals(trace)
+    raise ConfigurationError(
+        f"unknown load shape {name!r} (known: {', '.join(SCENARIO_SHAPES)})"
+    )
 
 
 # ----------------------------------------------------------------------
 # The serialisable cell result
 # ----------------------------------------------------------------------
 @dataclass
+class RackRun:
+    """Rack-wide measurements from one rack run."""
+
+    qos_good: float
+    qos_tolerable: float
+    mean_response: float
+    mean_temp: float
+    peak_temp: float
+    energy: float
+    work_done: float
+    requests: int
+    migrations: int = 0
+    migration_cost_s: float = 0.0
+    #: Health-monitor rollups (warning + critical escalations, summed
+    #: machine-seconds in each state) and, for the alert-reactive
+    #: policy, the controllers' time-weighted throttle dwell.
+    alerts: int = 0
+    critical_alerts: int = 0
+    time_in_warning_s: float = 0.0
+    time_in_critical_s: float = 0.0
+    throttle_engagements: int = 0
+    time_throttled_s: float = 0.0
+
+
+@dataclass
 class RackCellResult:
     """Everything downstream scoring needs from one rack run, in plain
     picklable/JSON-codable data (no live fleet, no request logs)."""
 
     #: The rack-wide measurement (QoS, temperatures, energy, alerts).
-    run: _FleetRun
+    run: RackRun
     #: The rack's idle baseline (°C) — identical for every cell of a
     #: grid that shares a config, carried per cell for self-containment.
     idle_mean_temp: float
+    #: Health-monitor summary (JSON-safe) for the manifest.
+    health: Dict[str, Any]
     #: Intra-chip heat-and-run migrations summed over nodes (the
     #: inter-chip count lives in ``run.migrations``).
     core_migrations: int = 0
-    #: Health-monitor summary (JSON-safe) for the manifest.
-    health: Optional[Dict[str, Any]] = None
     #: Windowed SLO report (only when the cell was asked to score one).
     slo: Optional[SloReport] = None
     #: Whole-run p95 response time over answered requests in the
     #: scoring span, seconds (None when not scored or nothing answered).
     p95_response: Optional[float] = None
-    #: This cell's physics telemetry: chip-substeps advanced and the
-    #: wall seconds they took (from the ``fleet.*`` counters).  Cached
-    #: cells replay the numbers measured when they actually executed.
-    substeps: float = 0.0
-    advance_wall_s: float = 0.0
 
-    # -- cache codec ---------------------------------------------------
-    def to_payload(self) -> Dict[str, Any]:
-        payload = dataclasses.asdict(self)
-        if self.slo is not None:
-            payload["slo"] = {
-                "windows": [dataclasses.asdict(w) for w in self.slo.windows],
-                "good_threshold": self.slo.good_threshold,
-                "tolerable_threshold": self.slo.tolerable_threshold,
-                "window_length": self.slo.window_length,
-            }
-        return payload
-
+    # -- cache codec (encoding is dataclasses.asdict) -------------------
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "RackCellResult":
         data = dict(payload)
-        data["run"] = _FleetRun(**data["run"])
-        if data.get("slo") is not None:
-            slo = data["slo"]
-            data["slo"] = SloReport(
-                windows=[WindowScore(**w) for w in slo["windows"]],
-                good_threshold=slo["good_threshold"],
-                tolerable_threshold=slo["tolerable_threshold"],
-                window_length=slo["window_length"],
-            )
+        data["run"] = RackRun(**data["run"])
+        slo = data.get("slo")
+        if slo is not None:
+            data["slo"] = SloReport(**{**slo, "windows": [WindowScore(**w) for w in slo["windows"]]})
         return cls(**data)
 
 
 register_result_codec(
     RACK_CELL_KIND,
     RackCellResult,
-    encode=RackCellResult.to_payload,
+    encode=dataclasses.asdict,
     decode=RackCellResult.from_payload,
 )
 
@@ -186,38 +263,16 @@ def _plain(value: Any) -> Any:
     return value
 
 
-def _node_setup(
-    *,
-    dvfs_min: bool,
-    tcc_duty: Optional[float],
-    heat_and_run: bool,
-    core_policies: List[ThermalMigrationPolicy],
-):
-    """Per-node configuration hook built from declarative flags (the
-    compare experiment's technique knobs), or None when nothing is
-    asked for.  Mirrors the management-plane convention: heat-and-run
-    reads only the node's sampled telemetry, never live physics."""
-    if not (dvfs_min or tcc_duty is not None or heat_and_run):
-        return None
-
-    def setup(node: FleetNode):
-        if dvfs_min:
-            node.chip.set_operating_point(node.chip.dvfs_table.min_point)
-        if tcc_duty is not None:
-            node.chip.set_tcc(TccSetting(duty=tcc_duty))
-        if heat_and_run:
-            def read_temps(node=node):
-                sample = node.templog.latest()
-                return node.fleet.idle_core_temps if sample is None else sample
-
-            policy = ThermalMigrationPolicy(
-                node.simview, node.scheduler, read_temps, period=1.0, min_delta=0.5
-            )
-            core_policies.append(policy)
-            return policy
-        return None
-
-    return setup
+def _peak_temp(fleet: FleetMachine, *, start: float) -> float:
+    """Hottest sampled core temperature anywhere in the rack from
+    ``start`` on (the rack's worst thermal excursion, fig2's peak
+    measured fleet-wide)."""
+    peaks = [
+        float(node.templog.samples[node.templog.times >= start].max())
+        for node in fleet.nodes
+        if np.any(node.templog.times >= start)
+    ]
+    return max(peaks) if peaks else fleet.idle_mean_temp
 
 
 def run_rack_cell(
@@ -238,23 +293,32 @@ def run_rack_cell(
     health_per_machine: bool = True,
     slo_window: Optional[Tuple[float, float, float]] = None,
 ) -> RackCellResult:
-    """Build, run, and score one rack — the ``rack-cell`` executor.
+    """Build, load-balance, monitor, run, and score one rack — the
+    ``rack-cell`` executor.
 
-    ``shape`` names a load shape from the scenarios registry
-    (``rate`` is the aggregate requests/s envelope it is sized for);
-    None keeps the web servers' default fixed-rate Poisson front door.
-    ``dvfs_min``/``tcc_duty``/``heat_and_run`` are the compare
-    experiment's per-node technique knobs.  ``slo_window`` is
-    ``(start, end, window)``: when given, the rack's pooled requests
-    are scored with the windowed SLO scorer *inside the cell*, so only
-    the report — not the request log — crosses the process boundary.
+    ``policy`` names the scheduling policy (``repro.fleet.scheduling``
+    registry).  ``shape`` names a load shape from
+    :data:`SCENARIO_SHAPES` (``rate`` is the aggregate requests/s
+    envelope it is sized for); None keeps the web servers' default
+    fixed-rate Poisson front door.  ``dvfs_min``/``tcc_duty``/
+    ``heat_and_run`` program every node before the rack starts (the
+    technique knobs of ``fleet-compare``); heat-and-run reads only the
+    node's sampled telemetry, never live physics.  Every rack runs with
+    health monitors attached (``health`` overrides the default
+    :class:`~repro.health.HealthParams`): the alert-reactive policy
+    requires them.
+
+    QoS is scored rack-wide over the window fig6 scores per machine:
+    requests arriving in ``[warmup, duration - QOS_TOLERABLE)``, pooled
+    across every server (unanswered requests count as failures; a
+    window without arrivals scores NaN, the no-data convention of
+    ``RequestLog.qos_fraction``).  ``slo_window`` is
+    ``(start, end, window)``: when given, the pooled requests are also
+    scored with the windowed SLO scorer *inside the cell*, so only the
+    report — not the request log — crosses the process boundary.
     """
     arrivals = None
     if shape is not None:
-        # Imported lazily: scenarios.py builds specs through this
-        # module, so the module-level edge must point the other way.
-        from .scenarios import build_scenario_arrivals
-
         if rate is None:
             raise ExecutionError("a shaped rack cell needs an aggregate rate")
         # A fresh, identically seeded stream per cell: the trace shape
@@ -266,62 +330,98 @@ def run_rack_cell(
             shape, rate=rate, duration=duration, rng=trace_rng
         )
 
-    metrics = _metrics_registry()
-
-    def _physics() -> Tuple[float, float]:
-        wall = metrics.value("fleet.advance_wall", {"total": 0.0})["total"]
-        return float(metrics.value("fleet.substeps", 0)), float(wall)
-
-    core_policies: List[ThermalMigrationPolicy] = []
-    substeps0, wall0 = _physics()
-    measurement = _measure_rack(
-        config,
-        machines=machines,
-        duration=duration,
-        warmup=warmup,
-        p=p,
-        idle_quantum=idle_quantum,
-        policy=policy,
-        node_setup=_node_setup(
-            dvfs_min=dvfs_min,
-            tcc_duty=tcc_duty,
-            heat_and_run=heat_and_run,
-            core_policies=core_policies,
-        ),
+    fleet = FleetMachine(config, machines=machines)
+    monitors = fleet.attach_health(health)
+    servers = [
+        WebServer(node.scheduler, node.rng.stream("web"), external_arrivals=True)
+        for node in fleet.nodes
+    ]
+    bundle = build_policy(
+        policy,
+        fleet,
+        servers,
+        rate=machines * servers[0].arrival_rate,
+        rng=RngRegistry(config.seed).stream("fleet-balancer"),
         arrivals=arrivals,
-        health_params=health,
+        health=monitors,
     )
-    substeps1, wall1 = _physics()
-    metrics.scope("fleet").counter("cells").inc()
+    core_policies: List[ThermalMigrationPolicy] = []
+    for node in fleet.nodes:
+        if dvfs_min:
+            node.chip.set_operating_point(node.chip.dvfs_table.min_point)
+        if tcc_duty is not None:
+            node.chip.set_tcc(TccSetting(duty=tcc_duty))
+        if heat_and_run:
+            def read_temps(node=node):
+                sample = node.templog.latest()
+                return node.fleet.idle_core_temps if sample is None else sample
+
+            core_policies.append(
+                ThermalMigrationPolicy(
+                    node.simview, node.scheduler, read_temps, period=1.0, min_delta=0.5
+                )
+            )
+    if p > 0:
+        for node in fleet.nodes:
+            node.control.set_global_policy(p, idle_quantum)
+    fleet.run(duration)
+    bundle.stop()
+    bundle.finalize(fleet.now)
+    monitors.stop()
+    monitors.finalize()
+    for core_policy in core_policies:
+        core_policy.stop()
+    _metrics_registry().scope("fleet").counter("cells").inc()
+
+    start, end = warmup, duration - QOS_TOLERABLE
+    window = [r for s in servers for r in s.log.arrived_in(start, end)]
+    answered = [r.response_time for r in window if r.response_time is not None]
+    count = len(window)
+    good = sum(1 for t in answered if t <= QOS_GOOD)
+    tolerable = sum(1 for t in answered if t <= QOS_TOLERABLE)
+    run = RackRun(
+        **_plain(
+            dict(
+                qos_good=good / count if count else float("nan"),
+                qos_tolerable=tolerable / count if count else float("nan"),
+                mean_response=float(np.mean(answered)) if answered else float("inf"),
+                mean_temp=fleet.mean_core_temp_over_window(),
+                peak_temp=_peak_temp(fleet, start=warmup),
+                energy=fleet.total_energy(),
+                work_done=fleet.total_work_done(),
+                requests=count,
+                migrations=bundle.migrations,
+                migration_cost_s=bundle.migration_cost_seconds,
+                alerts=monitors.alerts,
+                critical_alerts=monitors.critical_alerts,
+                time_in_warning_s=monitors.time_in_warning,
+                time_in_critical_s=monitors.time_in_critical,
+                throttle_engagements=bundle.throttle_engagements,
+                time_throttled_s=bundle.time_throttled_seconds,
+            )
+        )
+    )
 
     slo: Optional[SloReport] = None
     p95: Optional[float] = None
     if slo_window is not None:
-        start, end, window = slo_window
-        pooled = measurement.pooled_requests()
-        slo = score_windows(pooled, start=start, end=end, window=window)
-        answered = sorted(
+        start, end, length = slo_window
+        pooled = [r for s in servers for r in s.log.requests]
+        slo = score_windows(pooled, start=start, end=end, window=length)
+        scored = sorted(
             r.response_time
             for r in pooled
             if start <= r.arrival < end and r.response_time is not None
         )
-        p95 = float(np.percentile(answered, 95.0)) if answered else None
+        p95 = float(np.percentile(scored, 95.0)) if scored else None
 
-    run = _FleetRun(
-        **{
-            f.name: _plain(getattr(measurement.run, f.name))
-            for f in dataclasses.fields(_FleetRun)
-        }
-    )
     return RackCellResult(
         run=run,
-        idle_mean_temp=float(measurement.fleet.idle_mean_temp),
+        idle_mean_temp=float(fleet.idle_mean_temp),
+        health=_plain(monitors.summary(per_machine=health_per_machine)),
         core_migrations=int(sum(hr.migrations for hr in core_policies)),
-        health=_plain(measurement.health.summary(per_machine=health_per_machine)),
         slo=slo,
         p95_response=p95,
-        substeps=substeps1 - substeps0,
-        advance_wall_s=wall1 - wall0,
     )
 
 

@@ -16,10 +16,10 @@ good/tolerable/failed fractions over half-open windows, worst-window
 and time-in-violation summaries — the numbers a whole-run average
 hides.  Per shape, the non-baseline cells form a QoS-vs-temperature
 Pareto frontier (:func:`~repro.core.pareto.pareto_boundary`), and the
-full per-window series lands in the run manifest via
-:meth:`ScenariosResult.manifest_payload` (``--metrics``).
+full per-window series lands in the run manifest via the result's
+``manifest_payload()`` (``--metrics``).
 
-Load shapes (registry: :data:`SCENARIO_SHAPES`):
+Load shapes (registry: :data:`~repro.fleet.cells.SCENARIO_SHAPES`):
 
 ``constant``   the paper's fixed-rate reference point;
 ``diurnal``    one sinusoidal day/night cycle compressed into the run;
@@ -28,40 +28,30 @@ Load shapes (registry: :data:`SCENARIO_SHAPES`):
 ``trace``      a frozen trace synthesized once from a composed
                diurnal+surge shape and replayed bit-identically for
                every policy and ``p`` (trace-driven arrivals).
+
+Like ``fleet`` and ``fleet-compare``, this is a
+:class:`~repro.fleet.grid.RackGrid` definition made an entry point by
+:func:`~repro.fleet.grid.rack_experiment`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..analysis.slo import SloReport
-from ..core.pareto import TradeoffPoint, pareto_boundary
-from ..errors import ConfigurationError
 from ..experiments.config import ExperimentConfig
-from ..experiments.reporting import format_table, percent
+from ..experiments.reporting import percent
 from ..health import HealthParams
-from ..telemetry.registry import registry as _metrics_registry
-from ..workloads.loadshapes import (
-    ArrivalProcess,
-    ConstantLoad,
-    DiurnalLoad,
-    MergedArrivals,
-    ParetoBurstArrivals,
-    PoissonArrivals,
-    StepLoad,
-    TraceArrivals,
-    synthesize_request_trace,
+from ..workloads.webserver import (
+    CONNECTIONS,
+    QOS_GOOD,
+    QOS_TOLERABLE,
+    THINK_TIME,
+    offered_load_per_core,
 )
-from ..workloads.webserver import QOS_GOOD, QOS_TOLERABLE
-from .cells import rack_cell_spec, run_cells
-from .experiment import _offered_load, _FleetRun
-from .scheduling.registry import POLICY_NAMES
-
-#: Shape registry order is presentation order in the report.
-SCENARIO_SHAPES = ("constant", "diurnal", "surge", "bursty", "trace")
+from .cells import SCENARIO_SHAPES
+from .grid import RackGrid, RackGridResult, rack_experiment, rack_size
 
 #: Default policy subset for the sweep (the full registry makes the
 #: grid 5x larger for little extra signal; ``--policy`` narrows to one).
@@ -72,317 +62,6 @@ DEFAULT_POLICIES = ("round-robin", "coolest", "migrate")
 DEFAULT_P_VALUES = (0.0, 0.4, 0.8)
 
 
-def build_scenario_arrivals(
-    name: str,
-    *,
-    rate: float,
-    duration: float,
-    rng: np.random.Generator,
-) -> ArrivalProcess:
-    """Construct the named shape's arrival process for a rack sized for
-    ``rate`` requests/s aggregate, over a ``duration``-second run.
-
-    ``rng`` is consumed only by the ``trace`` shape (to synthesize the
-    frozen trace); the live shapes draw from the balancer's stream at
-    run time.  Unknown names raise :class:`ConfigurationError` listing
-    the registry.
-    """
-    if name == "constant":
-        return PoissonArrivals(ConstantLoad(rate))
-    if name == "diurnal":
-        # One full day/night cycle compressed into the run: the trough
-        # is where injection gets free headroom, the crest where it
-        # must pay the deferred work back.
-        return PoissonArrivals(
-            DiurnalLoad(rate, amplitude=0.6, period=duration, phase=0.0)
-        )
-    if name == "surge":
-        # Flash crowd: double the nominal rate for the middle fifth.
-        return PoissonArrivals(
-            StepLoad(
-                0.75 * rate,
-                2.0 * rate,
-                start=0.4 * duration,
-                duration=0.2 * duration,
-            )
-        )
-    if name == "bursty":
-        # 70% smooth Poisson baseline + 30% of the load arriving as
-        # Pareto-sized bursts (heavy-tailed bunching).
-        burst_mean = 40.0
-        return MergedArrivals(
-            PoissonArrivals(ConstantLoad(0.7 * rate)),
-            ParetoBurstArrivals(
-                burst_rate=0.3 * rate / burst_mean,
-                mean_burst_size=burst_mean,
-                alpha=1.5,
-                in_burst_rate=max(4.0 * rate, 100.0),
-            ),
-        )
-    if name == "trace":
-        # Freeze a composed diurnal+surge shape into a concrete trace:
-        # every policy/p cell replays bit-identical arrival times.
-        shape = DiurnalLoad(
-            0.7 * rate, amplitude=0.5, period=duration
-        ) + StepLoad(
-            0.0, 0.6 * rate, start=0.5 * duration, duration=0.15 * duration
-        )
-        trace = synthesize_request_trace(rng, duration=duration, shape=shape)
-        return TraceArrivals(trace)
-    raise ConfigurationError(
-        f"unknown load shape {name!r} (known: {', '.join(SCENARIO_SHAPES)})"
-    )
-
-
-@dataclass
-class ScenarioRow:
-    """One cell of the sweep: a rack run under (shape, policy, p)."""
-
-    shape: str
-    policy: str
-    p: float
-    run: _FleetRun
-    report: SloReport
-    #: Whole-run p95 response time over answered requests in the
-    #: scoring span, seconds (None when nothing was answered).
-    p95_response: Optional[float] = None
-    #: This cell's compact health summary (JSON-safe, no per-machine
-    #: detail — the grid would multiply it by machines × cells).
-    health: Optional[Dict[str, object]] = None
-
-
-def _tradeoff(
-    row: ScenarioRow, baseline: ScenarioRow, idle_mean: float
-) -> Optional[TradeoffPoint]:
-    """Temperature reduction vs QoS-good reduction against the shape's
-    baseline cell, or None when either side carries no data."""
-    good = row.report.good_fraction
-    base_good = baseline.report.good_fraction
-    if good is None or base_good is None or base_good <= 0:
-        return None
-    baseline_rise = baseline.run.mean_temp - idle_mean
-    rise = row.run.mean_temp - idle_mean
-    reduction = (baseline_rise - rise) / baseline_rise if baseline_rise > 0 else 0.0
-    return TradeoffPoint(
-        temp_reduction=reduction,
-        throughput_reduction=1.0 - good / base_good,
-        params={"policy": row.policy, "p": row.p},
-    )
-
-
-@dataclass
-class ScenariosResult:
-    """The full sweep: one :class:`ScenarioRow` per grid cell, plus the
-    per-shape Pareto frontiers and manifest serialization."""
-
-    machines: int
-    duration: float
-    warmup: float
-    window: float
-    idle_quantum: float
-    idle_mean_temp: float
-    offered_load_per_core: float
-    shapes: List[str]
-    policies: List[str]
-    p_values: List[float]
-    rows: List[ScenarioRow] = field(default_factory=list)
-
-    # ------------------------------------------------------------------
-    def shape_rows(self, shape: str) -> List[ScenarioRow]:
-        return [row for row in self.rows if row.shape == shape]
-
-    def baseline_for(self, shape: str) -> Optional[ScenarioRow]:
-        """The shape's reference cell (first policy at ``p=0``), or
-        None when it is absent — possible only under ``--keep-going``
-        when the baseline cell failed terminally."""
-        for row in self.shape_rows(shape):
-            if row.policy == self.policies[0] and row.p == 0.0:
-                return row
-        return None
-
-    def tradeoffs(self, shape: str) -> List[TradeoffPoint]:
-        """One (temp reduction, QoS reduction) point per non-baseline
-        cell of ``shape`` that carries data (empty without a baseline
-        to score against)."""
-        baseline = self.baseline_for(shape)
-        if baseline is None:
-            return []
-        points = []
-        for row in self.shape_rows(shape):
-            if row is baseline:
-                continue
-            point = _tradeoff(row, baseline, self.idle_mean_temp)
-            if point is not None:
-                points.append(point)
-        return points
-
-    def pareto(self, shape: str) -> List[TradeoffPoint]:
-        """The shape's Pareto-efficient cells (cooling >= 0 only)."""
-        return pareto_boundary(
-            [pt for pt in self.tradeoffs(shape) if pt.temp_reduction >= 0]
-        )
-
-    def _efficient_keys(self) -> set:
-        keys = set()
-        for shape in self.shapes:
-            for point in self.pareto(shape):
-                keys.add((shape, point.params["policy"], point.params["p"]))
-        return keys
-
-    # ------------------------------------------------------------------
-    def render(self) -> str:
-        efficient = self._efficient_keys()
-        table_rows = []
-        for row in self.rows:
-            summary = row.report.summary()
-            worst = summary["worst_window_good"]
-            table_rows.append(
-                [
-                    row.shape,
-                    row.policy,
-                    row.p,
-                    row.run.mean_temp - self.idle_mean_temp,
-                    row.run.peak_temp - self.idle_mean_temp,
-                    _pct(summary["good_fraction"]),
-                    _pct(summary["tolerable_fraction"]),
-                    _pct(worst),
-                    summary["time_in_violation_s"],
-                    "n/a" if row.p95_response is None else row.p95_response,
-                    row.run.alerts,
-                    row.run.time_in_critical_s,
-                    row.run.migrations,
-                    "*" if (row.shape, row.policy, row.p) in efficient else "",
-                ]
-            )
-        title = (
-            f"Scenarios: {self.machines} machines x {self.duration:.0f}s, "
-            f"{len(self.shapes)} shapes x {len(self.policies)} policies x "
-            f"{len(self.p_values)} p values "
-            f"(window {self.window:.1f}s, nominal load/core "
-            f"{percent(self.offered_load_per_core)}; * = Pareto-efficient "
-            f"within its shape)"
-        )
-        parts = [
-            format_table(
-                [
-                    "shape",
-                    "policy",
-                    "p",
-                    "rise [C]",
-                    "peak [C]",
-                    "QoS good",
-                    "QoS tol.",
-                    "worst win",
-                    "viol [s]",
-                    "p95 [s]",
-                    "alerts",
-                    "crit [s]",
-                    "migr",
-                    "pareto",
-                ],
-                table_rows,
-                title=title,
-            )
-        ]
-        for shape in self.shapes:
-            frontier = self.pareto(shape)
-            if not frontier:
-                continue
-            cells = ", ".join(
-                f"{pt.params['policy']}@p={pt.params['p']:g} "
-                f"(cool {percent(pt.temp_reduction)}, "
-                f"QoS cost {percent(pt.throughput_reduction)})"
-                for pt in frontier
-            )
-            parts.append(f"pareto[{shape}]: {cells}")
-        return "\n".join(parts)
-
-    # ------------------------------------------------------------------
-    def manifest_payload(self) -> Dict[str, object]:
-        """JSON-safe artifact for the run manifest: per-cell window
-        series + summaries and the per-shape Pareto tables.
-
-        Contains no NaN/Inf anywhere (``None`` is the no-data marker),
-        so the manifest stays strict JSON (``allow_nan=False`` clean).
-        """
-        runs = []
-        for row in self.rows:
-            runs.append(
-                {
-                    "shape": row.shape,
-                    "policy": row.policy,
-                    "p": row.p,
-                    "summary": row.report.summary(),
-                    "series": row.report.series(),
-                    "mean_temp": _json_safe(row.run.mean_temp),
-                    "peak_temp": _json_safe(row.run.peak_temp),
-                    "rise": _json_safe(row.run.mean_temp - self.idle_mean_temp),
-                    "energy": _json_safe(row.run.energy),
-                    "requests": row.run.requests,
-                    "migrations": row.run.migrations,
-                    "p95_response": _json_safe(row.p95_response),
-                    "alerts": row.run.alerts,
-                    "critical_alerts": row.run.critical_alerts,
-                    "time_in_warning_s": _json_safe(row.run.time_in_warning_s),
-                    "time_in_critical_s": _json_safe(row.run.time_in_critical_s),
-                }
-            )
-        pareto: Dict[str, list] = {}
-        for shape in self.shapes:
-            efficient = {
-                (pt.params["policy"], pt.params["p"]) for pt in self.pareto(shape)
-            }
-            pareto[shape] = [
-                {
-                    "policy": pt.params["policy"],
-                    "p": pt.params["p"],
-                    "temp_reduction": _json_safe(pt.temp_reduction),
-                    "qos_reduction": _json_safe(pt.throughput_reduction),
-                    "efficient": (pt.params["policy"], pt.params["p"]) in efficient,
-                }
-                for pt in self.tradeoffs(shape)
-            ]
-        return {
-            "machines": self.machines,
-            "duration": self.duration,
-            "warmup": self.warmup,
-            "window": self.window,
-            "idle_quantum": self.idle_quantum,
-            "idle_mean_temp": _json_safe(self.idle_mean_temp),
-            "good_threshold": QOS_GOOD,
-            "tolerable_threshold": QOS_TOLERABLE,
-            "shapes": list(self.shapes),
-            "policies": list(self.policies),
-            "p_values": list(self.p_values),
-            "runs": runs,
-            "pareto": pareto,
-        }
-
-    def health_payload(self) -> Dict[str, object]:
-        """Compact per-cell health section for the manifest: the shared
-        monitoring config once, then one totals row per grid cell."""
-        config = None
-        cells = []
-        for row in self.rows:
-            if row.health is None:
-                continue
-            if config is None:
-                config = row.health.get("config")
-            cells.append(
-                {
-                    "shape": row.shape,
-                    "policy": row.policy,
-                    "p": row.p,
-                    "totals": row.health.get("totals"),
-                }
-            )
-        return {"config": config, "cells": cells}
-
-
-def _pct(fraction: Optional[float]) -> str:
-    return "n/a" if fraction is None else percent(fraction)
-
-
 def _json_safe(value: Optional[float]) -> Optional[float]:
     """NaN/Inf become None (JSON null), everything else passes through."""
     if value is None:
@@ -391,6 +70,83 @@ def _json_safe(value: Optional[float]) -> Optional[float]:
     return value if np.isfinite(value) else None
 
 
+def _pareto_lines(res: RackGridResult) -> List[str]:
+    """One ``pareto[shape]: ...`` line per shape with a frontier."""
+    lines = []
+    for shape in res.shapes:
+        frontier = res.pareto(shape)
+        if frontier:
+            cells = ", ".join(
+                f"{pt.params['policy']}@p={pt.params['p']:g} "
+                f"(cool {percent(pt.temp_reduction)}, "
+                f"QoS cost {percent(pt.throughput_reduction)})"
+                for pt in frontier
+            )
+            lines.append(f"pareto[{shape}]: {cells}")
+    return lines
+
+
+def _manifest_payload(res: RackGridResult, window: float) -> Dict[str, Any]:
+    """JSON-safe artifact for the run manifest: per-cell window series
+    + summaries and the per-shape Pareto tables.
+
+    Contains no NaN/Inf anywhere (``None`` is the no-data marker), so
+    the manifest stays strict JSON (``allow_nan=False`` clean).
+    """
+    runs = []
+    for row in res.rows:
+        run = row.run
+        runs.append(
+            {
+                "shape": row.shape,
+                "policy": row.policy,
+                "p": row.p,
+                "summary": row.report.summary(),
+                "series": row.report.series(),
+                "mean_temp": _json_safe(run.mean_temp),
+                "peak_temp": _json_safe(run.peak_temp),
+                "rise": _json_safe(res.rise(row)),
+                "energy": _json_safe(run.energy),
+                "requests": run.requests,
+                "migrations": run.migrations,
+                "p95_response": _json_safe(row.cell.p95_response),
+                "alerts": run.alerts,
+                "critical_alerts": run.critical_alerts,
+                "time_in_warning_s": _json_safe(run.time_in_warning_s),
+                "time_in_critical_s": _json_safe(run.time_in_critical_s),
+            }
+        )
+    grid = res.grid
+    return {
+        "machines": grid.machines,
+        "duration": grid.duration,
+        "warmup": grid.warmup,
+        "window": window,
+        "idle_quantum": grid.idle_quantum,
+        "idle_mean_temp": _json_safe(res.idle_mean_temp),
+        "good_threshold": QOS_GOOD,
+        "tolerable_threshold": QOS_TOLERABLE,
+        "shapes": res.shapes,
+        "policies": res.policies,
+        "p_values": res.p_values,
+        "runs": runs,
+        "pareto": {
+            shape: [
+                {
+                    "policy": pt.params["policy"],
+                    "p": pt.params["p"],
+                    "temp_reduction": _json_safe(pt.temp_reduction),
+                    "qos_reduction": _json_safe(pt.throughput_reduction),
+                    "efficient": pt.params["label"] in res.efficient,
+                }
+                for pt in res.tradeoffs(shape)
+            ]
+            for shape in res.shapes
+        },
+    }
+
+
+@rack_experiment
 def scenarios_experiment(
     config: ExperimentConfig,
     *,
@@ -404,120 +160,88 @@ def scenarios_experiment(
     window: Optional[float] = None,
     policy: Optional[str] = None,
     health_params: Optional[HealthParams] = None,
-    runner: Optional[Any] = None,
-) -> ScenariosResult:
+) -> RackGrid:
     """Sweep injection probability × load shape × scheduling policy.
 
     Every cell runs a fresh, identically seeded rack, so cells differ
-    only by (shape, policy, p).  The fast preset runs a 2-machine rack
-    (the grid is the cost driver, not the rack), ``--full`` 16
-    machines.  ``policy`` (the CLI ``--policy``) narrows the policy
-    axis to one name; otherwise :data:`DEFAULT_POLICIES` is swept.
-    ``p = 0`` is always included — it is each shape's QoS/thermal
-    baseline for the Pareto frontier.
+    only by (shape, policy, p); its row label is ``shape,policy,p=P``.
+    The fast preset runs a 2-machine rack (the grid is the cost driver,
+    not the rack), ``--full`` 16 machines.  ``policy`` (the CLI
+    ``--policy``) narrows the policy axis to one name; otherwise
+    :data:`DEFAULT_POLICIES` is swept.  ``p = 0`` is always included —
+    it is each shape's QoS/thermal baseline for the Pareto frontier.
 
     Scoring: requests arriving in ``[warmup, duration - 5s)`` are
     pooled rack-wide and scored in half-open windows of ``window``
     seconds (default: a fifth of the scoring span) *inside each cell*,
     so only the window series — never the raw request log — crosses a
-    process boundary.
-
-    The grid cells are independent rack cells
-    (:mod:`repro.fleet.cells`): with a ``runner`` attached they fan
-    out through its pool/cache/journal stack (``--jobs`` results are
-    bit-identical to serial; a cached re-run replays the whole grid
-    without simulating), and under ``--keep-going`` a failed cell
-    drops its row — the frontier of a shape that lost its baseline is
-    simply empty.
+    process boundary.  Under ``--keep-going`` a failed cell drops its
+    row — the frontier of a shape that lost its baseline is simply
+    empty.
     """
-    if machines is None:
-        machines = 16 if config.characterization_duration >= 300.0 else 2
-    if duration is None:
-        duration = warmup + config.measure_window + QOS_TOLERABLE
-    score_start, score_end = warmup, duration - QOS_TOLERABLE
-    if score_end <= score_start:
-        raise ConfigurationError(
-            f"duration {duration}s leaves no scoring span past the "
-            f"{warmup}s warmup and {QOS_TOLERABLE}s drain"
-        )
+    machines, duration = rack_size(
+        config, machines=machines, duration=duration, warmup=warmup, fast=2, full=16
+    )
+    span = (warmup, duration - QOS_TOLERABLE)
     if window is None:
-        window = max(1.0, (score_end - score_start) / 5.0)
+        window = max(1.0, (span[1] - span[0]) / 5.0)
     if policy is not None:
         policies = (policy,)
-    for name in policies:
-        if name not in POLICY_NAMES:
-            raise ConfigurationError(
-                f"unknown scheduling policy {name!r} "
-                f"(known: {', '.join(POLICY_NAMES)})"
-            )
     shapes = tuple(shapes) if shapes is not None else SCENARIO_SHAPES
     p_values = tuple(p_values)
     if 0.0 not in p_values:
         p_values = (0.0,) + p_values
-
-    # Nominal aggregate rate the rack is sized for (what one balancer
-    # feeds round-robin in the plain fleet experiment).
-    connections, think_time = 440, 11.0
-    rate = machines * connections / think_time
-
-    # One spec per grid cell, grid order = submission order = report
-    # order.  Each cell rebuilds its shape from the registry (the trace
-    # shape resynthesizes the identical frozen trace from the config
-    # seed) and scores its own SLO windows.
-    grid = [
-        (shape_name, policy_name, p)
-        for shape_name in shapes
-        for policy_name in policies
-        for p in p_values
-    ]
-    specs = []
-    for shape_name, policy_name, p in grid:
-        params: dict = dict(
-            machines=machines,
-            duration=duration,
-            warmup=warmup,
-            p=p,
-            idle_quantum=idle_quantum,
-            policy=policy_name,
-            shape=shape_name,
-            rate=rate,
-            health_per_machine=False,
-            slo_window=(score_start, score_end, window),
-        )
-        if health_params is not None:
-            params["health"] = health_params
-        specs.append(rack_cell_spec(config, **params))
-    cells = run_cells(runner, specs)
-
-    metrics = _metrics_registry().scope("scenarios")
-    result = ScenariosResult(
+    # Each cell rebuilds its shape for the nominal aggregate rate (what
+    # one balancer feeds round-robin in the plain fleet experiment); the
+    # trace shape resynthesizes the identical frozen trace per cell.
+    rate = machines * CONNECTIONS / THINK_TIME
+    load = percent(offered_load_per_core(config.num_cores))
+    return RackGrid(
+        name="scenarios",
+        config=config,
         machines=machines,
         duration=duration,
         warmup=warmup,
-        window=window,
         idle_quantum=idle_quantum,
-        idle_mean_temp=0.0,
-        offered_load_per_core=_offered_load(config),
-        shapes=list(shapes),
-        policies=list(policies),
-        p_values=list(p_values),
+        health=health_params,
+        rows={
+            f"{shape},{name},p={p}": {
+                "p": p,
+                "policy": name,
+                "shape": shape,
+                "rate": rate,
+                "health_per_machine": False,
+                "slo_window": (*span, window),
+            }
+            for shape in shapes
+            for name in policies
+            for p in p_values
+        },
+        columns={
+            "shape": "shape",
+            "policy": "policy",
+            "p": "p",
+            "rise [C]": "rise",
+            "peak [C]": "peak",
+            "QoS good": "slo_good",
+            "QoS tol.": "slo_tol",
+            "worst win": "slo_worst",
+            "viol [s]": "slo_violation",
+            "p95 [s]": "slo_p95",
+            "alerts": "alerts",
+            "crit [s]": "crit",
+            "migr": "migr",
+            "pareto": "pareto",
+        },
+        title=lambda res: (
+            f"Scenarios: {machines} machines x {duration:.0f}s, "
+            f"{len(shapes)} shapes x {len(policies)} policies x "
+            f"{len(p_values)} p values "
+            f"(window {window:.1f}s, nominal load/core {load}; "
+            f"* = Pareto-efficient within its shape)"
+        ),
+        compact_health=True,
+        footer=_pareto_lines,
+        artifact=lambda res: _manifest_payload(res, window),
+        metrics_scope="scenarios",
     )
-    for (shape_name, policy_name, p), cell in zip(grid, cells):
-        if cell is None:
-            continue
-        result.idle_mean_temp = cell.idle_mean_temp
-        result.rows.append(
-            ScenarioRow(
-                shape=shape_name,
-                policy=policy_name,
-                p=p,
-                run=cell.run,
-                report=cell.slo,
-                p95_response=cell.p95_response,
-                health=cell.health,
-            )
-        )
-        metrics.counter("racks").inc()
-        metrics.counter("windows").inc(len(cell.slo.windows))
-        metrics.counter("requests").inc(cell.slo.total_arrivals)
-    return result

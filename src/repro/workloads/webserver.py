@@ -42,6 +42,27 @@ from .loadshapes import ArrivalProcess
 QOS_GOOD = 3.0
 QOS_TOLERABLE = 5.0
 
+#: :class:`WebServer` defaults: 440 connections whose think time puts
+#: each 4-core server at 15–25 % load (§3.7), with a 25 ms mean
+#: user-level service time plus 0.2 ms of kernel work per request.
+CONNECTIONS = 440
+THINK_TIME = 11.0
+SERVICE_MEAN = 0.025
+KERNEL_OVERHEAD = 0.0002
+
+
+def offered_load_per_core(
+    num_cores: int,
+    *,
+    arrival_rate: float = CONNECTIONS / THINK_TIME,
+    service_time: float = SERVICE_MEAN + KERNEL_OVERHEAD,
+) -> float:
+    """Offered utilisation per core (paper: 15–25 %) of requests
+    arriving at ``arrival_rate`` per second, each needing
+    ``service_time`` CPU seconds; the defaults are a default
+    :class:`WebServer`'s (fig6's number, without building one)."""
+    return arrival_rate * service_time / num_cores
+
 
 @dataclass
 class Request:
@@ -165,11 +186,11 @@ class WebServer:
         scheduler: Scheduler,
         rng: np.random.Generator,
         *,
-        connections: int = 440,
-        think_time: float = 11.0,
-        service_mean: float = 0.025,
+        connections: int = CONNECTIONS,
+        think_time: float = THINK_TIME,
+        service_mean: float = SERVICE_MEAN,
         service_sigma: float = 0.6,
-        kernel_overhead: float = 0.0002,
+        kernel_overhead: float = KERNEL_OVERHEAD,
         num_workers: int = 8,
         external_arrivals: bool = False,
         arrival_process: Optional[ArrivalProcess] = None,
@@ -227,8 +248,11 @@ class WebServer:
     @property
     def offered_load_per_core(self) -> float:
         """Offered utilisation per core (paper: 15–25 %)."""
-        per_request = self.service_mean + self.kernel_overhead
-        return self.arrival_rate * per_request / self.scheduler.chip.num_cores
+        return offered_load_per_core(
+            self.scheduler.chip.num_cores,
+            arrival_rate=self.arrival_rate,
+            service_time=self.service_mean + self.kernel_overhead,
+        )
 
     def stop(self) -> None:
         """Stop generating new requests (no-op with external arrivals)."""

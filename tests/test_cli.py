@@ -382,6 +382,29 @@ def test_policy_flag_rejected_for_non_fleet_experiments(capsys):
     assert "Traceback" not in captured.err + captured.out
 
 
+def _listed_experiments(message):
+    """The experiment names a validation error lists in parentheses."""
+    import re
+
+    (listed,) = re.findall(r"\(([^()]*)\), not", message)
+    return set(listed.split(", "))
+
+
+def test_flag_errors_name_exactly_the_supporting_experiments():
+    from repro.cli import supports_health, supports_policy, validate_health, validate_policy
+    from repro.errors import ConfigurationError
+    from repro.health import HealthParams
+
+    for validate, value, supports in (
+        (validate_policy, "coolest", supports_policy),
+        (validate_health, HealthParams(), supports_health),
+    ):
+        with pytest.raises(ConfigurationError) as error:
+            validate("fig1", value)
+        expected = {name for name, (_, func) in EXPERIMENTS.items() if supports(func)}
+        assert _listed_experiments(str(error.value)) == expected
+
+
 def test_run_experiment_rejects_policy_for_non_fleet():
     from repro.errors import ConfigurationError
 

@@ -228,20 +228,39 @@ def test_fleet_experiment_registered_as_batch():
     assert supports_runner(func)
 
 
+#: ``fleet_experiment(fast_config(0), machines=2, duration=8.0,
+#: warmup=1.0).render()``, pinned byte for byte.
+FLEET_SMOKE_TABLE = """\
+Fleet: 2 machines x 8s web serving (policy round-robin, load/core 25.2%, temp reduction 57.7%)
+      rack      p  L [ms]  rise [C]  peak [C]  QoS good  QoS tol.  mean resp [s]  alerts  crit [s]  migr  energy [kJ]  work [CPU-s]
+----------  -----  ------  --------  --------  --------  --------  -------------  ------  --------  ----  -----------  ------------
+  baseline  0.000   0.000     3.075     5.339    100.0%    100.0%          0.027       2     0.000     0        0.451        16.241
+dimetrodon  0.650  50.000     1.300     3.126     99.3%     99.3%          0.603       0     0.000     0        0.319        12.991"""
+
+
 def test_fleet_experiment_smoke():
     result = fleet_experiment(
         fast_config(0), machines=2, duration=8.0, warmup=1.0
     )
-    assert result.machines == 2
-    assert result.baseline.requests > 0
-    assert result.injected.requests > 0
-    assert result.baseline_rise > 0.0
-    assert result.chip_substeps_per_s > 0.0
-    assert result.policy == "round-robin"
-    assert result.baseline.peak_temp >= result.baseline.mean_temp
+    baseline, injected = result.rows
+    assert result.grid.machines == 2
+    assert baseline.run.requests > 0
+    assert injected.run.requests > 0
+    assert result.rise(baseline) > 0.0
+    assert baseline.policy == "round-robin"
+    assert baseline.run.peak_temp >= baseline.run.mean_temp
     rendered = result.render()
     assert "baseline" in rendered and "dimetrodon" in rendered
     assert "round-robin" in rendered
+    assert rendered == FLEET_SMOKE_TABLE
+
+
+@pytest.mark.parametrize("experiment", [fleet_experiment, fleet_compare_experiment])
+def test_empty_scoring_span_is_rejected(experiment):
+    """A run that ends before warmup + the QoS drain has no requests to
+    score; it must not render an empty window as 100% / 0% QoS."""
+    with pytest.raises(ConfigurationError, match="no scoring span"):
+        experiment(fast_config(0), machines=1, duration=6.0, warmup=5.0)
 
 
 # ======================================================================
@@ -343,29 +362,48 @@ def test_fleet_experiment_with_migration_policy():
     result = fleet_experiment(
         fast_config(0), machines=2, duration=8.0, warmup=1.0, policy="migrate"
     )
-    assert result.policy == "migrate"
-    assert result.baseline.migrations >= 0
-    assert result.injected.migrations >= 0
+    baseline, injected = result.rows
+    assert baseline.policy == "migrate"
+    assert baseline.run.migrations >= 0
+    assert injected.run.migrations >= 0
     assert "migrate" in result.render()
+
+
+#: ``fleet_compare_experiment(fast_config(0), machines=2, duration=8.0,
+#: warmup=1.0).render()``, pinned byte for byte.
+COMPARE_SMOKE_TABLE = """\
+Fleet technique comparison: 2 machines x 8s web serving (p=0.65, load/core 25.2%; * = Pareto-efficient)
+         technique  rise [C]  peak [C]  QoS good  QoS tol.  alerts  crit [s]  thr [s]  migr  energy [kJ]  pareto
+------------------  --------  --------  --------  --------  ------  --------  -------  ----  -----------  ------
+          baseline     3.075     5.339    100.0%    100.0%       2     0.000    0.000     0        0.451        
+        dimetrodon     1.300     3.126     99.3%     99.3%       0     0.000    0.000     0        0.319       *
+          dvfs-min     2.396     3.959    100.0%    100.0%       2     0.000    0.000     0        0.399       *
+            tcc-50     3.334     4.931    100.0%    100.0%       2     0.000    0.000     0        0.468        
+    alert-reactive     3.075     5.339    100.0%    100.0%       2     0.000    0.000     0        0.451        
+      heat-and-run     3.294     5.412    100.0%    100.0%       2     0.000    0.000     9        0.469        
+           coolest     2.981     5.913    100.0%    100.0%       2     1.000    0.000     0        0.461        
+           migrate     3.075     5.339    100.0%    100.0%       2     0.000    0.000     0        0.451        
+dimetrodon+migrate     1.300     3.126     99.3%     99.3%       0     0.000    0.000     1        0.319        """
 
 
 def test_fleet_compare_experiment_smoke():
     result = fleet_compare_experiment(
         fast_config(0), machines=2, duration=8.0, warmup=1.0
     )
-    names = [row.technique.name for row in result.rows]
+    names = [row.label for row in result.rows]
     assert names[0] == "baseline"
     assert {"dimetrodon", "dvfs-min", "tcc-50", "heat-and-run", "migrate"} <= set(
         names
     )
     assert len(result.tradeoffs()) == len(result.rows) - 1
     # Something must be Pareto-efficient, and it can't be the baseline.
-    assert result.pareto_names()
-    assert "baseline" not in result.pareto_names()
+    assert result.efficient
+    assert "baseline" not in result.efficient
     rendered = result.render()
     assert "technique" in rendered and "pareto" in rendered
+    assert rendered == COMPARE_SMOKE_TABLE
     # DVFS at the minimum point must actually cool the rack.
-    by_name = {row.technique.name: row for row in result.rows}
+    by_name = {row.label: row for row in result.rows}
     assert by_name["dvfs-min"].run.mean_temp < by_name["baseline"].run.mean_temp
     assert by_name["dimetrodon"].run.mean_temp < by_name["baseline"].run.mean_temp
 

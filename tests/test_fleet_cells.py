@@ -128,8 +128,6 @@ def cell_result(config):
 def test_run_rack_cell_measures_a_rack(cell_result):
     assert cell_result.run.requests > 0
     assert cell_result.run.mean_temp > cell_result.idle_mean_temp
-    assert cell_result.substeps > 0
-    assert cell_result.advance_wall_s > 0
     assert cell_result.slo is not None and len(cell_result.slo.windows) > 0
     assert cell_result.health is not None and "totals" in cell_result.health
 
@@ -161,26 +159,20 @@ def test_cache_round_trip_is_bit_identical(cell_result, tmp_path):
     assert cache.stats.hits == 1 and cache.stats.corrupt == 0
 
 
-def _comparable(result):
-    """A fresh run's wall seconds are nondeterministic (everything else
-    is simulated); zero them so ``==`` compares simulation outcomes."""
-    return dataclasses.replace(result, advance_wall_s=0.0)
-
-
 def test_runner_path_equals_direct_call(config):
     spec = rack_cell_spec(config, **CELL)
     direct = execute_spec(spec)
     [via_runner] = ParallelRunner(jobs=1).run([spec])
-    assert _comparable(direct) == _comparable(via_runner)
+    assert direct == via_runner
     [rerun] = run_cells(None, [spec])
-    assert _comparable(rerun) == _comparable(direct)
+    assert rerun == direct
 
 
 def test_pooled_cells_match_serial(config):
     specs = [rack_cell_spec(config, **{**CELL, "p": p}) for p in (0.0, 0.5)]
     serial = ParallelRunner(jobs=1).run(specs)
     pooled = ParallelRunner(jobs=2).run(specs)
-    assert [_comparable(r) for r in serial] == [_comparable(r) for r in pooled]
+    assert serial == pooled
 
 
 def test_cached_replay_executes_nothing(config, tmp_path):

@@ -110,7 +110,7 @@ def test_sweep_scores_windows_consistently(small_sweep):
         # window counted (same span, same half-open convention).
         assert row.report.total_arrivals == row.run.requests
         assert len(row.report.windows) == 5
-        assert row.report.windows[0].start == small_sweep.warmup
+        assert row.report.windows[0].start == small_sweep.grid.warmup
 
 
 def test_injection_trades_heat_for_qos(small_sweep):
@@ -125,12 +125,26 @@ def test_injection_trades_heat_for_qos(small_sweep):
         assert points[0].temp_reduction > 0
 
 
+#: ``small_sweep.render()``, pinned byte for byte.
+SMALL_SWEEP_TABLE = """\
+Scenarios: 2 machines x 25s, 2 shapes x 1 policies x 2 p values (window 3.0s, nominal load/core 25.2%; * = Pareto-efficient within its shape)
+   shape       policy      p  rise [C]  peak [C]  QoS good  QoS tol.  worst win  viol [s]  p95 [s]  alerts  crit [s]  migr  pareto
+--------  -----------  -----  --------  --------  --------  --------  ---------  --------  -------  ------  --------  ----  ------
+constant  round-robin  0.000     5.017     6.690    100.0%    100.0%     100.0%         0    0.056       4    28.000     0        
+constant  round-robin  0.600     2.751     4.416     99.8%    100.0%      99.2%         0    0.733       3     0.000     0       *
+   trace  round-robin  0.000     3.976     6.210    100.0%    100.0%     100.0%         0    0.055       5    16.000     0        
+   trace  round-robin  0.600     2.760     4.312     99.9%    100.0%      99.5%         0    0.919       4     0.000     0       *
+pareto[constant]: round-robin@p=0.6 (cool 45.2%, QoS cost 0.2%)
+pareto[trace]: round-robin@p=0.6 (cool 30.6%, QoS cost 0.1%)"""
+
+
 def test_render_includes_pareto_frontier(small_sweep):
     text = small_sweep.render()
     assert "Scenarios: 2 machines" in text
     assert "pareto[constant]" in text
     for shape in small_sweep.shapes:
         assert shape in text
+    assert text == SMALL_SWEEP_TABLE
 
 
 def test_manifest_payload_is_strict_json(small_sweep):

@@ -15,6 +15,7 @@ from repro.workloads import (
     TraceArrivals,
     WebServer,
 )
+from repro.workloads.webserver import offered_load_per_core
 
 
 def build_server(machine, **kwargs):
@@ -102,6 +103,8 @@ def test_offered_load_in_paper_range():
     # Paper: "approximately 15-25% load per core"; the default config
     # sits at the top of that band.
     assert 0.15 <= server.offered_load_per_core <= 0.26
+    # The rack grids print the same number without building a server.
+    assert offered_load_per_core(fast_config().num_cores) == server.offered_load_per_core
 
 
 def test_requests_complete_under_light_load():

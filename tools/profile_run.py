@@ -7,6 +7,7 @@ Usage::
     python tools/profile_run.py fig3 --top 40 --sort tottime
     python tools/profile_run.py smoke --json prof.json
     python tools/profile_run.py fleet-compare --cell dimetrodon+migrate
+    python tools/profile_run.py scenarios --cell surge,coolest,p=0.4
 
 Runs the experiment exactly as ``python -m repro.cli`` would (fast
 config, serial runner, cache disabled so the simulations actually
@@ -14,10 +15,12 @@ execute), wraps it in :mod:`cProfile`, and prints the top-N entries.
 With ``--json`` the same rows are written machine-readable, which is
 handy for diffing before/after an optimisation.
 
-``--cell NAME`` (fleet-compare only) profiles one technique's rack
-cell in isolation instead of the whole experiment — the grid is
-embarrassingly parallel, so single-cell cost is what an optimisation
-pass actually targets.
+``--cell LABEL`` profiles one rack cell of a rack experiment
+(``fleet``, ``fleet-compare``, ``scenarios``) in isolation instead of
+the whole experiment — the grid is embarrassingly parallel, so
+single-cell cost is what an optimisation pass actually targets.  The
+label is a row of the experiment's grid definition; an unknown label
+is an error that lists the known ones.
 
 See docs/performance.md for how this fits the perf workflow.
 """
@@ -56,39 +59,34 @@ def profile_experiment(name: str, *, seed: int = 0, full: bool = False) -> pstat
     return pstats.Stats(profiler)
 
 
-def profile_cell(cell: str, *, seed: int = 0, full: bool = False) -> pstats.Stats:
-    """Profile one fleet-compare technique's rack cell in isolation.
+def profile_cell(
+    experiment: str, cell: str, *, seed: int = 0, full: bool = False
+) -> pstats.Stats:
+    """Profile one rack cell of a rack experiment in isolation.
 
-    ``cell`` is a technique name from
-    :func:`repro.fleet.compare.techniques`; the cell is built through
-    the same spec path the experiment submits to the batch runner, and
-    executed in-process so every simulated event is in the profile.
+    ``cell`` is a row label of the experiment's grid definition (a
+    ``fleet-compare`` technique such as ``dimetrodon+migrate``, a
+    ``fleet`` rack such as ``baseline``, or a ``scenarios`` cell such
+    as ``surge,coolest,p=0.4``); the cell is built through the same
+    spec path the experiment submits to the batch runner, and executed
+    in-process so every simulated event is in the profile.
     """
     from repro.experiments import fast_config, full_config
-    from repro.fleet.compare import technique_specs
     from repro.runtime.parallel import execute_spec
-    from repro.workloads.webserver import QOS_TOLERABLE
 
     config = full_config(seed) if full else fast_config(seed)
-    warmup = 5.0
-    roster, specs = technique_specs(
-        config,
-        machines=64 if config.characterization_duration >= 300.0 else 4,
-        duration=warmup + config.measure_window + QOS_TOLERABLE,
-        warmup=warmup,
-        p=0.65,
-        idle_quantum=0.050,
-    )
-    by_name = {t.name: spec for t, spec in zip(roster, specs)}
-    if cell not in by_name:
+    define = getattr(EXPERIMENTS[experiment][1], "grid", None)
+    if define is None:
+        racks = [name for name, (_, func) in sorted(EXPERIMENTS.items()) if hasattr(func, "grid")]
         raise ConfigurationError(
-            f"unknown technique cell {cell!r} "
-            f"(known: {', '.join(t.name for t in roster)})"
+            f"--cell profiles one rack cell of a rack experiment "
+            f"({', '.join(racks)}); it does not apply to {experiment!r}"
         )
+    spec = define(config).spec(cell)
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        execute_spec(by_name[cell])
+        execute_spec(spec)
     finally:
         profiler.disable()
     return pstats.Stats(profiler)
@@ -125,21 +123,15 @@ def main(argv=None) -> int:
         "--cell",
         metavar="NAME",
         default=None,
-        help="profile a single rack cell of fleet-compare (a technique "
-        "name, e.g. 'dimetrodon+migrate') instead of the whole grid",
+        help="profile a single rack cell of a rack experiment (a row "
+        "label, e.g. 'dimetrodon+migrate' for fleet-compare) instead of "
+        "the whole grid",
     )
     args = parser.parse_args(argv)
 
-    if args.cell is not None and args.experiment != "fleet-compare":
-        print(
-            f"error: --cell profiles one fleet-compare technique cell; "
-            f"it does not apply to {args.experiment!r}",
-            file=sys.stderr,
-        )
-        return 2
     if args.cell is not None:
         try:
-            stats = profile_cell(args.cell, seed=args.seed, full=args.full)
+            stats = profile_cell(args.experiment, args.cell, seed=args.seed, full=args.full)
         except ConfigurationError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
