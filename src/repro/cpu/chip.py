@@ -15,20 +15,25 @@ event-free interval*, the chip exposes :meth:`cstate_breakpoints` so
 the machine can split its thermal integration at promotion instants.
 
 Power is exposed two ways.  The simulation hot path calls
-:meth:`Chip.power_segment`, which returns a cached segment-constant
+:meth:`Chip.power_segment`, which returns the segment-constant
 :class:`~repro.cpu.power.PowerCoefficients` decomposition for the
-fused integrator and reuses it — multiplexed on :attr:`Chip.state_epoch`
-and bounded by the next promotion instant — across event gaps where no
-power-relevant state changes.  :meth:`Chip.power_function` /
+fused integrator.  Each core *holds* its power-relevant state
+(``running``, ``busy_contexts``, ``activity``; only the two context
+mutators change it), so a lookup works out the per-core C-states at
+the query time and reads one interned coefficient set from a table
+keyed by the per-core ``(cstate, activity, busy_contexts)`` tuple.
+Power states repeat heavily under idle injection — every quantum
+flips cores between the same few states — so an entry is built once
+per distinct state; the chip-wide DVFS, TCC and per-core override
+setters clear the table.  :meth:`Chip.power_function` /
 :meth:`Chip.power_vector` are the scalar per-core reference the fast
 path is validated against.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,6 +43,11 @@ from .cstates import CState, CStateParams, ResidencyCounter, exit_latency
 from .dvfs import DvfsTable, OperatingPoint, xeon_e5520_table
 from .power import PowerCoefficients, PowerModel, PowerParams
 from .tcc import TCC_OFF, TccSetting
+
+#: Entries one chip's coefficient table may hold before it starts over.
+#: Workloads reach a few dozen power states; the cap only bounds memory
+#: for pathological ones (many cores, ever-new activity factors).
+_TABLE_LIMIT = 4096
 
 
 @dataclass
@@ -73,9 +83,16 @@ class Core:
     #: injection.
     operating_point_override: Optional[OperatingPoint] = None
     residency: ResidencyCounter = field(default_factory=ResidencyCounter)
-    #: Bumped on every run/idle transition; :attr:`Chip.state_epoch`
-    #: folds these in so power-coefficient segments know when to expire.
-    epoch: int = 0
+    # The next three are derived from the context lists by _refresh,
+    # which only the two context mutators call, so the power path reads
+    # plain attributes instead of re-deriving them on every query.
+    #: Number of contexts executing (a thread or nonzero activity).
+    busy_contexts: int = field(init=False, default=0)
+    #: True while any hardware context is executing.
+    running: bool = field(init=False, default=False)
+    #: Aggregate switching activity of all busy contexts (SMT
+    #: co-residency scaling is applied by :meth:`Chip.core_activity`).
+    activity: float = field(init=False, default=0.0)
 
     def __post_init__(self) -> None:
         if self.smt < 1:
@@ -84,31 +101,20 @@ class Core:
             self.context_threads = [None] * self.smt
             self.context_activity = [0.0] * self.smt
             self.context_hinted = [False] * self.smt
+        self._refresh()
 
     # ------------------------------------------------------------------
     # Context-level state changes
     # ------------------------------------------------------------------
-    @property
-    def running(self) -> bool:
-        """True while any hardware context is executing."""
-        return any(a > 0.0 or t is not None for t, a in zip(self.context_threads, self.context_activity))
-
-    @property
-    def busy_contexts(self) -> int:
-        return sum(
+    def _refresh(self) -> None:
+        """Re-derive the held state from the context lists."""
+        self.busy_contexts = sum(
             1
             for t, a in zip(self.context_threads, self.context_activity)
             if t is not None or a > 0.0
         )
-
-    @property
-    def activity(self) -> float:
-        """Aggregate switching activity of all busy contexts.
-
-        Used by the power model; SMT co-residency scaling is applied by
-        :meth:`Chip.core_activity`.
-        """
-        return sum(self.context_activity)
+        self.running = self.busy_contexts > 0
+        self.activity = sum(self.context_activity)
 
     @property
     def thread(self) -> Optional[object]:
@@ -125,7 +131,7 @@ class Core:
         self.context_threads[context] = thread
         self.context_activity[context] = activity
         self.context_hinted[context] = False
-        self.epoch += 1
+        self._refresh()
 
     def set_context_idle(self, context: int, now: float, *, hinted: bool = False) -> None:
         """Mark one hardware context idle starting at ``now``.
@@ -139,7 +145,7 @@ class Core:
         self.context_threads[context] = None
         self.context_activity[context] = 0.0
         self.context_hinted[context] = hinted
-        self.epoch += 1
+        self._refresh()
         if not self.running:
             self.idle_since = now
             params = self.cstate_params
@@ -175,10 +181,10 @@ class Core:
 
         The comparison uses the exact float value
         :meth:`promotion_time` returns, so classification and the
-        promotion instant agree to the ulp — the chip's segment cache
-        bounds a coefficient set's validity by that instant, and a
-        mismatched rounding (``time - idle_since`` vs ``idle_since +
-        threshold``) would let a stale segment straddle the promotion.
+        promotion instant agree to the ulp — the machine splits its
+        gaps at that instant, and a mismatched rounding (``time -
+        idle_since`` vs ``idle_since + threshold``) would misclassify
+        a piece that ends on it.
         """
         if self.running:
             return CState.C0
@@ -195,19 +201,6 @@ class Core:
         if self.running:
             return 0.0
         return exit_latency(self.cstate_at(now), self.cstate_params)
-
-
-@dataclass
-class _CoefficientSegment:
-    """One cached power-coefficient set and its validity window."""
-
-    epoch: int
-    #: Evaluation time the segment was built at.
-    time: float
-    #: First promotion instant after ``time`` (exclusive upper bound).
-    valid_until: float
-    cstates: Tuple[CState, ...]
-    coefficients: PowerCoefficients
 
 
 class Chip:
@@ -241,10 +234,9 @@ class Chip:
             Core(index=i, cstate_params=self.cstate_params, smt=smt)
             for i in range(num_cores)
         ]
-        #: Chip-wide contribution to :attr:`state_epoch` (DVFS/TCC).
-        self._epoch = 0
-        #: The most recent power segment (see :meth:`power_segment`).
-        self._segment: Optional[_CoefficientSegment] = None
+        #: Interned ``(cstates, coefficients)`` per power state (see
+        #: :meth:`power_segment`); cleared by the chip-wide setters.
+        self._coefficients: Dict[tuple, Tuple[Tuple[CState, ...], PowerCoefficients]] = {}
         scope = _metrics_registry().scope("cpu.chip")
         self._metric_segment_rebuilds = scope.counter("power_segments.rebuilds")
         self._metric_segment_reuses = scope.counter("power_segments.reuses")
@@ -254,24 +246,12 @@ class Chip:
     def num_cores(self) -> int:
         return len(self.cores)
 
-    @property
-    def state_epoch(self) -> int:
-        """Monotone counter over every power-relevant state change.
-
-        Covers per-context run/idle transitions, chip-wide and per-core
-        DVFS changes, and TCC reprogramming.  Two calls returning the
-        same value guarantee the chip's power decomposition (for fixed
-        C-states) is unchanged, which is what lets
-        :meth:`power_segment` reuse coefficient sets across event gaps.
-        """
-        return self._epoch + sum(core.epoch for core in self.cores)
-
     def set_operating_point(self, point: OperatingPoint) -> None:
         """Select a DVFS operating point (chip-wide, like the paper's)."""
         if point not in self.dvfs_table.points:
             raise ConfigurationError(f"unsupported operating point {point}")
         self.operating_point = point
-        self._epoch += 1
+        self._coefficients.clear()
 
     def set_core_operating_point(
         self, core_index: int, point: Optional[OperatingPoint]
@@ -285,7 +265,7 @@ class Chip:
         if point is not None and point not in self.dvfs_table.points:
             raise ConfigurationError(f"unsupported operating point {point}")
         self.cores[core_index].operating_point_override = point
-        self._epoch += 1
+        self._coefficients.clear()
 
     def point_for(self, core: Core) -> OperatingPoint:
         """The operating point currently governing ``core``."""
@@ -294,7 +274,7 @@ class Chip:
     def set_tcc(self, setting: TccSetting) -> None:
         """Program the thermal control circuit duty cycle (chip-wide)."""
         self.tcc = setting
-        self._epoch += 1
+        self._coefficients.clear()
 
     def core_activity(self, core: Core) -> float:
         """Effective switching activity of a core for the power model.
@@ -336,11 +316,13 @@ class Chip:
 
     # ------------------------------------------------------------------
     def effective_cstate(self, core: Core, time: float) -> CState:
-        """C-state accounting for the chip-level C1E enable switch."""
-        state = core.cstate_at(time)
-        if state is CState.C1E and not self.c1e_enabled:
-            return CState.C1
-        return state
+        """:meth:`Core.cstate_at` accounting for the chip-level C1E
+        enable switch (inlined: it runs per core on every power query)."""
+        if core.running:
+            return CState.C0
+        if self.c1e_enabled and not time < core.idle_since + core.idle_threshold:
+            return CState.C1E
+        return CState.C1
 
     def cstate_breakpoints(self, t0: float, t1: float) -> List[float]:
         """Times in (t0, t1) at which any idle core changes C-state."""
@@ -395,7 +377,8 @@ class Chip:
         """Vectorized decomposition of :meth:`power_vector` for frozen
         per-core C-states: per-node ``base``/``leak_coef`` arrays plus
         the shared leakage-exponential constants, covering DVFS
-        overrides, TCC, SMT activity scaling, and the uncore term."""
+        overrides, TCC, SMT activity scaling, and the uncore term.
+        The arrays are read-only: interned sets are shared."""
         n = self.num_cores
         base = np.zeros(n + 2)
         leak_coef = np.zeros(n + 2)
@@ -408,6 +391,7 @@ class Chip:
                 tcc=self.tcc,
             )
         base[n] = model.params.uncore_power
+        base.flags.writeable = leak_coef.flags.writeable = False
         params = model.params
         return PowerCoefficients(
             base=base,
@@ -417,48 +401,35 @@ class Chip:
             leak_exp_cap=params.leak_exp_cap,
         )
 
-    def next_cstate_change(self, after: float) -> float:
-        """Earliest instant strictly after ``after`` at which any core's
-        effective C-state changes by promotion alone (``inf`` if none).
-        Run/idle transitions are covered by :attr:`state_epoch` instead."""
-        if not self.c1e_enabled:
-            return math.inf
-        horizon = math.inf
-        for core in self.cores:
-            promo = core.promotion_time()
-            if promo is not None and after < promo < horizon:
-                horizon = promo
-        return horizon
-
     def power_segment(self, time: float) -> Tuple[Tuple[CState, ...], PowerCoefficients]:
         """Frozen C-states and power coefficients in effect at ``time``.
 
-        Reuses the previously built coefficient set when no
-        power-relevant state changed (same :attr:`state_epoch`) and no
-        C-state promotion instant separates the two evaluation times —
-        the common case between scheduler events, where the old path
-        rebuilt C-state lists and power closures from scratch.
+        The per-core C-states at ``time`` plus each core's held
+        ``activity``/``busy_contexts`` are everything
+        :meth:`power_coefficients` reads besides the chip-wide settings,
+        so that tuple keys an intern table: a repeated power state gets
+        the identical (read-only, fused terms precomputed) coefficient
+        object, and only a new state runs the model.  Same inputs, same
+        object — results are bit-identical to rebuilding every time.
         """
-        epoch = self.state_epoch
-        segment = self._segment
-        if (
-            segment is not None
-            and segment.epoch == epoch
-            and segment.time <= time < segment.valid_until
-        ):
-            self._metric_segment_reuses.inc()
-            return segment.cstates, segment.coefficients
-        cstates = tuple(self.effective_cstate(core, time) for core in self.cores)
-        coefficients = self.power_coefficients(cstates)
-        self._segment = _CoefficientSegment(
-            epoch=epoch,
-            time=time,
-            valid_until=self.next_cstate_change(time),
-            cstates=cstates,
-            coefficients=coefficients,
+        key = tuple(
+            [
+                (self.effective_cstate(core, time), core.activity, core.busy_contexts)
+                for core in self.cores
+            ]
         )
+        entry = self._coefficients.get(key)
+        if entry is not None:
+            self._metric_segment_reuses.inc()
+            return entry
+        if len(self._coefficients) >= _TABLE_LIMIT:
+            self._coefficients.clear()
+        cstates = tuple([state for state, _, _ in key])
+        coefficients = self.power_coefficients(cstates)
+        coefficients.fused_terms()
+        entry = self._coefficients[key] = (cstates, coefficients)
         self._metric_segment_rebuilds.inc()
-        return cstates, coefficients
+        return entry
 
     def record_residency(self, cstates: Sequence[CState], duration: float) -> None:
         """Accumulate per-core residency for an integrated piece."""

@@ -34,6 +34,12 @@ class CState(enum.Enum):
     #: Enhanced halt; clocks gated and voltage reduced.
     C1E = "C1E"
 
+    # Members are singletons compared by identity, so identity hashing
+    # is exact — and skips Enum's Python-level ``__hash__`` on the
+    # per-piece paths (the chip's coefficient-table key, residency
+    # counters).
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class CStateParams:

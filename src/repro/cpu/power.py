@@ -133,16 +133,15 @@ class PowerCoefficients:
         exp(-ref/slope)``, ``arg_cap = cap + ref/slope``) — one fewer
         array op per substep and the cap still bounds the exponential's
         argument before ``exp`` runs.  Computed once per coefficient
-        set; the chip's segment cache makes that once per power state.
+        set; the chip's intern table makes that once per power state.
+        ``scaled_coef`` is read-only (interned sets are shared).
         """
         if self._fused is None:
             inv_slope = 1.0 / self.leak_t_slope
             shift = self.leak_ref_temp / self.leak_t_slope
-            self._fused = (
-                inv_slope,
-                self.leak_exp_cap + shift,
-                self.leak_coef * math.exp(-shift),
-            )
+            scaled_coef = self.leak_coef * math.exp(-shift)
+            scaled_coef.flags.writeable = False
+            self._fused = (inv_slope, self.leak_exp_cap + shift, scaled_coef)
         return self._fused
 
     def evaluate(self, temps: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:

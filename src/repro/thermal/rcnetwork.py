@@ -57,7 +57,9 @@ of ``K`` gemvs.  Every path builds its kernels through
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from time import perf_counter
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 import numpy as np
@@ -541,7 +543,7 @@ class FleetThermalIntegrator:
         machines: Sequence[int],
         duration: float,
         coefficients,
-    ) -> np.ndarray:
+    ) -> Sequence[float]:
         """Advance a cohort of machines by a common ``duration``.
 
         Parameters
@@ -562,13 +564,15 @@ class FleetThermalIntegrator:
 
         Returns
         -------
-        numpy.ndarray
-            Energy delivered per machine over the interval, shape
-            ``(K,)``, joules.
+        Sequence[float]
+            Energy delivered per machine over the interval, joules, in
+            ``machines`` order: a one-element tuple for a cohort of one
+            (no array to build on the commonest path), a ``(K,)`` array
+            otherwise.
         """
         count = len(machines)
         if count == 0:
-            return np.empty(0)
+            return ()
         if duration <= 0:
             raise ConfigurationError(
                 f"cohort advance needs a positive duration, got {duration}"
@@ -580,40 +584,41 @@ class FleetThermalIntegrator:
                 f"coefficients are {width} machines wide, cohort has {count}"
             )
         inv_slope, arg_cap, scaled_coef = coefficients.fused_terms()
-        with self._metric_advance_wall.time():
-            n_steps = max(1, int(np.ceil(duration / self.max_substep - 1e-12)))
-            h = duration / n_steps
-            self._metric_substeps.inc(n_steps * count)
-            self._metric_batched_advances.inc()
-            fused = self.network.step_kernel(h)
-            buffers = self._cohort_scratch(count)
-            if count == 1:
-                if base.ndim == 2:  # a one-column stack
-                    base, scaled_coef = base[:, 0], scaled_coef[:, 0]
-                (machine,) = machines
-                end_temps, acc = _fused_substeps(
-                    fused,
-                    n_steps,
-                    self.temps[machine],
-                    base,
-                    scaled_coef,
-                    inv_slope,
-                    arg_cap,
-                    buffers,
-                )
-                self.temps[machine] = end_temps
-                energies = np.array([float(acc.sum()) * h])
-            else:
-                end_temps, acc = _fused_substeps(
-                    fused,
-                    n_steps,
-                    self.temps[machines].T,  # (K, n) gather: machines on columns
-                    base,
-                    scaled_coef,
-                    inv_slope,
-                    arg_cap,
-                    buffers,
-                )
-                self.temps[machines] = end_temps.T
-                energies = acc.sum(axis=0) * h
+        started = perf_counter()
+        n_steps = max(1, math.ceil(duration / self.max_substep - 1e-12))
+        h = duration / n_steps
+        self._metric_substeps.inc(n_steps * count)
+        self._metric_batched_advances.inc()
+        fused = self.network.step_kernel(h)
+        buffers = self._cohort_scratch(count)
+        if count == 1:
+            if base.ndim == 2:  # a one-column stack
+                base, scaled_coef = base[:, 0], scaled_coef[:, 0]
+            (machine,) = machines
+            end_temps, acc = _fused_substeps(
+                fused,
+                n_steps,
+                self.temps[machine],
+                base,
+                scaled_coef,
+                inv_slope,
+                arg_cap,
+                buffers,
+            )
+            self.temps[machine] = end_temps
+            energies = (float(acc.sum()) * h,)
+        else:
+            end_temps, acc = _fused_substeps(
+                fused,
+                n_steps,
+                self.temps[machines].T,  # (K, n) gather: machines on columns
+                base,
+                scaled_coef,
+                inv_slope,
+                arg_cap,
+                buffers,
+            )
+            self.temps[machines] = end_temps.T
+            energies = acc.sum(axis=0) * h
+        self._metric_advance_wall.add(perf_counter() - started)
         return energies

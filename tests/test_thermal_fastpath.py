@@ -10,12 +10,16 @@ The fast path has three layers, each pinned against its scalar oracle:
   swapped for the scalar oracle over a fig2-style 60 s run (≤1e-9 °C
   on every logged sample).
 
-Plus the supporting machinery: the chip's segment-reuse epoch logic
-and its telemetry counters.
+Plus the supporting machinery: the chip's held per-core state, its
+interned coefficient table and its telemetry counters.
 """
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cpu.chip import Chip
 from repro.cpu.cstates import CState
@@ -133,7 +137,7 @@ def test_advance_coefficients_zero_and_negative_duration():
 
 
 # ----------------------------------------------------------------------
-# Chip segment reuse
+# Chip coefficient table
 # ----------------------------------------------------------------------
 def test_power_segment_reuses_until_state_epoch_changes():
     with isolated() as registry:
@@ -182,6 +186,144 @@ def test_power_segment_never_reused_backwards():
     # A query before the segment's build time must not reuse it.
     states, _ = chip.power_segment(promo * 0.5)
     assert states[0] is CState.C1
+
+
+def _assert_held_state_matches_contexts(chip: Chip) -> None:
+    for core in chip.cores:
+        busy = [
+            t is not None or a > 0.0
+            for t, a in zip(core.context_threads, core.context_activity)
+        ]
+        assert core.busy_contexts == sum(busy)
+        assert core.running == any(busy)
+        assert core.activity == sum(core.context_activity)
+
+
+def _assert_segment_is_fresh(chip: Chip, time: float) -> None:
+    """``power_segment(time)`` equals a from-scratch evaluation, bit
+    for bit: the interned entry may never stand in for another state."""
+    cstates, coefficients = chip.power_segment(time)
+    assert cstates == tuple(chip.effective_cstate(core, time) for core in chip.cores)
+    fresh = chip.power_coefficients(cstates)
+    assert np.array_equal(coefficients.base, fresh.base)
+    assert np.array_equal(coefficients.leak_coef, fresh.leak_coef)
+    assert coefficients.fused_terms()[:2] == fresh.fused_terms()[:2]
+    assert np.array_equal(coefficients.fused_terms()[2], fresh.fused_terms()[2])
+
+
+_ACTIVITIES = st.sampled_from([0.0, 0.35, 0.5, 1.0])
+_TRANSITIONS = st.one_of(
+    st.tuples(
+        st.just("run"),
+        st.integers(0, 3),  # core (mod num_cores)
+        st.integers(0, 1),  # context (mod smt)
+        st.booleans(),  # a thread, or a bare nop spin
+        _ACTIVITIES,
+        st.sampled_from([0.0, 1e-4, 3e-4, 0.5]),  # time step before it
+    ),
+    st.tuples(
+        st.just("idle"),
+        st.integers(0, 3),
+        st.integers(0, 1),
+        st.booleans(),  # scheduler-hinted
+        st.sampled_from([0.0, 1e-4, 3e-4, 0.5]),
+    ),
+    st.tuples(st.just("dvfs"), st.integers(0, 7)),
+    st.tuples(st.just("core-dvfs"), st.integers(0, 3), st.integers(-1, 7)),
+    st.tuples(st.just("tcc"), st.integers(-1, 7)),
+    # Query at / one ulp around / a little around a core's promotion
+    # instant (or at "now" for a running core).
+    st.tuples(st.just("query"), st.integers(0, 3), st.sampled_from([-1e-5, -1, 0, 1, 1e-5])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    num_cores=st.integers(1, 4),
+    smt=st.integers(1, 2),
+    c1e_enabled=st.booleans(),
+    transitions=st.lists(_TRANSITIONS, max_size=40),
+)
+@example(  # same summed activity, different SMT scaling
+    num_cores=1,
+    smt=2,
+    c1e_enabled=True,
+    transitions=[
+        ("run", 0, 0, True, 1.0, 0.0),
+        ("query", 0, 0),
+        ("run", 0, 0, True, 0.5, 0.0),
+        ("run", 0, 1, True, 0.5, 0.0),
+        ("query", 0, 0),
+    ],
+)
+def test_power_segment_matches_fresh_model_property(num_cores, smt, c1e_enabled, transitions):
+    """Random run/idle transitions (SMT 1 and 2), chip-wide and per-core
+    DVFS, and TCC changes, queried on both sides of promotion instants:
+    every lookup returns exactly the effective C-states and coefficients
+    bitwise equal to a fresh ``power_coefficients``, and the cores' held
+    state equals the state derived from their context lists."""
+    chip = Chip(num_cores=num_cores, smt=smt, c1e_enabled=c1e_enabled)
+    points = chip.dvfs_table.points
+    ladder = setpoints(8)
+    now = 0.0
+    for op, *args in transitions:
+        if op == "run":
+            core, context, threaded, activity, step = args
+            now += step
+            chip.cores[core % num_cores].set_context_running(
+                context % smt, object() if threaded else None, activity, now
+            )
+        elif op == "idle":
+            core, context, hinted, step = args
+            now += step
+            chip.cores[core % num_cores].set_context_idle(context % smt, now, hinted=hinted)
+        elif op == "dvfs":
+            chip.set_operating_point(points[args[0] % len(points)])
+        elif op == "core-dvfs":
+            core, point = args
+            chip.set_core_operating_point(
+                core % num_cores, None if point < 0 else points[point % len(points)]
+            )
+        elif op == "tcc":
+            chip.set_tcc(TCC_OFF if args[0] < 0 else ladder[args[0] % len(ladder)])
+        else:
+            core, offset = args
+            promo = chip.cores[core % num_cores].promotion_time()
+            if promo is None:
+                time = now
+            elif offset in (-1, 0, 1):
+                time = promo if offset == 0 else math.nextafter(promo, offset * math.inf)
+            else:
+                time = promo + offset
+            _assert_segment_is_fresh(chip, time)
+        _assert_held_state_matches_contexts(chip)
+    _assert_segment_is_fresh(chip, now)
+
+
+def test_smt_split_activity_is_a_different_power_state():
+    """One context at activity 1.0 and two at 0.5 sum to the same
+    activity but scale differently (SMT co-residency), so the table
+    must not hand the first state's coefficients to the second."""
+    chip = Chip(num_cores=1, smt=2)
+    core = chip.cores[0]
+    core.set_context_running(0, object(), 1.0, 0.0)
+    _, single = chip.power_segment(0.0)
+    core.set_context_running(0, object(), 0.5, 0.0)
+    core.set_context_running(1, object(), 0.5, 0.0)
+    assert core.activity == 1.0 and core.busy_contexts == 2
+    _, split = chip.power_segment(0.0)
+    assert split is not single
+    assert split.base[0] < single.base[0]
+    _assert_segment_is_fresh(chip, 0.0)
+
+
+def test_interned_coefficients_are_read_only():
+    chip = Chip(num_cores=2)
+    chip.cores[0].set_running(object(), 1.0, 0.0)
+    _, coefficients = chip.power_segment(0.0)
+    for array in (coefficients.base, coefficients.leak_coef, coefficients.fused_terms()[2]):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
 def test_tcc_affects_coefficients():
