@@ -8,7 +8,7 @@ each technique's Pareto boundary and the Dimetrodon/VFS crossover.
 Run:  python examples/compare_techniques.py
 """
 
-from repro import fast_config, fit_power_law, pareto_boundary, sweep_dimetrodon, sweep_tcc, sweep_vfs
+from repro import Sweep, fast_config, fit_power_law, pareto_boundary, run_sweeps
 from repro.core.pareto import crossover_reduction
 
 
@@ -27,11 +27,13 @@ def main() -> None:
     config = fast_config()
     print("Sweeping three thermal-management techniques on 4x cpuburn...")
 
-    dim = sweep_dimetrodon(
-        config, ps=(0.25, 0.5, 0.75, 0.9), ls_ms=(2.0, 10.0, 50.0, 100.0)
-    )
-    vfs = sweep_vfs(config)
-    tcc = sweep_tcc(config)
+    # One grid, one batch: the three sweeps share the cpuburn baseline.
+    grid = [
+        Sweep.dimetrodon(ps=(0.25, 0.5, 0.75, 0.9), ls_ms=(2.0, 10.0, 50.0, 100.0)),
+        Sweep.vfs(),
+        Sweep.tcc(),
+    ]
+    dim, vfs, tcc = run_sweeps(config, grid)
 
     print_boundary("Dimetrodon (idle injection)", dim.points)
     print_boundary("VFS (voltage/frequency scaling)", vfs.points)

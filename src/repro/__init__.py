@@ -42,6 +42,7 @@ from .cpu import Chip, CState, CStateParams, DvfsTable, PowerModel, PowerParams,
 from .experiments import (
     ExperimentConfig,
     Machine,
+    Sweep,
     default_config,
     fast_config,
     fig1_power_trace,
@@ -53,9 +54,7 @@ from .experiments import (
     full_config,
     run_characterization,
     run_finite_cpuburn,
-    sweep_dimetrodon,
-    sweep_tcc,
-    sweep_vfs,
+    run_sweeps,
     table1_spec_workloads,
     validate_energy_model,
     validate_throughput_model,
@@ -129,6 +128,7 @@ __all__ = [
     "Scheduler",
     "Simulator",
     "SpecWorkload",
+    "Sweep",
     "TccSetting",
     "ThermalBalancer",
     "ThermalNetwork",
@@ -160,9 +160,7 @@ __all__ = [
     "predicted_throughput_factor",
     "run_characterization",
     "run_finite_cpuburn",
-    "sweep_dimetrodon",
-    "sweep_tcc",
-    "sweep_vfs",
+    "run_sweeps",
     "table1_spec_workloads",
     "validate_energy_model",
     "validate_throughput_model",

@@ -23,14 +23,7 @@ from .runner import (
     run_characterization,
     run_finite_cpuburn,
 )
-from .sweeps import (
-    SmokeResult,
-    SweepResult,
-    smoke_sweep,
-    sweep_dimetrodon,
-    sweep_tcc,
-    sweep_vfs,
-)
+from .sweeps import SmokeResult, Sweep, SweepResult, run_sweeps, smoke_sweep
 from .tables import (
     EnergyValidationResult,
     Table1Result,
@@ -53,6 +46,7 @@ __all__ = [
     "FiniteRunResult",
     "Machine",
     "SmokeResult",
+    "Sweep",
     "SweepResult",
     "Table1Result",
     "ThroughputValidationResult",
@@ -68,10 +62,8 @@ __all__ = [
     "resolve_duration",
     "run_characterization",
     "run_finite_cpuburn",
+    "run_sweeps",
     "smoke_sweep",
-    "sweep_dimetrodon",
-    "sweep_tcc",
-    "sweep_vfs",
     "table1_spec_workloads",
     "validate_energy_model",
     "validate_throughput_model",

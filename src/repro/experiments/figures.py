@@ -16,32 +16,21 @@ import numpy as np
 
 from ..core.pareto import (
     PowerLawFit,
-    TradeoffPoint,
     crossover_reduction,
     fit_power_law,
     pareto_boundary,
 )
 from ..health import HealthParams
-from ..instruments.stats import relative_reduction, throughput_reduction
+from ..instruments.stats import relative_reduction
 from ..runtime import ParallelRunner
-from ..units import MS
 from ..workloads.cpuburn import FiniteCpuBurn
 from ..workloads.mixes import build_hot_cool_mix
 from ..workloads.webserver import QOS_GOOD, QOS_TOLERABLE, WebServer
 from .config import ExperimentConfig
 from .machine import Machine
 from .reporting import format_series, format_table, percent
-from .runner import resolve_duration, run_characterization
-from .sweeps import (
-    FIG3_LS_MS,
-    FIG3_PS,
-    FIG4_LS_MS,
-    FIG4_PS,
-    SweepResult,
-    sweep_dimetrodon,
-    sweep_tcc,
-    sweep_vfs,
-)
+from .runner import resolve_duration
+from .sweeps import FIG3_LS_MS, FIG3_PS, FIG4_LS_MS, FIG4_PS, Sweep, SweepResult, run_sweeps
 
 
 # ======================================================================
@@ -243,7 +232,13 @@ class Fig3Result:
     """Efficiency (temperature:throughput) over the (p, L) grid."""
 
     sweep: SweepResult
-    efficiency: Dict[Tuple[float, float], float]  # (p, L_ms) -> ratio
+
+    @property
+    def efficiency(self) -> Dict[Tuple[float, float], float]:
+        """``(p, L_ms)`` -> ratio, over the sweep's completed points."""
+        return {
+            (pt.params["p"], pt.params["L_ms"]): pt.efficiency for pt in self.sweep.points
+        }
 
     def curve(self, p: float) -> List[Tuple[float, float]]:
         pairs = [
@@ -252,11 +247,12 @@ class Fig3Result:
         return sorted(pairs)
 
     def render(self) -> str:
-        ps = sorted({p for p, _ in self.efficiency})
-        ls = sorted({l for _, l in self.efficiency})
+        efficiency = self.efficiency
+        ps = sorted({p for p, _ in efficiency})
+        ls = sorted({l for _, l in efficiency})
         rows = []
         for l_ms in ls:
-            rows.append([l_ms] + [self.efficiency.get((p, l_ms), float("nan")) for p in ps])
+            rows.append([l_ms] + [efficiency.get((p, l_ms), float("nan")) for p in ps])
         return format_table(
             ["L [ms]"] + [f"p={p:g}" for p in ps],
             rows,
@@ -271,11 +267,8 @@ def fig3_efficiency(
     ls_ms: Sequence[float] = FIG3_LS_MS,
     runner: Optional[ParallelRunner] = None,
 ) -> Fig3Result:
-    sweep = sweep_dimetrodon(config, ps=ps, ls_ms=ls_ms, runner=runner)
-    efficiency = {
-        (pt.params["p"], pt.params["L_ms"]): pt.efficiency for pt in sweep.points
-    }
-    return Fig3Result(sweep=sweep, efficiency=efficiency)
+    (sweep,) = run_sweeps(config, [Sweep.dimetrodon(ps=ps, ls_ms=ls_ms)], runner=runner)
+    return Fig3Result(sweep=sweep)
 
 
 # ======================================================================
@@ -328,9 +321,8 @@ def fig4_technique_comparison(
     ls_ms: Sequence[float] = FIG4_LS_MS,
     runner: Optional[ParallelRunner] = None,
 ) -> Fig4Result:
-    dim = sweep_dimetrodon(config, ps=ps, ls_ms=ls_ms, runner=runner)
-    vfs = sweep_vfs(config, runner=runner)
-    tcc = sweep_tcc(config, runner=runner)
+    grid = [Sweep.dimetrodon(ps=ps, ls_ms=ls_ms), Sweep.vfs(), Sweep.tcc()]
+    dim, vfs, tcc = run_sweeps(config, grid, runner=runner)
     fit = fit_power_law(dim.points, r_max=0.95)
     crossover = crossover_reduction(dim.points, vfs.points)
     return Fig4Result(dimetrodon=dim, vfs=vfs, tcc=tcc, fit=fit, crossover=crossover)

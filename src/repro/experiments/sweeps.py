@@ -1,24 +1,29 @@
-"""Parameter sweeps: (p, L) grids, VFS ladders, TCC ladders.
+"""Static-policy sweeps as data, and the one driver that runs them.
 
-These produce the clouds of trade-off points from which Figures 3 and 4
-extract Pareto boundaries and §3.4/Table 1 fit power laws.
+Figures 3 and 4 and Table 1 (§3.4) are all sweeps of one static
+technique — idle injection ``(p, L)``, a VFS operating point, or a
+p4tcc duty — over a workload, every point scored against the
+unconstrained run of the same workload.  These produce the clouds of
+trade-off points from which Figures 3 and 4 extract Pareto boundaries
+and §3.4/Table 1 fit power laws.
 
-Every run in a sweep is independent (each builds its own machine from
-the same config), so the sweeps fan out through a
-:class:`~repro.runtime.ParallelRunner`: pass ``runner=`` to execute on
-a worker pool and/or serve repeat runs from an on-disk cache.  With no
-runner the sweep executes serially in-process, exactly as before.
+An experiment is a *grid*: an ordered list of :class:`Sweep`
+definitions.  :func:`run_sweeps` is the one place that turns a grid
+into run specs — one baseline per workload, one spec per point — and
+runs them as a single :class:`~repro.runtime.ParallelRunner` batch, so
+``--jobs N`` sees the whole experiment and no baseline is simulated
+twice.  With no runner the batch executes serially in-process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.pareto import TradeoffPoint
-from ..errors import ExecutionError
-from ..cpu.dvfs import OperatingPoint
+from ..cpu.dvfs import OperatingPoint, xeon_e5520_table
 from ..cpu.tcc import TccSetting, setpoints
+from ..errors import ExecutionError
 from ..instruments.stats import relative_reduction, throughput_reduction
 from ..runtime import ParallelRunner, RunSpec, characterization_spec
 from ..units import MS
@@ -33,6 +38,68 @@ FIG3_LS_MS = (1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0)
 #: Figure 4's wide grid (coarser per-axis, broader coverage).
 FIG4_PS = (0.05, 0.1, 0.25, 0.4, 0.5, 0.65, 0.75, 0.9)
 FIG4_LS_MS = (1.0, 5.0, 10.0, 25.0, 50.0, 100.0)
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """One technique on one workload over a list of points.
+
+    Each point pairs its reported params (``{"p", "L_ms"}``,
+    ``{"freq_ghz", "voltage"}`` or ``{"duty"}``) with the
+    :func:`~repro.experiments.runner.run_characterization` keywords
+    that realise it.
+    """
+
+    technique: str
+    workload: str
+    points: Sequence[Tuple[Dict[str, float], Dict[str, Any]]]
+
+    @classmethod
+    def dimetrodon(
+        cls,
+        workload: str = "cpuburn",
+        ps: Sequence[float] = FIG3_PS,
+        ls_ms: Sequence[float] = FIG3_LS_MS,
+        *,
+        deterministic: bool = False,
+    ) -> "Sweep":
+        """Idle injection over the ``(p, L)`` grid."""
+        return cls("dimetrodon", workload, [
+            (
+                {"p": p, "L_ms": l_ms},
+                {"p": p, "idle_quantum": l_ms * MS, "deterministic": deterministic},
+            )
+            for p in ps
+            for l_ms in ls_ms
+        ])
+
+    @classmethod
+    def vfs(
+        cls,
+        workload: str = "cpuburn",
+        points: Optional[Sequence[OperatingPoint]] = None,
+    ) -> "Sweep":
+        """Static voltage/frequency setpoints (Figure 4's VFS)."""
+        table = points if points is not None else list(xeon_e5520_table())
+        return cls("vfs", workload, [
+            (
+                {"freq_ghz": point.frequency / 1e9, "voltage": point.voltage},
+                {"operating_point": point},
+            )
+            for point in table
+        ])
+
+    @classmethod
+    def tcc(
+        cls,
+        workload: str = "cpuburn",
+        duties: Optional[Sequence[TccSetting]] = None,
+    ) -> "Sweep":
+        """Thermal-control-circuit duty setpoints (Figure 4's p4tcc)."""
+        settings = duties if duties is not None else setpoints(8)[:-1]
+        return cls("p4tcc", workload, [
+            ({"duty": setting.duty}, {"tcc": setting}) for setting in settings
+        ])
 
 
 @dataclass
@@ -63,113 +130,58 @@ class SweepResult:
         return point
 
 
-def _run_sweep(
-    technique: str,
-    workload: str,
-    specs: List[RunSpec],
-    param_grid: List[Dict[str, float]],
-    runner: Optional[ParallelRunner],
-) -> SweepResult:
-    """Execute baseline + grid as one batch and assemble the result.
+def run_sweeps(
+    config: ExperimentConfig,
+    sweeps: Sequence[Sweep],
+    *,
+    duration: Optional[float] = None,
+    runner: Optional[ParallelRunner] = None,
+) -> List[SweepResult]:
+    """Run a grid of sweeps as one batch; results in definition order.
 
-    ``specs[0]`` is the baseline; ``specs[1:]`` pair with ``param_grid``.
-    The batch keeps submission order, so results land exactly where the
-    old serial loop put them.
-
-    A keep-going runner may hand back ``None`` for abandoned runs:
-    grid holes are recorded in :attr:`SweepResult.missing` and the
-    sweep degrades gracefully, but a missing *baseline* is fatal —
-    every trade-off point is relative to it.
+    The batch holds each workload's baseline once, just before the
+    points of the first sweep on that workload.  A keep-going runner
+    may hand back ``None`` for abandoned runs: point holes are recorded
+    in :attr:`SweepResult.missing` and the sweep degrades gracefully,
+    but a missing *baseline* is fatal — every trade-off point is
+    relative to it.
     """
-    runner = runner if runner is not None else ParallelRunner()
-    results = runner.run(specs)
-    if results[0] is None:
-        raise ExecutionError(
-            f"the {technique}/{workload} baseline run failed; a sweep "
-            "cannot degrade past its baseline (see the failure report)"
-        )
-    sweep = SweepResult(technique=technique, workload=workload, baseline=results[0])
-    for run, params in zip(results[1:], param_grid):
-        if run is None:
-            sweep.missing.append(params)
-        else:
-            sweep.add(run, params)
-    return sweep
-
-
-def sweep_dimetrodon(
-    config: ExperimentConfig,
-    *,
-    workload: str = "cpuburn",
-    ps: Sequence[float] = FIG3_PS,
-    ls_ms: Sequence[float] = FIG3_LS_MS,
-    deterministic: bool = False,
-    duration: Optional[float] = None,
-    runner: Optional[ParallelRunner] = None,
-) -> SweepResult:
-    """Sweep idle-injection (p, L) over a grid."""
-    specs = [characterization_spec(config, workload=workload, duration=duration)]
-    grid: List[Dict[str, float]] = []
-    for p in ps:
-        for l_ms in ls_ms:
+    specs: List[RunSpec] = []
+    baseline_slot: Dict[str, int] = {}
+    first_slot: List[int] = []
+    for sweep in sweeps:
+        if sweep.workload not in baseline_slot:
+            baseline_slot[sweep.workload] = len(specs)
             specs.append(
-                characterization_spec(
-                    config,
-                    workload=workload,
-                    p=p,
-                    idle_quantum=l_ms * MS,
-                    deterministic=deterministic,
-                    duration=duration,
-                )
+                characterization_spec(config, workload=sweep.workload, duration=duration)
             )
-            grid.append({"p": p, "L_ms": l_ms})
-    return _run_sweep("dimetrodon", workload, specs, grid, runner)
-
-
-def sweep_vfs(
-    config: ExperimentConfig,
-    *,
-    workload: str = "cpuburn",
-    points: Optional[Sequence[OperatingPoint]] = None,
-    duration: Optional[float] = None,
-    runner: Optional[ParallelRunner] = None,
-) -> SweepResult:
-    """Sweep static voltage/frequency setpoints (Figure 4's VFS)."""
-    from ..cpu.dvfs import xeon_e5520_table
-
-    table_points = points if points is not None else list(xeon_e5520_table())
-    specs = [characterization_spec(config, workload=workload, duration=duration)]
-    grid: List[Dict[str, float]] = []
-    for point in table_points:
-        specs.append(
+        first_slot.append(len(specs))
+        specs.extend(
             characterization_spec(
-                config, workload=workload, operating_point=point, duration=duration
+                config, workload=sweep.workload, **run, duration=duration
             )
+            for _, run in sweep.points
         )
-        grid.append({"freq_ghz": point.frequency / 1e9, "voltage": point.voltage})
-    return _run_sweep("vfs", workload, specs, grid, runner)
+    results = (runner if runner is not None else ParallelRunner()).run(specs)
 
-
-def sweep_tcc(
-    config: ExperimentConfig,
-    *,
-    workload: str = "cpuburn",
-    duties: Optional[Sequence[TccSetting]] = None,
-    duration: Optional[float] = None,
-    runner: Optional[ParallelRunner] = None,
-) -> SweepResult:
-    """Sweep thermal-control-circuit duty setpoints (Figure 4's p4tcc)."""
-    settings = duties if duties is not None else setpoints(8)[:-1]
-    specs = [characterization_spec(config, workload=workload, duration=duration)]
-    grid: List[Dict[str, float]] = []
-    for setting in settings:
-        specs.append(
-            characterization_spec(
-                config, workload=workload, tcc=setting, duration=duration
+    swept: List[SweepResult] = []
+    for sweep, first in zip(sweeps, first_slot):
+        baseline = results[baseline_slot[sweep.workload]]
+        if baseline is None:
+            raise ExecutionError(
+                f"the {sweep.technique}/{sweep.workload} baseline run failed; a "
+                "sweep cannot degrade past its baseline (see the failure report)"
             )
+        result = SweepResult(
+            technique=sweep.technique, workload=sweep.workload, baseline=baseline
         )
-        grid.append({"duty": setting.duty})
-    return _run_sweep("p4tcc", workload, specs, grid, runner)
+        for (params, _), run in zip(sweep.points, results[first:]):
+            if run is None:
+                result.missing.append(params)
+            else:
+                result.add(run, params)
+        swept.append(result)
+    return swept
 
 
 # ----------------------------------------------------------------------
@@ -203,7 +215,6 @@ def smoke_sweep(
     """A 5-run Dimetrodon sweep with 10 s-simulated runs (~seconds of
     wall clock): enough to verify pool execution and caching, far too
     short to measure steady-state physics."""
-    sweep = sweep_dimetrodon(
-        config, ps=(0.25, 0.5), ls_ms=(5.0, 25.0), duration=10.0, runner=runner
-    )
+    grid = [Sweep.dimetrodon(ps=(0.25, 0.5), ls_ms=(5.0, 25.0))]
+    (sweep,) = run_sweeps(config, grid, duration=10.0, runner=runner)
     return SmokeResult(sweep=sweep)

@@ -3,21 +3,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..core.models import predicted_energy, predicted_runtime
+from ..core.models import predicted_runtime
 from ..core.pareto import PowerLawFit, fit_power_law
-from ..cpu.cstates import CState
-from ..runtime import ParallelRunner, characterization_spec, finite_cpuburn_spec
+from ..errors import ConfigurationError
+from ..runtime import ParallelRunner
 from ..units import MS
 from ..workloads.spec import TABLE1_FIT, TABLE1_RISE_PERCENT, all_benchmarks
 from .config import ExperimentConfig
-from .machine import Machine
 from .reporting import format_table, percent
-from .runner import run_characterization
-from .sweeps import sweep_dimetrodon
+from .sweeps import Sweep, run_sweeps
 
 
 # ======================================================================
@@ -68,26 +66,26 @@ def table1_spec_workloads(
     fit_r_max: float = 0.5,
     runner: Optional[ParallelRunner] = None,
 ) -> Table1Result:
-    """Reproduce Table 1: per-benchmark rise (% of cpuburn) and fits."""
-    if runner is not None:
-        burn_baseline = runner.run([characterization_spec(config, workload="cpuburn")])[0]
-    else:
-        burn_baseline = run_characterization(config, workload="cpuburn")
-    names = list(benchmarks) if benchmarks is not None else all_benchmarks()
-    rows: List[Table1Row] = []
+    """Reproduce Table 1: per-benchmark rise (% of cpuburn) and fits.
 
-    # cpuburn row first, as in the paper.
-    burn_sweep = sweep_dimetrodon(
-        config, workload="cpuburn", ps=ps, ls_ms=ls_ms, runner=runner
-    )
-    burn_fit = _safe_fit(burn_sweep.points, fit_r_max)
-    rows.append(_make_row("cpuburn", 100.0, burn_fit))
-
-    for name in names:
-        sweep = sweep_dimetrodon(config, workload=name, ps=ps, ls_ms=ls_ms, runner=runner)
-        rise_percent = 100.0 * sweep.baseline.temp_rise / burn_baseline.temp_rise
+    One ``(p, L)`` sweep per workload, cpuburn first as in the paper;
+    each benchmark's rise is relative to cpuburn's baseline rise.
+    """
+    known = all_benchmarks()
+    names = list(benchmarks) if benchmarks is not None else known
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise ConfigurationError(
+            f"unknown Table 1 benchmark(s) {', '.join(map(repr, unknown))} "
+            f"(known: {', '.join(known)})"
+        )
+    grid = [Sweep.dimetrodon(name, ps, ls_ms) for name in ["cpuburn", *names]]
+    burn, *rest = run_sweeps(config, grid, runner=runner)
+    rows = [_make_row("cpuburn", 100.0, _safe_fit(burn.points, fit_r_max))]
+    for sweep in rest:
+        rise_percent = 100.0 * sweep.baseline.temp_rise / burn.baseline.temp_rise
         fit = _safe_fit(sweep.points, fit_r_max)
-        rows.append(_make_row(name, rise_percent, fit))
+        rows.append(_make_row(sweep.workload, rise_percent, fit))
     return Table1Result(rows=rows)
 
 

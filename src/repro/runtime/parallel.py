@@ -720,12 +720,6 @@ class ParallelRunner:
     # ------------------------------------------------------------------
     # Typed conveniences
     # ------------------------------------------------------------------
-    def run_characterizations(
-        self, config: Any, grid: Sequence[Mapping[str, Any]]
-    ) -> List[Any]:
-        """Batch :func:`run_characterization` over parameter dicts."""
-        return self.run([characterization_spec(config, **params) for params in grid])
-
     def run_finite_cpuburns(
         self, specs: Sequence[Tuple[Any, Mapping[str, Any]]]
     ) -> List[Any]:

@@ -5,6 +5,8 @@ Durations and grids are cut down hard; the full-size versions run in
 directional shapes, not the calibrated magnitudes.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,11 +15,14 @@ from repro.experiments.figures import (
     fig1_power_trace,
     fig2_temperature_timeseries,
     fig3_efficiency,
+    fig4_technique_comparison,
     fig5_per_thread_control,
     fig6_webserver_qos,
 )
+from repro.runtime import ParallelRunner
 
 CFG = fast_config()
+SHORT = 4.0  # simulated seconds per sweep run where only structure matters
 
 
 # ----------------------------------------------------------------------
@@ -112,6 +117,42 @@ def test_fig3_render(fig3):
     text = fig3.render()
     assert "p=0.5" in text
     assert "L [ms]" in text
+
+
+# ----------------------------------------------------------------------
+# Figure 4 (tiny grid: 4 injection points plus the VFS and TCC ladders)
+# ----------------------------------------------------------------------
+def run_fig4(jobs):
+    events = []
+    runner = ParallelRunner(jobs=jobs, progress=events.append)
+    result = fig4_technique_comparison(
+        CFG.scaled(characterization_duration=SHORT),
+        ps=(0.25, 0.75),
+        ls_ms=(5.0, 25.0),
+        runner=runner,
+    )
+    return result, runner, events
+
+
+@pytest.fixture(scope="module")
+def fig4():
+    return run_fig4(jobs=1)
+
+
+def test_fig4_is_one_batch_simulating_each_spec_once(fig4):
+    result, runner, events = fig4
+    grid = 1 + 4 + len(result.vfs.points) + len(result.tcc.points)
+    keys = [event.spec.key for event in events]
+    assert len(keys) == len(set(keys)) == grid
+    assert runner.metrics.submitted == runner.metrics.executed == grid
+    assert all(event.total == grid for event in events)
+    assert result.vfs.baseline is result.dimetrodon.baseline is result.tcc.baseline
+
+
+def test_fig4_parallel_equals_serial(fig4):
+    serial, _, _ = fig4
+    parallel, _, _ = run_fig4(jobs=2)
+    assert dataclasses.asdict(parallel) == dataclasses.asdict(serial)
 
 
 # ----------------------------------------------------------------------

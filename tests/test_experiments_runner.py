@@ -9,7 +9,9 @@ import pytest
 from repro.core.pareto import pareto_boundary
 from repro.cpu import TccSetting, xeon_e5520_table
 from repro.experiments import fast_config, run_characterization, run_finite_cpuburn
-from repro.experiments.sweeps import sweep_dimetrodon, sweep_tcc, sweep_vfs
+from repro.errors import ExecutionError
+from repro.experiments.sweeps import Sweep, run_sweeps
+from repro.runtime import ParallelRunner
 
 CFG = fast_config()
 SHORT = 40.0  # seconds of simulated time, enough for fast-mode steady state
@@ -17,6 +19,11 @@ SHORT = 40.0  # seconds of simulated time, enough for fast-mode steady state
 
 def short_run(**kwargs):
     return run_characterization(CFG, duration=SHORT, **kwargs)
+
+
+def short_sweep(sweep):
+    (result,) = run_sweeps(CFG, [sweep], duration=SHORT)
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -117,9 +124,7 @@ def test_characterization_none_duration_uses_config_default():
 # Sweeps
 # ----------------------------------------------------------------------
 def test_dimetrodon_sweep_structure():
-    sweep = sweep_dimetrodon(
-        CFG, ps=(0.25, 0.75), ls_ms=(5.0, 50.0), duration=SHORT
-    )
+    sweep = short_sweep(Sweep.dimetrodon(ps=(0.25, 0.75), ls_ms=(5.0, 50.0)))
     assert len(sweep.points) == 4
     assert sweep.technique == "dimetrodon"
     for point in sweep.points:
@@ -129,7 +134,7 @@ def test_dimetrodon_sweep_structure():
 
 
 def test_dimetrodon_sweep_monotone_in_p():
-    sweep = sweep_dimetrodon(CFG, ps=(0.25, 0.75), ls_ms=(25.0,), duration=SHORT)
+    sweep = short_sweep(Sweep.dimetrodon(ps=(0.25, 0.75), ls_ms=(25.0,)))
     low, high = sweep.points
     assert high.temp_reduction > low.temp_reduction
     assert high.throughput_reduction > low.throughput_reduction
@@ -137,14 +142,14 @@ def test_dimetrodon_sweep_monotone_in_p():
 
 def test_vfs_sweep():
     table = xeon_e5520_table()
-    sweep = sweep_vfs(CFG, points=[table.min_point], duration=SHORT)
+    sweep = short_sweep(Sweep.vfs(points=[table.min_point]))
     point = sweep.points[0]
     assert point.throughput_reduction == pytest.approx(0.292, abs=0.02)
     assert point.temp_reduction > 0.35
 
 
 def test_tcc_sweep_is_sub_proportional():
-    sweep = sweep_tcc(CFG, duties=[TccSetting(duty=0.5)], duration=SHORT)
+    sweep = short_sweep(Sweep.tcc(duties=[TccSetting(duty=0.5)]))
     point = sweep.points[0]
     # p4tcc at 50% duty: throughput halves, temperature drops less.
     assert point.throughput_reduction == pytest.approx(0.5, abs=0.02)
@@ -153,7 +158,44 @@ def test_tcc_sweep_is_sub_proportional():
 
 def test_pareto_of_sweep_prefers_short_quanta():
     """On the boundary at matched throughput, shorter L wins (Fig. 3)."""
-    sweep = sweep_dimetrodon(CFG, ps=(0.5,), ls_ms=(5.0, 100.0), duration=SHORT)
+    sweep = short_sweep(Sweep.dimetrodon(ps=(0.5,), ls_ms=(5.0, 100.0)))
     short, long = sweep.points
     assert short.params["L_ms"] == 5.0
     assert short.efficiency > long.efficiency
+
+
+def test_grid_shares_one_baseline_per_workload():
+    """Sweeps on one workload share its baseline; results come back in
+    definition order, each scored against its own workload."""
+    events = []
+    runner = ParallelRunner(progress=events.append)
+    grid = [
+        Sweep.dimetrodon(ps=(0.5,), ls_ms=(25.0,)),
+        Sweep.dimetrodon("astar", ps=(0.5,), ls_ms=(25.0,)),
+        Sweep.tcc(duties=[TccSetting(duty=0.5)]),
+    ]
+    burn, astar, tcc = run_sweeps(CFG, grid, duration=SHORT, runner=runner)
+    assert [s.technique for s in (burn, astar, tcc)] == ["dimetrodon", "dimetrodon", "p4tcc"]
+    assert tcc.baseline is burn.baseline
+    assert astar.workload == "astar" and astar.baseline.workload == "astar"
+    assert runner.metrics.submitted == runner.metrics.executed == 5
+    assert {e.total for e in events} == {5}
+
+
+def test_grid_records_point_holes_but_not_a_lost_baseline():
+    """Under keep-going a failed point is a hole in ``missing``; a
+    failed baseline is fatal for every sweep scored against it."""
+    bad_point = Sweep("dimetrodon", "cpuburn", [({"p": 2.0}, {"p": 2.0})])
+    (sweep,) = run_sweeps(
+        CFG, [bad_point], duration=SHORT, runner=ParallelRunner(keep_going=True)
+    )
+    assert sweep.missing == [{"p": 2.0}]
+    assert sweep.points == [] and sweep.baseline is not None
+
+    with pytest.raises(ExecutionError, match="baseline"):
+        run_sweeps(
+            CFG,
+            [Sweep.dimetrodon("mcf", ps=(0.5,), ls_ms=(25.0,))],
+            duration=SHORT,
+            runner=ParallelRunner(keep_going=True),
+        )

@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.experiments import fast_config
 from repro.experiments.tables import (
     table1_spec_workloads,
     validate_energy_model,
     validate_throughput_model,
 )
+from repro.runtime import ParallelRunner
 
 CFG = fast_config()
 
@@ -96,3 +98,28 @@ def test_table1_render(table1):
     text = table1.render()
     assert "Table 1" in text
     assert "calculix" in text
+
+
+def test_table1_simulates_cpuburn_baseline_once():
+    events = []
+    runner = ParallelRunner(progress=events.append)
+    table1_spec_workloads(
+        CFG.scaled(characterization_duration=4.0),
+        benchmarks=("astar",),
+        ps=(0.5,),
+        ls_ms=(25.0,),
+        runner=runner,
+    )
+    specs = [event.spec for event in events]
+    burn_baselines = [
+        spec for spec in specs if spec.params["workload"] == "cpuburn" and "p" not in spec.params
+    ]
+    assert len(burn_baselines) == 1
+    assert runner.metrics.executed == len({spec.key for spec in specs}) == 4
+
+
+def test_table1_rejects_unknown_benchmark_before_running():
+    runner = ParallelRunner()
+    with pytest.raises(ConfigurationError, match="mcf"):
+        table1_spec_workloads(CFG, benchmarks=("calculix", "mcf"), runner=runner)
+    assert runner.metrics.executed == 0

@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import ConfigurationError, ExecutionError
 from repro.experiments import fast_config
-from repro.experiments.sweeps import sweep_dimetrodon
+from repro.experiments.sweeps import Sweep, run_sweeps
 from repro.runtime import (
     ParallelRunner,
     ResultCache,
@@ -42,9 +42,9 @@ def test_parallel_results_bit_identical_to_serial():
 
 
 def test_sweep_identical_serial_vs_parallel():
-    kwargs = dict(ps=(0.25, 0.75), ls_ms=(5.0, 25.0), duration=SHORT)
-    serial = sweep_dimetrodon(CFG, runner=ParallelRunner(jobs=1), **kwargs)
-    parallel = sweep_dimetrodon(CFG, runner=ParallelRunner(jobs=4), **kwargs)
+    grid = [Sweep.dimetrodon(ps=(0.25, 0.75), ls_ms=(5.0, 25.0))]
+    (serial,) = run_sweeps(CFG, grid, duration=SHORT, runner=ParallelRunner(jobs=1))
+    (parallel,) = run_sweeps(CFG, grid, duration=SHORT, runner=ParallelRunner(jobs=4))
     assert serial.baseline == parallel.baseline
     assert serial.runs == parallel.runs
     for a, b in zip(serial.points, parallel.points):
