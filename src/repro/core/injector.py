@@ -93,14 +93,15 @@ class IdleInjector:
         if self.exempt_kernel_threads and thread.kind is ThreadKind.KERNEL:
             return None
         self.stats.decisions += 1
-        self._metric_decisions.inc()
+        self._metric_decisions.value += 1
         policy = self.table.lookup(thread.tid)
         if not policy.should_inject(thread.tid):
             return None
         self.stats.injections += 1
         self.stats.injected_time += policy.idle_quantum
-        self._metric_injections.inc()
-        self._metric_injected_time.inc(policy.idle_quantum)
+        self._metric_injections.value += 1
+        # Policies validate the quantum positive, so no inc() check.
+        self._metric_injected_time.value += policy.idle_quantum
         return InjectionDecision(
             length=policy.idle_quantum,
             mode=self.mode,

@@ -420,7 +420,7 @@ class Chip:
         )
         entry = self._coefficients.get(key)
         if entry is not None:
-            self._metric_segment_reuses.inc()
+            self._metric_segment_reuses.value += 1
             return entry
         if len(self._coefficients) >= _TABLE_LIMIT:
             self._coefficients.clear()
@@ -428,7 +428,7 @@ class Chip:
         coefficients = self.power_coefficients(cstates)
         coefficients.fused_terms()
         entry = self._coefficients[key] = (cstates, coefficients)
-        self._metric_segment_rebuilds.inc()
+        self._metric_segment_rebuilds.value += 1
         return entry
 
     def record_residency(self, cstates: Sequence[CState], duration: float) -> None:

@@ -22,9 +22,10 @@ machine B's event times, which changes A's substep lengths and with
 them the leakage-lag discretization: a machine's result would depend
 on its neighbours.  Instead, each node schedules its callbacks through
 a :class:`_NodeSimView`, a node-scoped view of the shared simulator
-that wraps every callback: immediately before a node's event runs, the
-node's physics *gap* (from its last event to now) is closed by
-**recording** power segments — split at that node's own C-state
+that gives every event the node's gap closer as its ``before`` hook:
+the engine calls it immediately before the callback, and it closes the
+node's physics *gap* (from its last event to now) by **recording**
+power segments — split at that node's own C-state
 promotion instants, coefficients evaluated at piece midpoints.  Nothing
 is integrated yet; segments queue per node.
 
@@ -58,8 +59,9 @@ Telemetry (shared registry, additive across nodes): the integrator's
 
 from __future__ import annotations
 
+import functools
+import heapq
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -67,7 +69,7 @@ import numpy as np
 from ..core.injector import IdleInjector, IdleMode
 from ..cpu.chip import Chip
 from ..cpu.power import FleetCoefficients, PowerCoefficients
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, SimulationError
 from ..experiments.config import ExperimentConfig
 from ..health import FleetHealth, HealthMonitor, HealthParams
 from ..instruments.powermeter import PowerMeter
@@ -86,42 +88,45 @@ class _NodeSimView:
     """One node's view of the shared simulator.
 
     Exposes the :class:`~repro.sim.engine.Simulator` surface node
-    components use (``now``, ``schedule``, ``schedule_at``) and wraps
-    every scheduled callback so the node's physics gap is closed —
-    segments recorded up to the current instant — before the callback
-    mutates any state the power model depends on.  Cancelling the
-    returned :class:`~repro.sim.engine.Event` works unchanged.
+    components use (``now``, ``schedule``, ``schedule_at``).  Every
+    event it schedules carries ``close_gap`` — the node's gap closer,
+    ``FleetMachine._close_gap`` bound to this node's index — as its
+    :attr:`~repro.sim.engine.Event.before` hook, so the engine records
+    the node's segments up to the current instant before the callback
+    mutates any state the power model depends on.  The view pushes
+    heap entries itself, with the simulator's own ordering and
+    past-time checks.  Cancelling the returned
+    :class:`~repro.sim.engine.Event` works unchanged.
     """
 
-    __slots__ = ("_fleet", "_index", "_sim")
+    __slots__ = ("_sim", "close_gap")
 
     def __init__(self, fleet: "FleetMachine", index: int, sim: Simulator):
-        self._fleet = fleet
-        self._index = index
         self._sim = sim
+        self.close_gap = functools.partial(fleet._close_gap, index)
 
     @property
     def now(self) -> float:
-        return self._sim.now
+        return self._sim._now
 
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
-        return self._sim.schedule(delay, self._fire, callback, args)
+        if delay < 0:
+            raise SimulationError(f"cannot schedule an event {delay}s in the past")
+        sim = self._sim
+        time = sim._now + delay
+        event = Event(time, callback, args, self.close_gap)
+        heapq.heappush(sim._heap, (time, next(sim._seq), event))
+        return event
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
-        return self._sim.schedule_at(time, self._fire, callback, args)
-
-    def _fire(self, callback: Callable[..., Any], args: Tuple[Any, ...]) -> None:
-        self._fleet._close_gap(self._index)
-        callback(*args)
-
-
-@dataclass
-class _PendingSegment:
-    """One recorded, not-yet-integrated physics piece of one node."""
-
-    start: float
-    duration: float
-    coefficients: PowerCoefficients
+        sim = self._sim
+        if time < sim._now:
+            raise SimulationError(
+                f"cannot schedule at t={time:.9f}, clock is already at {sim._now:.9f}"
+            )
+        event = Event(time, callback, args, self.close_gap)
+        heapq.heappush(sim._heap, (time, next(sim._seq), event))
+        return event
 
 
 class FleetNode:
@@ -199,8 +204,9 @@ class FleetNode:
             num_cores=cfg.num_cores,
         )
 
-        #: Recorded-but-unintegrated physics pieces, in time order.
-        self.pending: Deque[_PendingSegment] = deque()
+        #: Recorded-but-unintegrated physics pieces, in time order:
+        #: ``(start, duration, coefficients)`` tuples.
+        self.pending: Deque[Tuple[float, float, PowerCoefficients]] = deque()
         #: End of the last recorded piece (= this node's last event).
         self.last_physics_time = fleet.sim.now
         #: This node's health monitor once the fleet attaches one.
@@ -357,7 +363,7 @@ class FleetMachine:
         the comparison could misclassify the whole piece).
         """
         node = self.nodes[index]
-        now = self.sim.now
+        now = self.sim._now
         t0 = node.last_physics_time
         if now <= t0:
             return
@@ -370,10 +376,10 @@ class FleetMachine:
                 continue
             cstates, coefficients = chip.power_segment(0.5 * (a + b))
             chip.record_residency(cstates, b - a)
-            pending.append(_PendingSegment(a, b - a, coefficients))
+            pending.append((a, b - a, coefficients))
             recorded += 1
         node.last_physics_time = now
-        self._metric_segments.inc(recorded)
+        self._metric_segments.value += recorded
 
     def _drain(self) -> None:
         """Integrate every recorded segment, batching across nodes.
@@ -394,22 +400,20 @@ class FleetMachine:
         while active:
             groups: Dict[float, List[int]] = {}
             for j in active:
-                groups.setdefault(nodes[j].pending[0].duration, []).append(j)
+                groups.setdefault(nodes[j].pending[0][1], []).append(j)
             for duration, members in groups.items():
                 segments = [nodes[j].pending.popleft() for j in members]
                 if len(segments) == 1:
-                    coefficients = segments[0].coefficients
+                    coefficients = segments[0][2]
                 else:
                     coefficients = FleetCoefficients.from_coefficients(
-                        [s.coefficients for s in segments]
+                        [s[2] for s in segments]
                     )
                 energies = integrator.advance_machines(
                     members, duration, coefficients
                 )
-                for j, segment, energy in zip(members, segments, energies):
-                    nodes[j].powermeter.record_segment(
-                        segment.start, segment.duration, energy / segment.duration
-                    )
+                for j, (start, length, _), energy in zip(members, segments, energies):
+                    nodes[j].powermeter.record_segment(start, length, energy / length)
             active = [j for j in active if nodes[j].pending]
         self._metric_drains.inc()
 

@@ -475,16 +475,16 @@ class HealthMonitor:
         temperature = float(reading.max())
         now = self._sim.now
         event = self.tracker.observe(now, temperature)
-        self._metric_samples.inc()
+        self._metric_samples.value += 1
         if event is not None:
             if event.state is HealthState.CRITICAL:
-                self._metric_critical.inc()
-                self._metric_alerts.inc()
+                self._metric_critical.value += 1
+                self._metric_alerts.value += 1
             elif event.state is HealthState.WARNING and event.escalation:
-                self._metric_warning.inc()
-                self._metric_alerts.inc()
+                self._metric_warning.value += 1
+                self._metric_alerts.value += 1
             if not event.escalation:
-                self._metric_recoveries.inc()
+                self._metric_recoveries.value += 1
             for listener in self._listeners:
                 listener(event)
         for listener in self._sample_listeners:

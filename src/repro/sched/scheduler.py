@@ -297,7 +297,7 @@ class Scheduler:
         thread.stats.injected_count += 1
         thread.stats.injected_time += decision.length
         self.stats.injected_quanta += 1
-        self._metric_injected_quanta.inc()
+        self._metric_injected_quanta.value += 1
         slot.injected = True
         slot.idle = False
         self._emit("inject", slot, thread)
@@ -354,7 +354,7 @@ class Scheduler:
         thread.stats.work_done += progress
         thread.remaining_work -= progress
         self.stats.forced_preemptions += 1
-        self._metric_preemptions.inc()
+        self._metric_preemptions.value += 1
         self._emit("preempt", slot, thread)
 
         if thread.terminate_requested:
@@ -399,7 +399,7 @@ class Scheduler:
             thread.stats.first_run = now
         self.stats.dispatches += 1
         self.stats.context_switches += 1
-        self._metric_dispatches.inc()
+        self._metric_dispatches.value += 1
 
         slot.current = thread
         slot.idle = False

@@ -14,20 +14,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+import math
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..errors import SimulationError
 from ..telemetry.registry import registry as _metrics_registry
-
-
-@dataclass(order=True)
-class _QueueEntry:
-    """Internal heap entry. Ordered by (time, sequence number)."""
-
-    time: float
-    seq: int
-    event: "Event" = field(compare=False)
 
 
 class Event:
@@ -37,14 +28,25 @@ class Event:
     :meth:`Simulator.schedule_at` and can be cancelled.  A cancelled
     event stays in the heap but is skipped at dispatch time (lazy
     deletion), which keeps cancellation O(1).
+
+    ``before``, when set, is called with no arguments immediately
+    before ``callback`` (a fleet node's physics gap closer, see
+    :class:`repro.fleet.machine._NodeSimView`).
     """
 
-    __slots__ = ("time", "callback", "args", "cancelled", "dispatched")
+    __slots__ = ("time", "callback", "args", "before", "cancelled", "dispatched")
 
-    def __init__(self, time: float, callback: Callable[..., Any], args: Tuple[Any, ...]):
+    def __init__(
+        self,
+        time: float,
+        callback: Callable[..., Any],
+        args: Tuple[Any, ...],
+        before: Optional[Callable[[], Any]] = None,
+    ):
         self.time = time
         self.callback = callback
         self.args = args
+        self.before = before
         self.cancelled = False
         self.dispatched = False
 
@@ -66,6 +68,9 @@ class Event:
 class Simulator:
     """Deterministic discrete-event simulator.
 
+    The heap holds ``(time, seq, event)`` tuples; ``seq`` is unique, so
+    ordering is decided by the two numbers and never compares events.
+
     Parameters
     ----------
     start_time:
@@ -74,7 +79,7 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        self._heap: List[_QueueEntry] = []
+        self._heap: List[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._running = False
         self._event_count = 0
@@ -95,7 +100,8 @@ class Simulator:
 
     @property
     def event_count(self) -> int:
-        """Number of events dispatched so far."""
+        """Number of events dispatched by completed :meth:`run` /
+        :meth:`step` calls."""
         return self._event_count
 
     # ------------------------------------------------------------------
@@ -114,7 +120,7 @@ class Simulator:
                 f"cannot schedule at t={time:.9f}, clock is already at {self._now:.9f}"
             )
         event = Event(time, callback, args)
-        heapq.heappush(self._heap, _QueueEntry(time, next(self._seq), event))
+        heapq.heappush(self._heap, (time, next(self._seq), event))
         return event
 
     # ------------------------------------------------------------------
@@ -122,75 +128,79 @@ class Simulator:
     # ------------------------------------------------------------------
     def peek_next_time(self) -> Optional[float]:
         """Time of the next pending event, or None if the queue is empty."""
-        while self._heap and self._heap[0].event.cancelled:
-            heapq.heappop(self._heap)
-        if not self._heap:
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        if not heap:
             return None
-        return self._heap[0].time
+        return heap[0][0]
 
     def step(self) -> bool:
         """Dispatch the next pending event.
 
         Returns True if an event ran, False if the queue was empty.
+        Like :meth:`run`, it may not be called from inside a callback.
         """
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            if entry.event.cancelled:
-                continue
-            self._dispatch(entry.event)
-            return True
-        return False
+        return self._dispatch_events(None, 1) == 1
 
     def run(self, until: Optional[float] = None) -> None:
         """Run events in order until the queue empties or ``until``.
 
         If ``until`` is given, all events with ``time <= until`` are
         dispatched and the clock is left exactly at ``until``.
-
-        Each dispatched event costs exactly one ``heappop``: the loop
-        inspects the heap head in place instead of going through
-        :meth:`peek_next_time` (which pops cancelled entries) and then
-        popping again in :meth:`step`.
         """
-        if self._running:
-            raise SimulationError("simulator is already running (re-entrant run())")
-        self._running = True
-        try:
-            with self._metric_run_wall.time():
-                heap = self._heap
-                while heap:
-                    entry = heap[0]
-                    if entry.event.cancelled:
-                        heapq.heappop(heap)
-                        continue
-                    if until is not None and entry.time > until:
-                        break
-                    heapq.heappop(heap)
-                    self._dispatch(entry.event)
-                if until is not None:
-                    if until < self._now:
-                        raise SimulationError(
-                            f"run(until={until}) but clock already at {self._now}"
-                        )
-                    self._advance_clock(until)
-        finally:
-            self._running = False
+        with self._metric_run_wall.time():
+            self._dispatch_events(until, -1)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _dispatch(self, event: Event) -> None:
-        """Advance the clock to an event (already popped) and fire it."""
-        self._advance_clock(event.time)
-        event.dispatched = True
-        self._event_count += 1
-        self._metric_events.inc()
-        event.callback(*event.args)
+    def _dispatch_events(self, until: Optional[float], limit: int) -> int:
+        """The one dispatch loop: fire live events in (time, seq) order,
+        at most ``limit`` of them (-1: no limit), none later than
+        ``until``; returns how many fired.
 
-    def _advance_clock(self, new_time: float) -> None:
-        if new_time < self._now:
-            raise SimulationError("clock went backwards")
-        if new_time == self._now:
-            return
-        self._metric_virtual_time.inc(new_time - self._now)
-        self._now = new_time
+        Each dispatched event costs exactly one ``heappop``: the head is
+        inspected in place, and cancelled heads are dropped as they
+        surface.  The event count and virtual time are kept in locals
+        and published when the call ends, by return or by exception;
+        an event whose callback raises is counted, and the clock stays
+        at its time.
+        """
+        if self._running:
+            raise SimulationError("simulator is already running (re-entrant run() or step())")
+        start = self._now
+        if until is not None and until < start:
+            raise SimulationError(f"run(until={until}) but clock already at {start}")
+        bound = math.inf if until is None else until
+        heap = self._heap
+        pop = heapq.heappop
+        count = 0
+        self._running = True
+        try:
+            while heap:
+                time, _, event = heap[0]
+                if event.cancelled:
+                    pop(heap)
+                    continue
+                if time > bound:
+                    break
+                pop(heap)
+                self._now = time
+                event.dispatched = True
+                count += 1
+                before = event.before
+                if before is not None:
+                    before()
+                event.callback(*event.args)
+                if count == limit:
+                    break
+            if until is not None:
+                self._now = until
+        finally:
+            self._running = False
+            self._event_count += count
+            self._metric_events.value += count
+            # Never negative: the clock only moves forward.
+            self._metric_virtual_time.value += self._now - start
+        return count

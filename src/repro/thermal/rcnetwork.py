@@ -21,8 +21,12 @@ is advanced exactly:
     T(t+h) = T_ss + E(h) (T(t) - T_ss),   E(h) = expm(-C^{-1} G h)
 
 This is unconditionally stable, exact for constant power, and the only
-error source is the leakage lag over one substep (second order in
-``h``).  ``-C^{-1} G`` is similar to the symmetric ``S G S`` with
+error source is the leakage lag over one substep.  That local error is
+second order in ``h``, but it accumulates over the ``T/h`` substeps of
+a run, so the run-level error is first order: in 10 s fig3 runs the
+mean-temperature error against a 0.5 ms reference grows roughly in
+proportion to the substep cap — 0.5–2.7 m°C at 5 ms, 2–8 m°C at
+20 ms and 8–20 m°C at 100 ms.  ``-C^{-1} G`` is similar to the symmetric ``S G S`` with
 ``S = C^{-1/2}``, so one eigendecomposition at construction,
 ``S G S = Q diag(λ) Qᵀ``, gives ``E(h) = Σₖ e^{−λₖ h} Pₖ`` for every
 ``h`` through the spectral projectors ``Pₖ = S qₖ qₖᵀ S⁻¹``.  A step
@@ -587,8 +591,8 @@ class FleetThermalIntegrator:
         started = perf_counter()
         n_steps = max(1, math.ceil(duration / self.max_substep - 1e-12))
         h = duration / n_steps
-        self._metric_substeps.inc(n_steps * count)
-        self._metric_batched_advances.inc()
+        self._metric_substeps.value += n_steps * count
+        self._metric_batched_advances.value += 1
         fused = self.network.step_kernel(h)
         buffers = self._cohort_scratch(count)
         if count == 1:

@@ -25,6 +25,7 @@ from repro.health import HealthParams
 from repro.runtime import ParallelRunner, ResultCache, fleet_fingerprint
 from repro.runtime.hashing import FLEET_MODULES, PHYSICS_MODULES
 from repro.runtime.parallel import execute_spec
+from repro.telemetry import isolated
 
 #: One tiny rack cell: enough simulated time for a QoS window
 #: (warmup 1s + scoring span + 5s drain) but cheap enough to run
@@ -130,6 +131,41 @@ def test_run_rack_cell_measures_a_rack(cell_result):
     assert cell_result.run.mean_temp > cell_result.idle_mean_temp
     assert cell_result.slo is not None and len(cell_result.slo.windows) > 0
     assert cell_result.health is not None and "totals" in cell_result.health
+
+
+#: Telemetry of one desynchronised 4-machine web rack cell (per-node
+#: Poisson arrivals, monitors sampling every 50 ms, p=0.65, 1 simulated
+#: second).  Any change to event dispatch order — tie-breaks included —
+#: moves these counts.
+PINNED_CELL_COUNTS = {
+    "sim.engine.events": 1073,
+    "sched.scheduler.dispatches": 328,
+    "sched.scheduler.injected_quanta": 296,
+    "core.injector.decisions": 459,
+    "fleet.segments": 1167,
+    "fleet.balancer.routed": 165,
+    "health.samples": 76,
+    "health.alerts": 8,
+}
+
+
+def test_desynchronised_web_rack_cell_counts_are_pinned(config):
+    health = HealthParams(
+        period=0.05, noisy=True, warning_rise=0.5, critical_rise=1.5, hysteresis=0.2
+    )
+    with isolated() as reg:
+        run_rack_cell(
+            config,
+            machines=4,
+            duration=1.0,
+            warmup=0.0,
+            p=0.65,
+            idle_quantum=0.01,
+            health=health,
+        )
+    counts = {name: reg.value(name) for name in PINNED_CELL_COUNTS}
+    assert counts == PINNED_CELL_COUNTS
+    assert reg.value("sim.engine.virtual_time") == pytest.approx(1.0, rel=1e-12)
 
 
 def test_cell_result_is_plain_data(cell_result):

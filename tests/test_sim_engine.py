@@ -1,9 +1,15 @@
 """Unit tests for the discrete-event simulation engine."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
+from repro.fleet.machine import _NodeSimView
 from repro.sim import Simulator
+from repro.telemetry import isolated
 
 
 def test_clock_starts_at_zero():
@@ -188,3 +194,191 @@ def test_run_until_leaves_cancelled_future_events_unpopped():
     # The cancelled entry sits beyond `until`; peek prunes it lazily.
     assert sim.now == 5.0
     assert sim.peek_next_time() is None
+
+
+def test_run_until_in_the_past_leaves_the_heap_untouched():
+    sim = Simulator()
+    sim.schedule(5.0, lambda: None)
+    sim.run(until=5.0)
+    sim.schedule(1.0, lambda: None).cancel()  # a cancelled head at t=6
+    sim.schedule(2.0, lambda: None)
+    heap = list(sim._heap)
+    with pytest.raises(SimulationError):
+        sim.run(until=1.0)
+    assert sim._heap == heap
+    assert sim.now == 5.0
+    assert not sim._running
+    sim.run()
+    assert sim.event_count == 2
+
+
+def test_step_inside_run_raises():
+    sim = Simulator()
+    fired = []
+    errors = []
+
+    def nested_step():
+        try:
+            sim.step()
+        except SimulationError as error:
+            errors.append(error)
+
+    sim.schedule(1.0, nested_step)
+    sim.schedule(2.0, fired.append, "later")
+    sim.run(until=1.5)
+    assert len(errors) == 1
+    assert fired == []  # the t=2 event was not dispatched nested
+    assert sim.event_count == 1
+    sim.run()
+    assert fired == ["later"]
+
+
+def test_raising_callback_leaves_counts_and_clock_at_its_event():
+    def boom():
+        raise RuntimeError("callback failed")
+
+    with isolated() as reg:
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(2.5, boom)
+        sim.schedule(3.0, lambda: None)
+        with pytest.raises(RuntimeError):
+            sim.run(until=10.0)
+    # The raising event is counted and the clock stands at its time.
+    assert sim.event_count == 2
+    assert reg.value("sim.engine.events") == 2
+    assert reg.value("sim.engine.virtual_time") == 2.5
+    assert sim.now == 2.5
+    assert not sim._running
+    sim.run()
+    assert sim.event_count == 3
+    assert sim.now == 3.0
+
+
+# ----------------------------------------------------------------------
+# Dispatch order against a naive reference
+# ----------------------------------------------------------------------
+#: Few distinct delays, zeros included, so equal-time ties are common.
+DELAYS = (0.0, 0.0, 0.25, 0.5, 1.0)
+#: Where an event is scheduled: the simulator or one of two node views.
+VIA = ("sim", "view0", "view1")
+
+
+def _ops(children):
+    """A program: schedule (relative or absolute, through any ``VIA``,
+    with a child program the callback runs) or cancel the k-th event
+    scheduled so far."""
+    schedule = st.tuples(
+        st.sampled_from(("schedule", "schedule_at")),
+        st.sampled_from(VIA),
+        st.sampled_from(DELAYS),
+        children,
+    )
+    cancel = st.tuples(st.just("cancel"), st.integers(0, 40))
+    return st.lists(st.one_of(schedule, cancel), max_size=4)
+
+
+_PROGRAMS = _ops(_ops(_ops(st.just([]))))
+
+
+class _GapRecorder:
+    """Stands in for a fleet: its gap closer only logs the node index."""
+
+    def __init__(self, trace):
+        self.trace = trace
+
+    def _close_gap(self, index):
+        self.trace.append(("gap", index))
+
+
+def _run_engine(program, until):
+    trace = []
+    with isolated() as reg:
+        sim = Simulator()
+        fleet = _GapRecorder(trace)
+        targets = {
+            "sim": sim,
+            "view0": _NodeSimView(fleet, 0, sim),
+            "view1": _NodeSimView(fleet, 1, sim),
+        }
+        handles = []
+
+        def fire(label, children):
+            trace.append(("fire", label, sim.now))
+            execute(children)
+
+        def execute(ops):
+            for op in ops:
+                if op[0] == "cancel":
+                    if handles:
+                        handles[op[1] % len(handles)].cancel()
+                    continue
+                kind, via, delay, children = op
+                target = targets[via]
+                label = len(handles)
+                if kind == "schedule":
+                    handles.append(target.schedule(delay, fire, label, children))
+                else:
+                    handles.append(
+                        target.schedule_at(target.now + delay, fire, label, children)
+                    )
+
+        execute(program)
+        sim.run(until=until)
+        sim.run()
+    fired = {entry[1] for entry in trace if entry[0] == "fire"}
+    assert [h.dispatched for h in handles] == [i in fired for i in range(len(handles))]
+    return trace, sim.now, sim.event_count, reg.value("sim.engine.events")
+
+
+def _run_reference(program, until):
+    """Dispatch by repeatedly taking the minimum (time, insertion index)
+    among live pending events — a stable sort, with cancelled events
+    dropped."""
+    trace = []
+    pending = []
+    cancelled = set()
+    scheduled = 0
+    now = 0.0
+    count = 0
+
+    def execute(ops):
+        nonlocal scheduled
+        for op in ops:
+            if op[0] == "cancel":
+                if scheduled:
+                    cancelled.add(op[1] % scheduled)
+                continue
+            _, via, delay, children = op
+            pending.append((now + delay, scheduled, via, children))
+            scheduled += 1
+
+    def dispatch_through(bound):
+        nonlocal now, count
+        while True:
+            live = [e for e in pending if e[1] not in cancelled]
+            if not live:
+                return
+            entry = min(live, key=lambda e: (e[0], e[1]))
+            if entry[0] > bound:
+                return
+            pending.remove(entry)
+            time, label, via, children = entry
+            now = time
+            count += 1
+            if via != "sim":
+                trace.append(("gap", int(via[-1])))
+            trace.append(("fire", label, now))
+            execute(children)
+
+    execute(program)
+    dispatch_through(until)
+    now = until
+    dispatch_through(math.inf)
+    return trace, now, count, count
+
+
+@settings(max_examples=300, deadline=None)
+@given(program=_PROGRAMS, until=st.sampled_from((0.0, 0.25, 0.6, 1.0, 5.0)))
+def test_dispatch_order_matches_naive_reference(program, until):
+    assert _run_engine(program, until) == _run_reference(program, until)

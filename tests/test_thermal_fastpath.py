@@ -14,6 +14,7 @@ Plus the supporting machinery: the chip's held per-core state, its
 interned coefficient table and its telemetry counters.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -371,6 +372,11 @@ def _use_scalar_oracle(machine: Machine) -> None:
         fleet.integrator.temps[0] = oracle.temps
 
     fleet._close_gap = close_gap
+    # Node events carry the view's gap closer as their ``before`` hook:
+    # repoint the view and every already-queued event at the oracle.
+    hook = node.simview.close_gap = functools.partial(close_gap, 0)
+    for _, _, event in fleet.sim._heap:
+        event.before = hook
 
 
 def test_end_to_end_fast_physics_matches_scalar():
