@@ -12,12 +12,6 @@ Compares the two numerically equivalent integration paths of
   vector chain plus a single stacked gemv per substep, into
   preallocated buffers.
 
-It also records a fleet-throughput series: the batched
-:class:`repro.thermal.rcnetwork.FleetThermalIntegrator` advancing
-N ∈ {1, 8, 64, 256} machines per fused matmul, reported as
-chip-substeps/s and checked for equivalence against N independent
-single-chip runs (the ``fleet`` key of the JSON).
-
 Runs in two modes:
 
 - as a pytest test (``pytest benchmarks/bench_thermal_kernel.py``) it
@@ -48,10 +42,9 @@ except ImportError:  # pragma: no cover - import shim
 import numpy as np
 
 from repro.cpu.chip import Chip
-from repro.cpu.power import FleetCoefficients
 from repro.experiments.config import ExperimentConfig
 from repro.thermal.floorplan import build_network
-from repro.thermal.rcnetwork import FleetThermalIntegrator, ThermalIntegrator
+from repro.thermal.rcnetwork import ThermalIntegrator
 
 #: Equivalence tolerances (also asserted by tests/test_thermal_fastpath.py).
 POWER_TOLERANCE_W = 1e-12
@@ -147,129 +140,6 @@ def run_benchmark(
     }
 
 
-def _fleet_testbed(num_machines: int, num_cores: int = 4):
-    """``num_machines`` homogeneous chips in *distinct* power states.
-
-    Each machine rotates the busy/idle pattern and trims core activity
-    slightly, so the batched kernel is timed on genuinely per-machine
-    coefficient columns — not one broadcast column."""
-    cfg = ExperimentConfig()
-    network = build_network(cfg.thermal, num_cores)
-    columns = []
-    for m in range(num_machines):
-        chip = Chip(
-            cfg.power,
-            num_cores=num_cores,
-            smt=cfg.smt,
-            cstate_params=cfg.cstates,
-            c1e_enabled=cfg.c1e_enabled,
-        )
-        for i, core in enumerate(chip.cores):
-            if (i + m) % 2 == 0:
-                core.set_running(object(), 1.0 - 0.01 * (m % 5), 0.0)
-            else:
-                core.set_idle(-100.0)
-        _, coefficients = chip.power_segment(0.0)
-        columns.append(coefficients)
-    temps0 = np.full(network.num_nodes, 55.0)
-    return network, columns, temps0
-
-
-def run_fleet_benchmark(
-    machine_counts=(1, 8, 64, 256),
-    duration: float = 2.0,
-    max_substep: float = 5e-3,
-    repeats: int = 3,
-    num_cores: int = 4,
-    equivalence_machines: int = 64,
-) -> dict:
-    """Fleet-throughput series: chip-substeps/s vs fleet size.
-
-    For each ``N`` a :class:`FleetThermalIntegrator` advances all ``N``
-    machines as one cohort; throughput counts chip-substeps (substeps x
-    machines) per wall second, so perfect batching shows up as rising
-    throughput at flat per-call wall time.  ``speedup_vs_single`` is
-    relative to the single-chip fused path on the same network and
-    substep sequence.  The N=``equivalence_machines`` fleet is also
-    checked against N independent single-chip runs.
-    """
-    n_substeps = max(1, int(np.ceil(duration / max_substep - 1e-12)))
-
-    # --- single-chip fused reference -----------------------------------
-    network, columns, temps0 = _fleet_testbed(1, num_cores)
-    single_best = np.inf
-    ThermalIntegrator(network, temps0.copy(), max_substep=max_substep).advance_coefficients(
-        duration, columns[0]
-    )  # warm-up call, untimed
-    for _ in range(repeats):
-        integ = ThermalIntegrator(network, temps0.copy(), max_substep=max_substep)
-        t0 = time.perf_counter()
-        integ.advance_coefficients(duration, columns[0])
-        single_best = min(single_best, time.perf_counter() - t0)
-    single_rate = n_substeps / single_best
-
-    # --- throughput series ---------------------------------------------
-    series = []
-    for machines in machine_counts:
-        network, columns, temps0 = _fleet_testbed(machines, num_cores)
-        stack = FleetCoefficients.from_coefficients(columns)
-        everyone = list(range(machines))
-        FleetThermalIntegrator(
-            network, machines, initial_temps=temps0, max_substep=max_substep
-        ).advance_machines(everyone, duration, stack)  # warm
-        best = np.inf
-        for _ in range(repeats):
-            fleet = FleetThermalIntegrator(
-                network, machines, initial_temps=temps0, max_substep=max_substep
-            )
-            t0 = time.perf_counter()
-            fleet.advance_machines(everyone, duration, stack)
-            best = min(best, time.perf_counter() - t0)
-        rate = n_substeps * machines / best
-        series.append(
-            {
-                "machines": machines,
-                "best_wall_s": best,
-                "chip_substeps_per_s": rate,
-                "speedup_vs_single": rate / single_rate,
-            }
-        )
-
-    # --- equivalence: one fleet run vs N independent runs ---------------
-    machines = equivalence_machines
-    network, columns, temps0 = _fleet_testbed(machines, num_cores)
-    stack = FleetCoefficients.from_coefficients(columns)
-    fleet = FleetThermalIntegrator(
-        network, machines, initial_temps=temps0, max_substep=max_substep
-    )
-    energies = fleet.advance_machines(list(range(machines)), duration, stack)
-    temp_diff = 0.0
-    energy_rel_diff = 0.0
-    for m in range(machines):
-        integ = ThermalIntegrator(network, temps0.copy(), max_substep=max_substep)
-        result = integ.advance_coefficients(duration, columns[m])
-        temp_diff = max(temp_diff, float(np.max(np.abs(integ.temps - fleet.temps[m]))))
-        energy_rel_diff = max(
-            energy_rel_diff,
-            abs(result.energy - float(energies[m])) / max(abs(result.energy), 1e-30),
-        )
-
-    return {
-        "machine_counts": list(machine_counts),
-        "duration_s": duration,
-        "substeps_per_machine": n_substeps,
-        "single_chip_substeps_per_s": single_rate,
-        "series": series,
-        "equivalence": {
-            "machines": machines,
-            "max_abs_temp_diff_c": temp_diff,
-            "max_energy_rel_diff": energy_rel_diff,
-            "temp_tolerance_c": TEMP_TOLERANCE_C,
-            "equivalent": temp_diff <= TEMP_TOLERANCE_C,
-        },
-    }
-
-
 def test_fused_kernel_equivalent_and_not_slower():
     """CI-sized run: equivalence is exact-ish; fused must not be slower."""
     result = run_benchmark(duration=2.0, repeats=2)
@@ -279,21 +149,6 @@ def test_fused_kernel_equivalent_and_not_slower():
     # The ≥3x target is recorded by the script run; under pytest on a
     # loaded CI box we only insist the fast path is actually faster.
     assert result["speedup"] > 1.0, result
-
-
-def test_fleet_batching_equivalent_and_faster():
-    """CI-sized fleet series: batched N-machine advance must match N
-    independent runs and beat the single-chip path per chip-substep."""
-    result = run_fleet_benchmark(
-        machine_counts=(1, 8), duration=0.5, repeats=2, equivalence_machines=8
-    )
-    equivalence = result["equivalence"]
-    assert equivalence["max_abs_temp_diff_c"] <= TEMP_TOLERANCE_C, equivalence
-    assert equivalence["equivalent"]
-    by_machines = {entry["machines"]: entry for entry in result["series"]}
-    # The ≥3x-at-64 target is recorded by the script run; under pytest
-    # we only insist batching 8 machines beats 8 single-chip calls.
-    assert by_machines[8]["speedup_vs_single"] > 1.0, result
 
 
 def main(argv=None) -> int:
@@ -322,12 +177,6 @@ def main(argv=None) -> int:
         repeats=args.repeats,
         num_cores=args.cores,
     )
-    result["fleet"] = run_fleet_benchmark(
-        duration=min(args.duration, 2.0),
-        max_substep=args.max_substep,
-        repeats=args.repeats,
-        num_cores=args.cores,
-    )
     args.json.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
 
     print(f"nodes:                {result['nodes']}")
@@ -337,18 +186,6 @@ def main(argv=None) -> int:
     print(f"speedup:    {result['speedup']:>12.2f}x")
     print(f"max |ΔP|:   {result['max_abs_power_diff_w']:>12.3e} W  (tol {POWER_TOLERANCE_W:.0e})")
     print(f"max |ΔT|:   {result['max_abs_temp_diff_c']:>12.3e} °C (tol {TEMP_TOLERANCE_C:.0e})")
-    fleet = result["fleet"]
-    print("fleet (batched machines, chip-substeps/s):")
-    for entry in fleet["series"]:
-        print(
-            f"  N={entry['machines']:>4d}: {entry['chip_substeps_per_s']:>12.0f}"
-            f"  ({entry['speedup_vs_single']:.1f}x single-chip)"
-        )
-    equivalence = fleet["equivalence"]
-    print(
-        f"fleet max |ΔT| @ N={equivalence['machines']}: "
-        f"{equivalence['max_abs_temp_diff_c']:.3e} °C (tol {TEMP_TOLERANCE_C:.0e})"
-    )
     print(f"results written to {args.json}")
 
     if args.check:
@@ -358,13 +195,7 @@ def main(argv=None) -> int:
         if result["speedup"] <= 1.0:
             print("FAIL: vectorized path is slower than the scalar reference", file=sys.stderr)
             return 1
-        if not equivalence["equivalent"]:
-            print("FAIL: fleet batching diverges from independent runs", file=sys.stderr)
-            return 1
-        if fleet["series"][-1]["speedup_vs_single"] <= 1.0:
-            print("FAIL: fleet batching is slower than single-chip calls", file=sys.stderr)
-            return 1
-        print("check passed: equivalent and faster (single-chip and fleet)")
+        print("check passed: equivalent and faster")
     return 0
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -159,73 +159,6 @@ class PowerCoefficients:
         out *= self.leak_coef
         out += self.base
         return out
-
-
-class FleetCoefficients:
-    """Per-machine :class:`PowerCoefficients` stacked into node-major
-    tensors for the batched fleet integrator.
-
-    ``base`` and ``scaled_coef`` have shape ``(nodes, machines)`` —
-    column ``j`` is machine ``j``'s folded decomposition, so the
-    batched substep evaluates every machine's power with the same
-    elementwise chain the single-chip fast path uses, just on 2-D
-    arrays.  The leakage-exponential constants (``inv_slope``,
-    ``arg_cap``) are *shared scalars*: the fleet model requires
-    homogeneous chips (same :class:`PowerParams`), and mixing chips
-    with different leakage constants raises
-    :class:`~repro.errors.ConfigurationError` — such a fleet cannot be
-    advanced by one fused kernel.
-    """
-
-    __slots__ = ("base", "scaled_coef", "inv_slope", "arg_cap")
-
-    def __init__(
-        self,
-        base: np.ndarray,
-        scaled_coef: np.ndarray,
-        inv_slope: float,
-        arg_cap: float,
-    ):
-        self.base = base
-        self.scaled_coef = scaled_coef
-        self.inv_slope = inv_slope
-        self.arg_cap = arg_cap
-
-    @classmethod
-    def from_coefficients(
-        cls, columns: Sequence[PowerCoefficients]
-    ) -> "FleetCoefficients":
-        """Stack one coefficient set per machine (column order = machine
-        order).  All columns must share the leakage constants exactly."""
-        if not columns:
-            raise ConfigurationError("a fleet stack needs at least one machine")
-        inv_slope, arg_cap, first_scaled = columns[0].fused_terms()
-        nodes = columns[0].base.shape[0]
-        base = np.empty((nodes, len(columns)))
-        scaled_coef = np.empty((nodes, len(columns)))
-        base[:, 0] = columns[0].base
-        scaled_coef[:, 0] = first_scaled
-        for j, column in enumerate(columns[1:], start=1):
-            c_inv_slope, c_arg_cap, c_scaled = column.fused_terms()
-            if c_inv_slope != inv_slope or c_arg_cap != arg_cap:
-                raise ConfigurationError(
-                    "fleet machines must share leakage constants "
-                    f"(machine {j} differs); heterogeneous chips cannot "
-                    "share one fused kernel"
-                )
-            if column.base.shape[0] != nodes:
-                raise ConfigurationError(
-                    f"machine {j} has {column.base.shape[0]} thermal nodes, "
-                    f"fleet stack is {nodes} wide"
-                )
-            base[:, j] = column.base
-            scaled_coef[:, j] = c_scaled
-        return cls(base, scaled_coef, inv_slope, arg_cap)
-
-    def fused_terms(self) -> Tuple[float, float, np.ndarray]:
-        """``(inv_slope, arg_cap, scaled_coef)`` — the
-        :meth:`PowerCoefficients.fused_terms` contract, column-stacked."""
-        return self.inv_slope, self.arg_cap, self.scaled_coef
 
 
 class PowerModel:

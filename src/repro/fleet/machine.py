@@ -10,11 +10,10 @@ whose events interleave on one shared
 experiment runs through this wiring.  What is *not* per-node is the
 physics: every machine is a copy of the same thermal network, so the
 whole fleet's temperatures live in one ``(machines, nodes)`` array
-inside a :class:`~repro.thermal.rcnetwork.FleetThermalIntegrator` and
-cohorts of machines advance with one fused matmul per substep.
+inside a :class:`~repro.thermal.rcnetwork.FleetThermalIntegrator`.
 
-How per-machine event streams drive batched physics
----------------------------------------------------
+How per-machine event streams drive deferred physics
+----------------------------------------------------
 
 Integrating eagerly — running the thermal model over every inter-event
 gap of the shared clock — would split machine A's quiet interval at
@@ -29,32 +28,23 @@ power segments — split at that node's own C-state
 promotion instants, coefficients evaluated at piece midpoints.  Nothing
 is integrated yet; segments queue per node.
 
-Integration happens in batch when temperatures or energy are actually
-needed (a temperature-log sample, a health-monitor sample, a
-power-meter read, a ``core_temps`` read, or the end of
-:meth:`FleetMachine.run`): the drain repeatedly groups the
-head-of-queue segments across nodes into cohorts of equal duration —
-equal duration means equal substep length ``h``, the precondition for
-sharing one step kernel — and advances each cohort with one batched
-call.  Deferring is sound because power coefficients are segment
-constants: they capture the chip state at recording time and do not
-depend on when the integral is evaluated.  Per-node segment order is
-preserved, so each machine's result is independent of the rest of the
-rack: an N-machine fleet matches N fleets of one to well under the
-repo-wide 1e-9 °C equivalence tolerance (cohort membership only changes
-floating-point summation order inside the gemm).
-
-When the fleet's event streams align (lockstep workloads, or the
-synchronized benchmark), cohorts span the whole fleet and the batched
-kernel does one ``(nodes, 2·nodes+1) @ (2·nodes+1, N)`` matmul per
-substep; under desynchronized workloads (per-node Poisson arrivals)
-cohorts shrink and the path degrades gracefully toward per-machine
-gemvs.
+Integration happens when temperatures or energy are actually needed
+(a temperature-log sample, a health-monitor sample, a power-meter read,
+a ``core_temps`` read, or the end of :meth:`FleetMachine.run`): the
+drain walks the nodes in index order and advances every queued segment
+of each, in time order, on its own machine — one fused call per
+segment, with that segment's own coefficients and step kernel, through
+the code a fleet of one runs.  Deferring is sound because power
+coefficients are segment constants: they capture the chip state at
+recording time and do not depend on when the integral is evaluated.
+No segment shares arithmetic with another machine's, so an N-machine
+fleet is bit-identical to N fleets of one by construction, whoever
+triggers a drain and whatever else is queued at that moment.
 
 Telemetry (shared registry, additive across nodes): the integrator's
-``fleet.machines`` / ``fleet.substeps`` / ``fleet.batched_advances`` /
-``fleet.advance_wall``, plus ``fleet.segments`` (recorded pieces) and
-``fleet.drains`` from this module.
+``fleet.machines`` / ``fleet.substeps`` / ``fleet.advance_wall``, plus
+``fleet.segments`` (recorded pieces) and ``fleet.drains`` from this
+module.
 """
 
 from __future__ import annotations
@@ -62,13 +52,13 @@ from __future__ import annotations
 import functools
 import heapq
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.injector import IdleInjector, IdleMode
 from ..cpu.chip import Chip
-from ..cpu.power import FleetCoefficients, PowerCoefficients
+from ..cpu.power import PowerCoefficients
 from ..errors import ConfigurationError, SimulationError
 from ..experiments.config import ExperimentConfig
 from ..health import FleetHealth, HealthMonitor, HealthParams
@@ -110,8 +100,8 @@ class _NodeSimView:
         return self._sim._now
 
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule an event {delay}s in the past")
+        if not delay >= 0:  # also rejects NaN
+            raise SimulationError(f"event delay must be >= 0, got {delay}")
         sim = self._sim
         time = sim._now + delay
         event = Event(time, callback, args, self.close_gap)
@@ -120,7 +110,7 @@ class _NodeSimView:
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
         sim = self._sim
-        if time < sim._now:
+        if not time >= sim._now:  # also rejects NaN
             raise SimulationError(
                 f"cannot schedule at t={time:.9f}, clock is already at {sim._now:.9f}"
             )
@@ -131,7 +121,7 @@ class _NodeSimView:
 
 class FleetNode:
     """One server of the fleet: the full single-machine OS stack, with
-    physics delegated to the fleet's batched integrator.
+    physics delegated to the fleet's integrator.
 
     Every instrument read brings this node's physics up to the present
     first (the temperature log and health monitors through their reader
@@ -246,7 +236,7 @@ class FleetNode:
 
 
 class FleetMachine:
-    """``machines`` fully wired servers advancing as one batch.
+    """``machines`` fully wired servers on one event queue.
 
     Node ``j`` is built from ``config.with_seed(config.seed + j)``, so
     node 0 is the server a standalone ``Machine(config)`` wraps and the
@@ -382,39 +372,24 @@ class FleetMachine:
         self._metric_segments.value += recorded
 
     def _drain(self) -> None:
-        """Integrate every recorded segment, batching across nodes.
+        """Integrate every recorded segment, one advance per segment.
 
-        Head-of-queue segments with exactly equal durations share a
-        substep length, so they advance as one cohort; rounds repeat
-        until all queues are empty.  Per-node segment order is
-        preserved, which is all machine-level equivalence needs —
-        cohort membership only changes floating-point summation order
-        inside the gemm.  A cohort of one advances on its segment's own
-        coefficients, with no stack to build.
+        Nodes are walked in index order and each node's queue in time
+        order.  Every segment advances its own machine on its own
+        coefficients and step kernel, the code a fleet of one runs, so
+        no machine's floats depend on what its neighbours queued.
         """
         nodes = self.nodes
-        active = [j for j in range(self.num_machines) if nodes[j].pending]
-        if not active:
+        if not any(node.pending for node in nodes):
             return
-        integrator = self.integrator
-        while active:
-            groups: Dict[float, List[int]] = {}
-            for j in active:
-                groups.setdefault(nodes[j].pending[0][1], []).append(j)
-            for duration, members in groups.items():
-                segments = [nodes[j].pending.popleft() for j in members]
-                if len(segments) == 1:
-                    coefficients = segments[0][2]
-                else:
-                    coefficients = FleetCoefficients.from_coefficients(
-                        [s[2] for s in segments]
-                    )
-                energies = integrator.advance_machines(
-                    members, duration, coefficients
-                )
-                for j, (start, length, _), energy in zip(members, segments, energies):
-                    nodes[j].powermeter.record_segment(start, length, energy / length)
-            active = [j for j in active if nodes[j].pending]
+        advance = self.integrator.advance_machines
+        for j, node in enumerate(nodes):
+            pending = node.pending
+            record = node.powermeter.record_segment
+            while pending:
+                start, length, coefficients = pending.popleft()
+                (energy,) = advance((j,), length, coefficients)
+                record(start, length, energy / length)
         self._metric_drains.inc()
 
     def _sync(self, index: int) -> None:

@@ -37,6 +37,7 @@ absolute °C once the machine's idle temperature is known.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence
 
@@ -319,16 +320,18 @@ class HealthParams:
     noise_std: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.period <= 0:
-            raise ConfigurationError("health monitor period must be positive")
+        if not (math.isfinite(self.period) and self.period > 0):
+            raise ConfigurationError(
+                f"health monitor period must be positive and finite, got {self.period}"
+            )
         if not self.critical_rise > self.warning_rise:
             raise ConfigurationError(
                 "critical rise must exceed warning rise "
                 f"({self.critical_rise} vs {self.warning_rise})"
             )
-        if self.hysteresis < 0:
+        if not self.hysteresis >= 0:  # also rejects NaN
             raise ConfigurationError("health hysteresis must be non-negative")
-        if self.quantization < 0 or self.noise_std < 0:
+        if not (self.quantization >= 0 and self.noise_std >= 0):
             raise ConfigurationError(
                 "sensor quantization/noise must be non-negative"
             )
@@ -423,8 +426,10 @@ class HealthMonitor:
         period: float = 1.0,
         machine: int = 0,
     ):
-        if period <= 0:
-            raise ConfigurationError("health monitor period must be positive")
+        if not (math.isfinite(period) and period > 0):
+            raise ConfigurationError(
+                f"health monitor period must be positive and finite, got {period}"
+            )
         self.sensors = sensors
         self.period = float(period)
         self._sim = sim

@@ -14,6 +14,7 @@ times per sample period pays for the masked reduction once.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -37,8 +38,8 @@ class TemperatureLog:
         period: float = 1.0,
         num_cores: Optional[int] = None,
     ):
-        if period <= 0:
-            raise AnalysisError("sample period must be positive")
+        if not (math.isfinite(period) and period > 0):
+            raise AnalysisError(f"sample period must be positive and finite, got {period}")
         if num_cores is not None and num_cores < 1:
             raise AnalysisError("num_cores must be positive when given")
         self.period = period

@@ -1,8 +1,9 @@
 """Discrete-event simulation engine.
 
-The engine is a classic calendar queue: callbacks are scheduled at
-absolute simulated times and dispatched in time order.  Ties are broken
-by insertion order so runs are fully deterministic.
+The engine is a binary heap of ``(time, seq, event)`` entries:
+callbacks are scheduled at absolute simulated times and dispatched in
+time order.  Ties are broken by insertion order so runs are fully
+deterministic.
 
 The scheduler, workloads, and instruments all run on top of this engine;
 the thermal model is advanced *lazily* between events by the machine
@@ -109,13 +110,13 @@ class Simulator:
     # ------------------------------------------------------------------
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule an event {delay}s in the past")
+        if not delay >= 0:  # also rejects NaN
+            raise SimulationError(f"event delay must be >= 0, got {delay}")
         return self.schedule_at(self._now + delay, callback, *args)
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
-        if time < self._now:
+        if not time >= self._now:  # also rejects NaN
             raise SimulationError(
                 f"cannot schedule at t={time:.9f}, clock is already at {self._now:.9f}"
             )
@@ -170,8 +171,11 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run() or step())")
         start = self._now
-        if until is not None and until < start:
-            raise SimulationError(f"run(until={until}) but clock already at {start}")
+        if until is not None:
+            if not math.isfinite(until):
+                raise SimulationError(f"run(until={until}) needs a finite time")
+            if until < start:
+                raise SimulationError(f"run(until={until}) but clock already at {start}")
         bound = math.inf if until is None else until
         heap = self._heap
         pop = heapq.heappop

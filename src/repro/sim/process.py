@@ -23,6 +23,7 @@ Example
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Generator, Optional
 
 from ..errors import SimulationError
@@ -98,8 +99,8 @@ class PeriodicTask:
         *,
         phase: Optional[float] = None,
     ):
-        if period <= 0:
-            raise SimulationError(f"period must be positive, got {period}")
+        if not (math.isfinite(period) and period > 0):
+            raise SimulationError(f"period must be positive and finite, got {period}")
         self._sim = sim
         self._period = period
         self._callback = callback

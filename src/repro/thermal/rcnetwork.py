@@ -43,19 +43,18 @@ The integrator has two equivalent paths:
   ``steady_state`` solve.  It validates the fused path in the tests and
   backs :meth:`ThermalIntegrator.settle`'s fallback.
 - the fused path — per substep one elementwise leakage chain plus one
-  gemv (or gemm) of the stacked step kernel into preallocated buffers,
-  no allocation and no per-core Python work.  One substep loop
-  (:func:`_fused_substeps`) serves both
+  gemv of the stacked step kernel into preallocated buffers, no
+  allocation and no per-core Python work.  One function
+  (:func:`_fused_advance`) serves both
   :meth:`ThermalIntegrator.advance_coefficients` (one chip) and
-  :meth:`FleetThermalIntegrator.advance_machines` (a cohort of ``K``
-  copies of the network, the simulation path for every machine).
+  :meth:`FleetThermalIntegrator.advance_machines` (one machine of a
+  fleet, the simulation path for every machine).
 
 :class:`FleetThermalIntegrator` holds ``N`` independent copies of one
 network (a rack of identical servers, or a single server as a rack of
 one): the whole fleet's temperature state is a single ``(N, nodes)``
-array and a cohort of machines sharing a substep length advances with
-one ``(nodes, 2·nodes+1) @ (2·nodes+1, K)`` matmul per substep instead
-of ``K`` gemvs.  Every path builds its kernels through
+array, and each recorded segment advances its own machine's row with
+its own step kernel.  Every path builds its kernels through
 :meth:`ThermalNetwork.step_kernel`.
 """
 
@@ -64,7 +63,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -232,41 +231,42 @@ class AdvanceResult:
     average_power: float
 
 
-def _state_buffers(nodes: int, width: int):
-    """Scratch for :func:`_fused_substeps`: two stacked ``[T; P; 1]``
-    state buffers and an energy accumulator — 1-D for one machine,
-    ``(·, width)`` blocks (machines along columns) for a cohort.  The
-    constant bottom row the kernel's ambient column multiplies is
-    written once here and never touched by the substep loop."""
-    shape = (2 * nodes + 1,) if width == 1 else (2 * nodes + 1, width)
-    state_a = np.zeros(shape)
-    state_b = np.zeros(shape)
+def _state_buffers(nodes: int):
+    """Scratch for :func:`_fused_advance`: two stacked ``[T; P; 1]``
+    state vectors and a per-node energy accumulator.  The constant
+    bottom entry the kernel's ambient column multiplies is written once
+    here and never touched by the substep loop."""
+    state_a = np.zeros(2 * nodes + 1)
+    state_b = np.zeros(2 * nodes + 1)
     state_a[2 * nodes] = 1.0
     state_b[2 * nodes] = 1.0
-    return state_a, state_b, np.empty((nodes,) + shape[1:])
+    return state_a, state_b, np.empty(nodes)
 
 
-def _fused_substeps(
-    fused: np.ndarray,
-    n_steps: int,
+def _fused_advance(
+    network: ThermalNetwork,
+    max_substep: float,
     temps: np.ndarray,
-    base: np.ndarray,
-    scaled_coef: np.ndarray,
-    inv_slope: float,
-    arg_cap: float,
+    duration: float,
+    coefficients: "PowerCoefficients",
     buffers,
 ):
-    """The one fused substep loop: ``n_steps`` substeps of
-    ``[T; P; 1] ← fused @ [T; P; 1]`` from ``temps``, with P from the
-    folded leakage form — a gemv for ``(nodes,)`` arrays, a gemm for
-    ``(nodes, K)`` cohorts.  ``base``/``scaled_coef`` and ``buffers``
-    (from :func:`_state_buffers`) match the shape of ``temps``; no
-    allocation, no per-core Python work.
+    """The one fused advance of one chip: ``duration`` (> 0) cut into
+    ``ceil(duration / max_substep)`` equal substeps of
+    ``[T; P; 1] ← K(h) @ [T; P; 1]`` from ``temps``, with P from the
+    folded leakage form of ``coefficients``.  One step kernel per call,
+    one gemv per substep into ``buffers`` (from :func:`_state_buffers`);
+    no allocation, no per-core Python work.
 
-    Returns views into ``buffers``: the end temperatures and the
-    per-node power summed over substeps (times ``h``: energy).  Callers
-    copy out before the buffers are reused.
+    Returns ``(n_steps, end_temps, energy)``: ``end_temps`` is a view
+    into ``buffers`` (callers copy out before the buffers are reused),
+    ``energy`` the joules delivered over the interval.
     """
+    n_steps = max(1, math.ceil(duration / max_substep - 1e-12))
+    h = duration / n_steps
+    inv_slope, arg_cap, scaled_coef = coefficients.fused_terms()
+    base = coefficients.base
+    kernel = network.step_kernel(h)
     state, other, acc = buffers
     n = temps.shape[0]
     s_temps, s_power = state[:n], state[n : 2 * n]
@@ -282,10 +282,10 @@ def _fused_substeps(
         multiply(s_power, scaled_coef, out=s_power)
         add(s_power, base, out=s_power)
         add(acc, s_power, out=acc)
-        dot(fused, state, out=o_temps)
+        dot(kernel, state, out=o_temps)
         state, other = other, state
         s_temps, s_power, o_temps, o_power = o_temps, o_power, s_temps, s_power
-    return s_temps, acc
+    return n_steps, s_temps, float(acc.sum()) * h
 
 
 class ThermalIntegrator:
@@ -325,7 +325,7 @@ class ThermalIntegrator:
                 raise ConfigurationError("initial temperature vector has wrong length")
         # Preallocated work vectors for the fused path.
         self._power_buffer = np.empty(network.num_nodes)
-        self._buffers = _state_buffers(network.num_nodes, 1)
+        self._buffers = _state_buffers(network.num_nodes)
 
     def advance(self, duration: float, power_fn: PowerFunction) -> AdvanceResult:
         """Integrate forward by ``duration`` seconds.
@@ -335,7 +335,7 @@ class ThermalIntegrator:
         Returns the energy delivered and average power, which the power
         meter uses for exact energy accounting.
         """
-        if duration < 0:
+        if not duration >= 0:  # also rejects NaN
             raise ConfigurationError(f"cannot integrate a negative duration {duration}")
         if duration == 0:
             power = np.asarray(power_fn(self.temps), dtype=float)
@@ -382,38 +382,26 @@ class ThermalIntegrator:
             average (W); :attr:`temps` holds the end-of-interval node
             temperatures (°C).
 
-        Runs :func:`_fused_substeps` on 1-D buffers — the same loop a
-        cohort of one machine runs in
-        :meth:`FleetThermalIntegrator.advance_machines`, so the two
-        agree bit for bit.  Energy is accumulated vectorially per node
-        and reduced once at the end.  Numerically equivalent to
+        Runs :func:`_fused_advance`, the code every simulated machine's
+        segment runs in :meth:`FleetThermalIntegrator.advance_machines`,
+        so the two agree bit for bit.  Energy is accumulated vectorially
+        per node and reduced once at the end.  Numerically equivalent to
         :meth:`advance` with the matching power callback (same
         propagator, algebraically identical update).
         """
-        if duration < 0:
+        if not duration >= 0:  # also rejects NaN
             raise ConfigurationError(f"cannot integrate a negative duration {duration}")
         if duration == 0:
             power = coefficients.evaluate(self.temps, out=self._power_buffer)
             return AdvanceResult(energy=0.0, average_power=float(power.sum()))
 
-        n_steps = max(1, int(np.ceil(duration / self.max_substep - 1e-12)))
-        h = duration / n_steps
+        n_steps, end_temps, energy = _fused_advance(
+            self.network, self.max_substep, self.temps, duration, coefficients, self._buffers
+        )
         self._metric_advances.inc()
         self._metric_substeps.inc(n_steps)
         self._metric_fused_advances.inc()
-        inv_slope, arg_cap, scaled_coef = coefficients.fused_terms()
-        end_temps, acc = _fused_substeps(
-            self.network.step_kernel(h),
-            n_steps,
-            self.temps,
-            coefficients.base,
-            scaled_coef,
-            inv_slope,
-            arg_cap,
-            self._buffers,
-        )
         self.temps = end_temps.copy()
-        energy = float(acc.sum()) * h
         return AdvanceResult(energy=energy, average_power=energy / duration)
 
     def settle(
@@ -455,40 +443,21 @@ class ThermalIntegrator:
 
 
 class FleetThermalIntegrator:
-    """Advances ``N`` independent copies of one network in lockstep.
+    """Advances ``N`` independent copies of one network.
 
     The fleet's temperature state is a single structure-of-arrays
     ``(machines, nodes)`` float array (:attr:`temps`, °C) — machine
     ``j``'s nodes are row ``j``, in the same node order a standalone
-    :class:`ThermalIntegrator` uses.  :meth:`advance_machines` moves
-    any subset of machines forward by a common duration: the selected
-    rows are gathered into one stacked ``(2·nodes+1, K)`` state block
-    ``[T; P; 1]`` and every substep costs one elementwise leakage chain
-    on ``(nodes, K)`` blocks plus a single
-    ``(nodes, 2·nodes+1) @ (2·nodes+1, K)`` matmul — the single-chip
-    gemv widened to a gemm over the cohort (see :func:`_fused_substeps`).
-
-    Equivalence guarantees, relied on by the fleet tests:
-
-    - a cohort of one machine (``K = 1``) runs :func:`_fused_substeps`
-      on 1-D buffers — the loop :meth:`ThermalIntegrator.advance_coefficients`
-      runs — so it reproduces a single-chip fused advance bit for bit;
-    - for ``K > 1`` the gemm accumulates in a different order than K
-      gemvs, so per-substep results agree to float rounding (not
-      bitwise); over any simulated horizon the accumulated difference
-      stays far below the repo-wide 1e-9 °C equivalence pin because
-      the propagator is a contraction.
-
-    Substep lengths come from the same ``ceil(duration / max_substep)``
-    rule as the single-chip integrator, and each advance builds its
-    step kernel once from the shared :class:`ThermalNetwork`'s
-    eigendecomposition, whatever the cohort width.
+    :class:`ThermalIntegrator` uses.  :meth:`advance_machines` moves one
+    machine forward through :func:`_fused_advance`, the code
+    :meth:`ThermalIntegrator.advance_coefficients` runs, so a machine's
+    row depends only on its own segments: an ``N``-machine fleet is
+    bit-identical to ``N`` fleets of one by construction.
 
     Telemetry (``fleet`` scope): ``machines`` gauge, ``substeps``
-    counter in *chip-substeps* (``n_steps × K`` per advance, so it is
-    additive across machines and fleet sizes), ``batched_advances``
-    counter, and the ``advance_wall`` timer over every batched
-    advance.  These are the simulation path's thermal counters; the
+    counter in *chip-substeps* (additive across machines and fleet
+    sizes), and the ``advance_wall`` timer over every advance.  These
+    are the simulation path's thermal counters; the
     ``thermal.rcnetwork`` advance counters count only direct
     :class:`ThermalIntegrator` use, so no advance is counted twice.
     """
@@ -524,105 +493,58 @@ class FleetThermalIntegrator:
         scope = _metrics_registry().scope("fleet")
         scope.gauge("machines").set(num_machines)
         self._metric_substeps = scope.counter("substeps")
-        self._metric_batched_advances = scope.counter("batched_advances")
         self._metric_advance_wall = scope.timer("advance_wall")
-        # Substep-loop scratch per cohort width K (cohort widths repeat
-        # heavily, so this is a handful of entries).
-        self._scratch: dict = {}
+        self._buffers = _state_buffers(n)
 
     # ------------------------------------------------------------------
     def machine_temps(self, machine: int) -> np.ndarray:
         """Copy of one machine's node temperatures, shape ``(nodes,)`` °C."""
         return self.temps[machine].copy()
 
-    def _cohort_scratch(self, width: int):
-        buffers = self._scratch.get(width)
-        if buffers is None:
-            buffers = _state_buffers(self.network.num_nodes, width)
-            self._scratch[width] = buffers
-        return buffers
-
     def advance_machines(
         self,
         machines: Sequence[int],
         duration: float,
-        coefficients,
-    ) -> Sequence[float]:
-        """Advance a cohort of machines by a common ``duration``.
+        coefficients: "PowerCoefficients",
+    ) -> Tuple[float]:
+        """Advance one machine by ``duration`` on its own coefficients.
 
         Parameters
         ----------
         machines:
-            Row indices of the machines to advance (a cohort must share
-            the duration, hence the substep length ``h``).
+            ``(j,)``: the row of the one machine to advance.  It stays a
+            sequence because ``perfbench/tracing.py`` patches this method
+            as a layer boundary and reads ``len(machines)`` as the
+            advance's width; any other length raises
+            :class:`~repro.errors.ConfigurationError`.
         duration:
             Interval length, seconds (> 0).
         coefficients:
-            The cohort's power decomposition, anything with the
-            ``base`` / ``fused_terms()`` contract: a
-            :class:`repro.cpu.power.PowerCoefficients` for a single
-            machine, or a :class:`repro.cpu.power.FleetCoefficients`
-            whose columns line up with ``machines`` (``base`` and
-            ``scaled_coef`` of shape ``(nodes, K)`` in watts plus the
-            shared scalar leakage constants).
+            The machine's :class:`repro.cpu.power.PowerCoefficients`
+            for the interval.
 
         Returns
         -------
-        Sequence[float]
-            Energy delivered per machine over the interval, joules, in
-            ``machines`` order: a one-element tuple for a cohort of one
-            (no array to build on the commonest path), a ``(K,)`` array
-            otherwise.
+        Tuple[float]
+            ``(energy,)``: joules delivered over the interval.
         """
-        count = len(machines)
-        if count == 0:
-            return ()
-        if duration <= 0:
+        if len(machines) != 1:
             raise ConfigurationError(
-                f"cohort advance needs a positive duration, got {duration}"
+                f"advance_machines advances one machine, got {len(machines)}"
             )
-        base = coefficients.base
-        width = base.shape[1] if base.ndim == 2 else 1
-        if width != count:
-            raise ConfigurationError(
-                f"coefficients are {width} machines wide, cohort has {count}"
-            )
-        inv_slope, arg_cap, scaled_coef = coefficients.fused_terms()
+        if not duration > 0:
+            raise ConfigurationError(f"advance needs a positive duration, got {duration}")
         started = perf_counter()
-        n_steps = max(1, math.ceil(duration / self.max_substep - 1e-12))
-        h = duration / n_steps
-        self._metric_substeps.value += n_steps * count
-        self._metric_batched_advances.value += 1
-        fused = self.network.step_kernel(h)
-        buffers = self._cohort_scratch(count)
-        if count == 1:
-            if base.ndim == 2:  # a one-column stack
-                base, scaled_coef = base[:, 0], scaled_coef[:, 0]
-            (machine,) = machines
-            end_temps, acc = _fused_substeps(
-                fused,
-                n_steps,
-                self.temps[machine],
-                base,
-                scaled_coef,
-                inv_slope,
-                arg_cap,
-                buffers,
-            )
-            self.temps[machine] = end_temps
-            energies = (float(acc.sum()) * h,)
-        else:
-            end_temps, acc = _fused_substeps(
-                fused,
-                n_steps,
-                self.temps[machines].T,  # (K, n) gather: machines on columns
-                base,
-                scaled_coef,
-                inv_slope,
-                arg_cap,
-                buffers,
-            )
-            self.temps[machines] = end_temps.T
-            energies = acc.sum(axis=0) * h
+        (machine,) = machines
+        n_steps, end_temps, energy = _fused_advance(
+            self.network,
+            self.max_substep,
+            self.temps[machine],
+            duration,
+            coefficients,
+            self._buffers,
+        )
+        self.temps[machine] = end_temps
+        self._metric_substeps.value += n_steps
         self._metric_advance_wall.add(perf_counter() - started)
-        return energies
+        return (energy,)

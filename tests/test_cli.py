@@ -488,6 +488,18 @@ def test_health_params_from_args_builds_override_only_when_flagged():
     assert params.warning_rise == 3.5  # untouched default
 
 
+@pytest.mark.parametrize("period", ["nan", "inf", "0"])
+def test_bad_health_period_exits_2_before_running(monkeypatch, capsys, period):
+    def fig2(config, health_params=None):
+        pytest.fail(f"fig2 ran with --health-period {period}")
+
+    monkeypatch.setitem(EXPERIMENTS, "fig2", ("stub", fig2))
+    assert main(["fig2", "--health-period", period]) == 2
+    captured = capsys.readouterr()
+    assert "health monitor period" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_supports_health_covers_monitored_experiments():
     from repro.cli import supports_health
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.cli import EXPERIMENTS, supports_runner
-from repro.cpu.power import FleetCoefficients, PowerCoefficients
 from repro.errors import ConfigurationError
 from repro.experiments import Machine, fast_config
 from repro.fleet import (
@@ -16,8 +15,10 @@ from repro.fleet import (
     fleet_experiment,
 )
 from repro.fleet.scheduling import MigrationPolicy, build_policy
+from repro.sim.process import PeriodicTask
 from repro.sim.rng import RngRegistry
 from repro.telemetry.registry import isolated
+from repro.thermal.rcnetwork import ThermalIntegrator
 from repro.workloads import CpuBurn
 from repro.workloads.webserver import Request, WebServer
 
@@ -53,19 +54,38 @@ def test_fleet_of_one_bit_matches_standalone():
     assert solo.total_work_done() == node.total_work_done()
 
 
+def _web_fleet(cfg, machines, duration, *, on_start=None):
+    """A ``machines``-node web fleet at p = 0.5, L = 10 ms, run for
+    ``duration`` s; ``on_start(fleet)`` runs before the fleet does."""
+    fleet = FleetMachine(cfg, machines=machines)
+    servers = [WebServer(node.scheduler, node.rng.stream("web")) for node in fleet.nodes]
+    for node in fleet.nodes:
+        node.control.set_global_policy(0.5, 0.010)
+    if on_start is not None:
+        on_start(fleet)
+    fleet.run(duration)
+    return fleet, servers
+
+
+def _assert_same_physics(a, row_a, b, row_b, duration):
+    """Two nodes' physics outputs are the same floats: temperature-log
+    samples, integrator rows, power-meter segments and energy."""
+    assert np.array_equal(a.templog.times, b.templog.times)
+    assert np.array_equal(a.templog.samples, b.templog.samples)
+    assert np.array_equal(row_a, row_b)
+    for x, y in zip(a.powermeter.segments(), b.powermeter.segments()):
+        assert np.array_equal(x, y)
+    assert a.energy(0.0, duration) == b.energy(0.0, duration)
+
+
 def test_fleet_matches_independent_serial_runs():
-    """N-machine fleet == N standalone runs (seeds seed+j) within the
-    repo-wide 1e-9 °C tolerance; event-level outputs match exactly."""
+    """N-machine fleet == N standalone runs (seeds seed+j), bit for bit:
+    every segment advances on its own machine, so no node's arithmetic
+    depends on its neighbours."""
     cfg = fast_config(0)
     n = 3
 
-    fleet = FleetMachine(cfg, machines=n)
-    fleet_servers = [
-        WebServer(node.scheduler, node.rng.stream("web")) for node in fleet.nodes
-    ]
-    for node in fleet.nodes:
-        node.control.set_global_policy(0.5, 0.010)
-    fleet.run(5.0)
+    fleet, fleet_servers = _web_fleet(cfg, n, 5.0)
 
     for j in range(n):
         solo = Machine(cfg.with_seed(cfg.seed + j))
@@ -74,13 +94,11 @@ def test_fleet_matches_independent_serial_runs():
         solo.run(5.0)
 
         node = fleet.nodes[j]
-        assert np.max(np.abs(solo.templog.samples - node.templog.samples)) <= 1e-9
-        assert (
-            np.max(np.abs(solo.fleet.integrator.temps[0] - fleet.integrator.temps[j]))
-            <= 1e-9
+        _assert_same_physics(
+            solo, solo.fleet.integrator.temps[0], node, fleet.integrator.temps[j], 5.0
         )
         # Scheduling is physics-independent, so the request streams are
-        # not merely close — they are the same events.
+        # the same events too.
         assert [r.rid for r in server.log.requests] == [
             r.rid for r in fleet_servers[j].log.requests
         ]
@@ -88,6 +106,30 @@ def test_fleet_matches_independent_serial_runs():
             r.completed for r in fleet_servers[j].log.requests
         ]
         assert solo.total_work_done() == node.total_work_done()
+
+
+def test_neighbour_reads_do_not_perturb_other_nodes():
+    """Reading node 2's ``core_temps`` every 13.7 ms drains the whole
+    fleet at instants of node 2's choosing; nodes 0 and 1 must come out
+    bit-identical to a run without those reads."""
+    cfg = fast_config(0)
+    reads = []
+
+    def poll_node_2(fleet):
+        PeriodicTask(fleet.sim, 0.0137, lambda: reads.append(fleet.nodes[2].core_temps))
+
+    quiet, _ = _web_fleet(cfg, 3, 5.0)
+    polled, _ = _web_fleet(cfg, 3, 5.0, on_start=poll_node_2)
+
+    assert len(reads) == 364
+    for j in (0, 1):
+        _assert_same_physics(
+            quiet.nodes[j],
+            quiet.integrator.temps[j],
+            polled.nodes[j],
+            polled.integrator.temps[j],
+            5.0,
+        )
 
 
 def test_node_accessors_and_fleet_aggregates():
@@ -114,36 +156,29 @@ def test_fleet_requires_at_least_one_machine():
 
 
 # ======================================================================
-# Coefficient stacking
+# One advance per machine-segment
 # ======================================================================
-def _coefficients(base=5.0, coef=0.1, ref=45.0, slope=12.0, cap=4.0):
-    return PowerCoefficients(
-        base=np.full(3, base),
-        leak_coef=np.full(3, coef),
-        leak_ref_temp=ref,
-        leak_t_slope=slope,
-        leak_exp_cap=cap,
+def test_advance_machines_takes_one_machine_and_matches_single_chip_path():
+    cfg = fast_config(0)
+    fleet = FleetMachine(cfg, machines=2)
+    _, coefficients = fleet.nodes[0].chip.power_segment(0.0)
+    integrator = fleet.integrator
+    for machines in [(), (0, 1)]:
+        with pytest.raises(ConfigurationError):
+            integrator.advance_machines(machines, 0.01, coefficients)
+    for duration in (0.0, -1.0, float("nan")):
+        with pytest.raises(ConfigurationError):
+            integrator.advance_machines((1,), duration, coefficients)
+
+    untouched = integrator.machine_temps(0)
+    chip = ThermalIntegrator(
+        fleet.network, integrator.temps[1], max_substep=integrator.max_substep
     )
-
-
-def test_fleet_coefficients_stack_and_identity_reuse():
-    """Column ``j`` of the stack is machine ``j``'s folded decomposition,
-    and the shared leakage constants are the columns' own."""
-    columns = [_coefficients(base=5.0 + j, coef=0.1 * (j + 1)) for j in range(4)]
-    stack = FleetCoefficients.from_coefficients(columns)
-    assert stack.base.shape == stack.scaled_coef.shape == (3, 4)
-    inv_slope, arg_cap, scaled_coef = stack.fused_terms()
-    for j, column in enumerate(columns):
-        c_inv_slope, c_arg_cap, c_scaled = column.fused_terms()
-        assert (inv_slope, arg_cap) == (c_inv_slope, c_arg_cap)
-        assert np.array_equal(stack.base[:, j], column.base)
-        assert np.array_equal(scaled_coef[:, j], c_scaled)
-
-
-def test_fleet_coefficients_reject_heterogeneous_leakage():
-    columns = [_coefficients(), _coefficients(slope=13.0)]
-    with pytest.raises(ConfigurationError):
-        FleetCoefficients.from_coefficients(columns)
+    result = chip.advance_coefficients(0.0123, coefficients)
+    (energy,) = integrator.advance_machines((1,), 0.0123, coefficients)
+    assert energy == result.energy
+    assert np.array_equal(integrator.temps[1], chip.temps)
+    assert np.array_equal(integrator.temps[0], untouched)
 
 
 # ======================================================================
@@ -211,8 +246,9 @@ def test_fleet_telemetry_counts_chip_substeps_additively():
         fleet.run(4.0)
         assert reg.value("fleet.machines") == n
         assert reg.value("fleet.substeps", 0) == standalone_substeps
-        assert reg.value("fleet.batched_advances", 0) > 0
+        # One advance per recorded segment.
         assert reg.value("fleet.segments", 0) > 0
+        assert reg.timer("fleet.advance_wall").count == reg.value("fleet.segments")
         assert reg.value("fleet.drains", 0) > 0
         wall = reg.value("fleet.advance_wall")
         assert wall["total"] > 0.0 and wall["count"] > 0

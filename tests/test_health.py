@@ -7,6 +7,8 @@ independent, per-state dwell times partition the observed span, and the
 since-boot flag set grows monotonically.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -231,12 +233,13 @@ def test_alert_event_escalation_flag():
 def test_params_validation_and_thresholds():
     with pytest.raises(ConfigurationError):
         HealthParams(warning_rise=5.0, critical_rise=4.0)
-    with pytest.raises(ConfigurationError):
-        HealthParams(period=0.0)
-    with pytest.raises(ConfigurationError):
-        HealthParams(hysteresis=-0.5)
-    with pytest.raises(ConfigurationError):
-        HealthParams(quantization=-1.0)
+    for period in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigurationError):
+            HealthParams(period=period)
+    for field in ("hysteresis", "quantization", "noise_std"):
+        for value in (-0.5, math.nan):
+            with pytest.raises(ConfigurationError):
+                HealthParams(**{field: value})
     params = HealthParams()
     thresholds = params.thresholds(30.0)
     assert thresholds.warning == pytest.approx(33.5)
@@ -351,11 +354,12 @@ def test_monitor_stop_halts_sampling():
 
 
 def test_monitor_rejects_bad_period():
-    with pytest.raises(ConfigurationError):
-        HealthMonitor(
-            Simulator(),
-            SensorBank.ideal([0]),
-            lambda: np.array([30.0]),
-            thresholds=THRESHOLDS,
-            period=0.0,
-        )
+    for period in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigurationError):
+            HealthMonitor(
+                Simulator(),
+                SensorBank.ideal([0]),
+                lambda: np.array([30.0]),
+                thresholds=THRESHOLDS,
+                period=period,
+            )

@@ -162,8 +162,9 @@ def test_templog_stop():
 
 def test_templog_errors():
     sim = Simulator()
-    with pytest.raises(AnalysisError):
-        TemperatureLog(sim, lambda: np.array([1.0]), period=0.0)
+    for period in (0.0, float("nan"), float("inf")):
+        with pytest.raises(AnalysisError):
+            TemperatureLog(sim, lambda: np.array([1.0]), period=period)
     with pytest.raises(AnalysisError):
         TemperatureLog(sim, lambda: np.array([1.0]), period=1.0, num_cores=0)
     log = TemperatureLog(sim, lambda: np.array([1.0]), period=1.0)

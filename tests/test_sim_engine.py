@@ -102,6 +102,27 @@ def test_schedule_in_past_raises():
         sim.schedule(-0.5, lambda: None)
     with pytest.raises(SimulationError):
         sim.schedule_at(0.5, lambda: None)
+    # NaN compares false with everything, so a ``< 0`` check let it
+    # into the heap at an unorderable time.
+    with pytest.raises(SimulationError):
+        sim.schedule(math.nan, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.schedule_at(math.nan, lambda: None)
+    assert sim._heap == []
+
+
+def test_node_view_rejects_past_and_nan_times():
+    sim = Simulator()
+    view = _NodeSimView(_GapRecorder([]), 0, sim)
+    sim.schedule(1.0, lambda: None)
+    sim.run()
+    for delay in (-0.5, math.nan):
+        with pytest.raises(SimulationError):
+            view.schedule(delay, lambda: None)
+    for time in (0.5, math.nan):
+        with pytest.raises(SimulationError):
+            view.schedule_at(time, lambda: None)
+    assert sim._heap == []
 
 
 def test_events_can_schedule_events():
@@ -147,6 +168,13 @@ def test_run_until_before_now_raises():
     sim.run(until=5.0)
     with pytest.raises(SimulationError):
         sim.run(until=1.0)
+    fired = []
+    sim.schedule(1.0, fired.append, "x")
+    for until in (math.nan, math.inf):
+        with pytest.raises(SimulationError):
+            sim.run(until=until)
+    assert fired == []
+    assert sim.now == 5.0
 
 
 def test_peek_next_time_skips_cancelled():

@@ -1,5 +1,7 @@
 """Unit tests for coroutine-style processes and periodic tasks."""
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
@@ -117,5 +119,8 @@ def test_periodic_task_cancel_from_callback():
 
 def test_periodic_task_invalid_period():
     sim = Simulator()
-    with pytest.raises(SimulationError):
-        PeriodicTask(sim, 0.0, lambda: None)
+    # Checked at construction: a NaN period would schedule a NaN-time
+    # event and never let run(until=...) return.
+    for period in (0.0, math.nan, math.inf):
+        with pytest.raises(SimulationError):
+            PeriodicTask(sim, period, lambda: None)

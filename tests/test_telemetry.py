@@ -170,9 +170,10 @@ def test_simulation_publishes_engine_scheduler_injector_thermal_metrics():
     assert reg.value("core.injector.injected_time") == pytest.approx(
         result.details["injected_quanta"] * 0.01
     )
-    assert reg.value("fleet.batched_advances") > 0
-    assert reg.value("fleet.substeps") >= reg.value("fleet.batched_advances")
-    assert reg.timer("fleet.advance_wall").count == reg.value("fleet.batched_advances")
+    # One simulation advance per recorded segment, at least one substep each.
+    assert reg.value("fleet.segments") > 0
+    assert reg.value("fleet.substeps") >= reg.value("fleet.segments")
+    assert reg.timer("fleet.advance_wall").count == reg.value("fleet.segments")
     # The direct-integrator counters stay silent: no advance counts twice.
     assert reg.value("thermal.rcnetwork.advances", 0) == 0
     assert reg.timer("sim.engine.run_wall").total > 0

@@ -133,8 +133,11 @@ def test_advance_coefficients_zero_and_negative_duration():
     result = integ.advance_coefficients(0.0, coefficients)
     assert result.energy == 0.0
     assert result.average_power == pytest.approx(float(power_fn(integ.temps).sum()))
-    with pytest.raises(ConfigurationError):
-        integ.advance_coefficients(-1.0, coefficients)
+    for duration in (-1.0, float("nan")):
+        with pytest.raises(ConfigurationError):
+            integ.advance_coefficients(duration, coefficients)
+        with pytest.raises(ConfigurationError):
+            integ.advance(duration, power_fn)
 
 
 # ----------------------------------------------------------------------
