@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from ..errors import AnalysisError
 
@@ -106,6 +105,10 @@ def fit_power_law(
             f"need at least 3 points in r ∈ [{r_min}, {r_max}] to fit, "
             f"got {len(selected)}"
         )
+    # Imported here, not at module level: this fit is scipy's only use, and
+    # simulation processes should not pay its cold import.
+    from scipy.optimize import curve_fit
+
     r = np.array([pt.temp_reduction for pt in selected])
     t = np.array([pt.throughput_reduction for pt in selected])
 

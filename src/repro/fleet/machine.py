@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import math
 from collections import deque
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
@@ -100,8 +101,8 @@ class _NodeSimView:
         return self._sim._now
 
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
-        if not delay >= 0:  # also rejects NaN
-            raise SimulationError(f"event delay must be >= 0, got {delay}")
+        if not 0 <= delay < math.inf:  # also rejects NaN
+            raise SimulationError(f"event delay must be finite and >= 0, got {delay}")
         sim = self._sim
         time = sim._now + delay
         event = Event(time, callback, args, self.close_gap)
@@ -110,9 +111,10 @@ class _NodeSimView:
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
         sim = self._sim
-        if not time >= sim._now:  # also rejects NaN
+        if not sim._now <= time < math.inf:  # also rejects NaN
             raise SimulationError(
-                f"cannot schedule at t={time:.9f}, clock is already at {sim._now:.9f}"
+                f"cannot schedule at t={time:.9f}: needs a finite time at or after "
+                f"the clock, {sim._now:.9f}"
             )
         event = Event(time, callback, args, self.close_gap)
         heapq.heappush(sim._heap, (time, next(sim._seq), event))

@@ -110,15 +110,16 @@ class Simulator:
     # ------------------------------------------------------------------
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if not delay >= 0:  # also rejects NaN
-            raise SimulationError(f"event delay must be >= 0, got {delay}")
+        if not 0 <= delay < math.inf:  # also rejects NaN
+            raise SimulationError(f"event delay must be finite and >= 0, got {delay}")
         return self.schedule_at(self._now + delay, callback, *args)
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
-        if not time >= self._now:  # also rejects NaN
+        if not self._now <= time < math.inf:  # also rejects NaN
             raise SimulationError(
-                f"cannot schedule at t={time:.9f}, clock is already at {self._now:.9f}"
+                f"cannot schedule at t={time:.9f}: needs a finite time at or after "
+                f"the clock, {self._now:.9f}"
             )
         event = Event(time, callback, args)
         heapq.heappush(self._heap, (time, next(self._seq), event))

@@ -1,10 +1,17 @@
 """Tests for Pareto extraction and the T(r)=α·r^β fit."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core import (
     TradeoffPoint,
     crossover_reduction,
@@ -149,3 +156,31 @@ def test_crossover_none_without_overlap():
     a = [pt(0.1, 0.05), pt(0.2, 0.1)]
     b = [pt(0.5, 0.3), pt(0.7, 0.5)]
     assert crossover_reduction(a, b) is None
+
+
+# ----------------------------------------------------------------------
+# Cold import: scipy loads only for the power-law fit
+# ----------------------------------------------------------------------
+def test_cold_import_leaves_scipy_to_the_fit():
+    # A fresh interpreter: this test process has long since loaded scipy.
+    script = textwrap.dedent(
+        """
+        import sys
+        import repro, repro.cli, repro.experiments.figures
+        import repro.fleet.cells, repro.fleet.scenarios
+
+        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        assert not loaded, loaded[:5]
+
+        from repro.core import TradeoffPoint, fit_power_law
+
+        points = [TradeoffPoint(r, 1.1 * r**1.5) for r in (0.1, 0.2, 0.4, 0.6)]
+        fit_power_law(points)
+        assert "scipy.optimize" in sys.modules
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr

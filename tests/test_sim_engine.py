@@ -125,6 +125,27 @@ def test_node_view_rejects_past_and_nan_times():
     assert sim._heap == []
 
 
+def test_schedule_rejects_infinite_times():
+    # An event at +inf would fire in an unbounded run() and leave the
+    # clock (and sim.engine.virtual_time) at inf.
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.schedule(math.inf, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.schedule_at(math.inf, lambda: None)
+    assert sim._heap == []
+
+
+def test_node_view_rejects_infinite_times():
+    sim = Simulator()
+    view = _NodeSimView(_GapRecorder([]), 0, sim)
+    with pytest.raises(SimulationError):
+        view.schedule(math.inf, lambda: None)
+    with pytest.raises(SimulationError):
+        view.schedule_at(math.inf, lambda: None)
+    assert sim._heap == []
+
+
 def test_events_can_schedule_events():
     sim = Simulator()
     times = []
