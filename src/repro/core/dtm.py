@@ -67,12 +67,6 @@ class ThrottleStats:
     #: Simulated seconds spent at each duty level (1.0 included).
     duty_dwell: Dict[float, float] = field(default_factory=dict)
 
-    @property
-    def fraction_over_trip(self) -> float:
-        if self.samples_total == 0:
-            return 0.0
-        return self.samples_over_trip / self.samples_total
-
     def account(self, duty: float, seconds: float) -> None:
         """Attribute ``seconds`` of dwell to ``duty``."""
         if seconds < 0:

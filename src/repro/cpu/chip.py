@@ -25,9 +25,8 @@ keyed by the per-core ``(cstate, activity, busy_contexts)`` tuple.
 Power states repeat heavily under idle injection — every quantum
 flips cores between the same few states — so an entry is built once
 per distinct state; the chip-wide DVFS, TCC and per-core override
-setters clear the table.  :meth:`Chip.power_function` /
-:meth:`Chip.power_vector` are the scalar per-core reference the fast
-path is validated against.
+setters clear the table.  :meth:`Chip.power_vector` is the scalar
+per-core reference the coefficients are validated against.
 """
 
 from __future__ import annotations
@@ -362,16 +361,6 @@ class Chip:
             )
         power[n] = model.params.uncore_power
         return power
-
-    def power_function(self, time: float):
-        """A power callback (temps -> node powers) valid while no core
-        changes state; C-states are frozen as of ``time``.
-
-        This is the scalar reference oracle; the simulation hot path
-        uses :meth:`power_segment` + the fused integrator instead.
-        """
-        cstates = [self.effective_cstate(core, time) for core in self.cores]
-        return cstates, (lambda temps: self.power_vector(cstates, temps))
 
     def power_coefficients(self, cstates: Sequence[CState]) -> PowerCoefficients:
         """Vectorized decomposition of :meth:`power_vector` for frozen

@@ -284,11 +284,16 @@ class FleetMachine:
                 # long-idle, so node 0's chip is settled before its
                 # scheduler's start() re-marks cores naturally idle;
                 # all chips are identical, so this one settle seeds
-                # every row of the fleet state.
-                _, idle_power_fn = node.chip.power_function(time=0.0)
+                # every row of the fleet state.  The coefficients are
+                # built directly, not through power_segment, so the
+                # chip's coefficient table and its counters start clean.
+                chip = node.chip
+                idle_coefficients = chip.power_coefficients(
+                    [chip.effective_cstate(core, 0.0) for core in chip.cores]
+                )
                 idle_temps = ThermalIntegrator(
                     self.network, max_substep=cfg.thermal.max_substep
-                ).settle(idle_power_fn)
+                ).settle(idle_coefficients)
             node.scheduler.start()
             self.nodes.append(node)
         self.integrator = FleetThermalIntegrator(

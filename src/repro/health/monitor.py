@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence
 
 import numpy as np
@@ -235,9 +235,6 @@ class HealthTracker:
     def elapsed(self) -> float:
         """Observed span so far: ``sum(dwell.values())`` equals this."""
         return self._last - self._start
-
-    def time_in(self, state: HealthState) -> float:
-        return self.dwell[state]
 
     @property
     def time_in_warning(self) -> float:

@@ -43,7 +43,10 @@ CACHE_SCHEMA_VERSION = 1
 #: Paths (relative to the ``repro`` package) whose source determines
 #: simulation outcomes and therefore participates in the fingerprint.
 #: ``fleet/machine.py`` is where every server — a single-machine
-#: figure run's included — is wired and integrated.
+#: figure run's included — is wired and integrated.  Of
+#: ``experiments`` only the run executors and what they build count:
+#: the sweep, figure and table glue arranges runs and renders results
+#: but never changes a run's outcome.
 PHYSICS_MODULES = (
     "sim",
     "sched",
@@ -52,7 +55,9 @@ PHYSICS_MODULES = (
     "core",
     "workloads",
     "instruments",
-    "experiments",
+    "experiments/runner.py",
+    "experiments/machine.py",
+    "experiments/config.py",
     "fleet/machine.py",
     "units.py",
     "errors.py",

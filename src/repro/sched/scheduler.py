@@ -23,7 +23,7 @@ of thermal substeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from ..cpu.chip import Chip, Core
@@ -226,10 +226,6 @@ class Scheduler:
         thread.stats.exit_time = self.sim.now
         for listener in self.exit_listeners:
             listener(thread, self.sim.now)
-
-    @property
-    def alive_threads(self) -> List[Thread]:
-        return [t for t in self.threads if t.alive]
 
     # ------------------------------------------------------------------
     # Thread lifecycle

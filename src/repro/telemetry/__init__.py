@@ -3,9 +3,9 @@
 Two pieces:
 
 - :mod:`repro.telemetry.registry` — a metrics registry (counters,
-  gauges, timers, histograms) with named scopes.  The simulation
-  engine, scheduler, injector, thermal integrator, and batch runtime
-  all publish here; worker processes snapshot their registry and the
+  gauges, timers) with named scopes.  The simulation engine,
+  scheduler, injector, thermal integrator, and batch runtime all
+  publish here; worker processes snapshot their registry and the
   parent merges, so pool runs aggregate to exactly the serial counts.
 - :mod:`repro.telemetry.manifest` — the JSON run manifest the CLI
   writes (``--metrics``): config hash, seed, code fingerprint, git
@@ -21,7 +21,6 @@ from .manifest import MANIFEST_SCHEMA_VERSION, RunManifest, git_describe
 from .registry import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     MetricsScope,
     Timer,
@@ -34,7 +33,6 @@ __all__ = [
     "MANIFEST_SCHEMA_VERSION",
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "MetricsScope",
     "RunManifest",

@@ -1,4 +1,4 @@
-"""Process-local metrics registry: counters, gauges, timers, histograms.
+"""Process-local metrics registry: counters, gauges and timers.
 
 Every layer of the simulation stack publishes operational metrics here:
 the event engine counts dispatches and virtual time, the scheduler and
@@ -22,7 +22,6 @@ Merge semantics per kind:
 counter   values add
 gauge     maximum wins (workers finish in no fixed order)
 timer     totals and counts add
-histogram counts/sums add, min/max combine
 ========= =============================================
 """
 
@@ -116,47 +115,7 @@ class Timer:
         self.count += value["count"]
 
 
-class Histogram:
-    """A streaming summary of observed values: count/sum/min/max."""
-
-    __slots__ = ("name", "count", "sum", "min", "max")
-    kind = "histogram"
-
-    def __init__(self, name: str):
-        self.name = name
-        self.count = 0
-        self.sum = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-
-    def observe(self, value: Number) -> None:
-        value = float(value)
-        self.count += 1
-        self.sum += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-
-    @property
-    def mean(self) -> float:
-        if self.count == 0:
-            raise TelemetryError(f"histogram {self.name!r} has no observations")
-        return self.sum / self.count
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"count": self.count, "sum": self.sum, "min": self.min, "max": self.max}
-
-    def merge(self, value: Dict[str, Any]) -> None:
-        self.count += value["count"]
-        self.sum += value["sum"]
-        for bound, pick in (("min", min), ("max", max)):
-            other = value[bound]
-            if other is None:
-                continue
-            current = getattr(self, bound)
-            setattr(self, bound, other if current is None else pick(current, other))
-
-
-_KINDS = {cls.kind: cls for cls in (Counter, Gauge, Timer, Histogram)}
+_KINDS = {cls.kind: cls for cls in (Counter, Gauge, Timer)}
 
 
 class MetricsScope:
@@ -177,9 +136,6 @@ class MetricsScope:
 
     def timer(self, name: str) -> Timer:
         return self._registry.timer(f"{self.prefix}.{name}")
-
-    def histogram(self, name: str) -> Histogram:
-        return self._registry.histogram(f"{self.prefix}.{name}")
 
     def scope(self, prefix: str) -> "MetricsScope":
         return MetricsScope(self._registry, f"{self.prefix}.{prefix}")
@@ -211,9 +167,6 @@ class MetricsRegistry:
 
     def timer(self, name: str) -> Timer:
         return self._get(name, Timer)
-
-    def histogram(self, name: str) -> Histogram:
-        return self._get(name, Histogram)
 
     def scope(self, prefix: str) -> MetricsScope:
         return MetricsScope(self, prefix)

@@ -2,11 +2,10 @@
 
 from .floorplan import SINK, SPREADER, build_network, core_node_name
 from .params import ThermalParams, default, fast
-from .rcnetwork import AdvanceResult, ThermalIntegrator, ThermalNetwork
+from .rcnetwork import ThermalIntegrator, ThermalNetwork
 from .sensors import SensorBank, TemperatureSensor
 
 __all__ = [
-    "AdvanceResult",
     "SensorBank",
     "SINK",
     "SPREADER",

@@ -36,45 +36,37 @@ gemv, cheap enough to build afresh for every substep length (idle
 injection on desynchronised machines produces a new one almost every
 time), so nothing is cached.
 
-The integrator has two equivalent paths:
-
-- :meth:`ThermalIntegrator.advance` — the scalar reference oracle: a
-  Python power callback re-evaluated per substep plus a
-  ``steady_state`` solve.  It validates the fused path in the tests and
-  backs :meth:`ThermalIntegrator.settle`'s fallback.
-- the fused path — per substep one elementwise leakage chain plus one
-  gemv of the stacked step kernel into preallocated buffers, no
-  allocation and no per-core Python work.  One function
-  (:func:`_fused_advance`) serves both
-  :meth:`ThermalIntegrator.advance_coefficients` (one chip) and
-  :meth:`FleetThermalIntegrator.advance_machines` (one machine of a
-  fleet, the simulation path for every machine).
+There is one advance loop, :func:`_fused_advance`: per substep one
+elementwise leakage chain plus one gemv of the stacked step kernel
+into preallocated buffers, no allocation and no per-core Python work.
+:meth:`FleetThermalIntegrator.advance_machines` runs it for every
+simulated machine; :meth:`ThermalIntegrator.advance_coefficients` runs
+it for one chip and backs :meth:`ThermalIntegrator.settle`'s fallback.
+Its reference is a scalar oracle kept with the tests (a Python power
+callback re-evaluated per substep plus a ``steady_state`` solve), which
+pins the fused loop to 1e-9 °C.
 
 :class:`FleetThermalIntegrator` holds ``N`` independent copies of one
 network (a rack of identical servers, or a single server as a rack of
 one): the whole fleet's temperature state is a single ``(N, nodes)``
 array, and each recorded segment advances its own machine's row with
-its own step kernel.  Every path builds its kernels through
+its own step kernel.  Every advance builds its kernel through
 :meth:`ThermalNetwork.step_kernel`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, SimulationError
 from ..telemetry.registry import registry as _metrics_registry
 
-if TYPE_CHECKING:  # the integrator only needs its .evaluate() protocol
+if TYPE_CHECKING:  # the integrator only needs its evaluate/fused_terms protocol
     from ..cpu.power import PowerCoefficients
-
-#: Power callback: maps node temperatures (°C) to node power inputs (W).
-PowerFunction = Callable[[np.ndarray], np.ndarray]
 
 
 class ThermalNetwork:
@@ -221,16 +213,6 @@ class ThermalNetwork:
         return kernel.reshape(self.num_nodes, -1)
 
 
-@dataclass
-class AdvanceResult:
-    """Outcome of one :meth:`ThermalIntegrator.advance` call."""
-
-    #: Total energy delivered into the network over the interval, J.
-    energy: float
-    #: Time-averaged total power over the interval, W.
-    average_power: float
-
-
 def _state_buffers(nodes: int):
     """Scratch for :func:`_fused_advance`: two stacked ``[T; P; 1]``
     state vectors and a per-node energy accumulator.  The constant
@@ -289,18 +271,15 @@ def _fused_advance(
 
 
 class ThermalIntegrator:
-    """Advances a :class:`ThermalNetwork` through time.
+    """Settles one chip's :class:`ThermalNetwork` and advances it.
 
     The integrator owns the temperature state (:attr:`temps`, shape
-    ``(nodes,)``, °C).  Every advance cuts its interval into
-    ``ceil(duration / max_substep)`` equal substeps and advances each
-    one exactly for the power evaluated at its starting temperatures.
-    :meth:`advance_coefficients` is the fused, allocation-free path for
-    one chip; :meth:`advance` is the scalar reference oracle a Python
-    power callback plugs into, kept for validation and for
-    :meth:`settle`.  Simulated machines advance through
-    :class:`FleetThermalIntegrator` instead; this class settles their
-    initial state and serves as the tests' reference.
+    ``(nodes,)``, °C).  :meth:`settle` brings it to the nonlinear steady
+    state of one power state: the idle initial condition of every
+    simulated machine and the SPEC activity calibration.
+    :meth:`advance_coefficients` runs :func:`_fused_advance`, the loop
+    every simulated machine's segment runs in
+    :class:`FleetThermalIntegrator`, and is :meth:`settle`'s fallback.
     """
 
     def __init__(
@@ -309,137 +288,84 @@ class ThermalIntegrator:
         initial_temps: Optional[np.ndarray] = None,
         max_substep: float = 5e-3,
     ):
-        if max_substep <= 0:
-            raise ConfigurationError("max_substep must be positive")
+        if not max_substep > 0:  # also rejects NaN
+            raise ConfigurationError(f"max_substep must be positive, got {max_substep}")
         self.network = network
         self.max_substep = float(max_substep)
-        scope = _metrics_registry().scope("thermal.rcnetwork")
-        self._metric_advances = scope.counter("advances")
-        self._metric_substeps = scope.counter("substeps")
-        self._metric_fused_advances = scope.counter("fused_advances")
         if initial_temps is None:
             self.temps = np.full(network.num_nodes, network.ambient_temp, dtype=float)
         else:
             self.temps = np.array(initial_temps, dtype=float)
             if self.temps.shape != (network.num_nodes,):
                 raise ConfigurationError("initial temperature vector has wrong length")
-        # Preallocated work vectors for the fused path.
-        self._power_buffer = np.empty(network.num_nodes)
         self._buffers = _state_buffers(network.num_nodes)
-
-    def advance(self, duration: float, power_fn: PowerFunction) -> AdvanceResult:
-        """Integrate forward by ``duration`` seconds.
-
-        ``power_fn(temps)`` is re-evaluated at the start of every
-        substep, which is how leakage–temperature feedback enters.
-        Returns the energy delivered and average power, which the power
-        meter uses for exact energy accounting.
-        """
-        if not duration >= 0:  # also rejects NaN
-            raise ConfigurationError(f"cannot integrate a negative duration {duration}")
-        if duration == 0:
-            power = np.asarray(power_fn(self.temps), dtype=float)
-            return AdvanceResult(energy=0.0, average_power=float(power.sum()))
-
-        network = self.network
-        energy = 0.0
-        # Use a uniform substep: ceil(duration / max_substep) equal pieces.
-        n_steps = max(1, int(np.ceil(duration / self.max_substep - 1e-12)))
-        h = duration / n_steps
-        self._metric_advances.inc()
-        self._metric_substeps.inc(n_steps)
-        propagator = network.propagator(h)
-        temps = self.temps
-        for _ in range(n_steps):
-            power = np.asarray(power_fn(temps), dtype=float)
-            energy += float(power.sum()) * h
-            t_ss = network.steady_state(power)
-            temps = t_ss + propagator @ (temps - t_ss)
-        self.temps = temps
-        return AdvanceResult(energy=energy, average_power=energy / duration)
 
     def advance_coefficients(
         self, duration: float, coefficients: "PowerCoefficients"
-    ) -> AdvanceResult:
-        """Integrate forward by ``duration`` seconds on the fused path.
+    ) -> float:
+        """Integrate forward by ``duration`` seconds (≥ 0) on ``coefficients``.
 
-        Parameters
-        ----------
-        duration:
-            Interval length, seconds (≥ 0).  Cut into
-            ``ceil(duration / max_substep)`` equal substeps.
-        coefficients:
-            Segment-constant affine-exponential power decomposition
-            (:class:`repro.cpu.power.PowerCoefficients`, or anything
-            with its ``evaluate``/``fused_terms`` contract): per-node
-            ``base`` and ``leak_coef`` arrays of shape ``(nodes,)`` in
-            watts, plus the shared leakage-exponential constants.
-
-        Returns
-        -------
-        AdvanceResult
-            Energy delivered over the interval (J) and its time
-            average (W); :attr:`temps` holds the end-of-interval node
-            temperatures (°C).
-
-        Runs :func:`_fused_advance`, the code every simulated machine's
-        segment runs in :meth:`FleetThermalIntegrator.advance_machines`,
-        so the two agree bit for bit.  Energy is accumulated vectorially
-        per node and reduced once at the end.  Numerically equivalent to
-        :meth:`advance` with the matching power callback (same
-        propagator, algebraically identical update).
+        ``coefficients`` is the segment-constant affine-exponential power
+        decomposition (:class:`repro.cpu.power.PowerCoefficients`, or
+        anything with its ``fused_terms``/``base`` contract).  The
+        interval is cut into ``ceil(duration / max_substep)`` equal
+        substeps of :func:`_fused_advance`, the code
+        :meth:`FleetThermalIntegrator.advance_machines` runs, so the two
+        agree bit for bit.  Returns the joules delivered over the
+        interval; :attr:`temps` holds the end-of-interval temperatures.
         """
         if not duration >= 0:  # also rejects NaN
             raise ConfigurationError(f"cannot integrate a negative duration {duration}")
         if duration == 0:
-            power = coefficients.evaluate(self.temps, out=self._power_buffer)
-            return AdvanceResult(energy=0.0, average_power=float(power.sum()))
-
-        n_steps, end_temps, energy = _fused_advance(
+            return 0.0
+        _, end_temps, energy = _fused_advance(
             self.network, self.max_substep, self.temps, duration, coefficients, self._buffers
         )
-        self._metric_advances.inc()
-        self._metric_substeps.inc(n_steps)
-        self._metric_fused_advances.inc()
         self.temps = end_temps.copy()
-        return AdvanceResult(energy=energy, average_power=energy / duration)
+        return energy
 
     def settle(
         self,
-        power_fn: PowerFunction,
+        coefficients: "PowerCoefficients",
         *,
         tolerance: float = 1e-6,
         max_iterations: int = 20000,
         max_time: float = 3600.0,
     ) -> np.ndarray:
-        """Run to (nonlinear) steady state under a fixed power function.
+        """Run to the nonlinear steady state of one power state.
 
-        Uses fixed-point iteration on the linear steady state.  The map
-        ``T -> steady_state(P(T))`` is a monotone contraction whenever
-        the leakage feedback loop gain is below one (physically: no
-        thermal runaway); near the gain's fold the contraction factor
-        approaches one, so many cheap iterations may be needed.  Falls
-        back to time integration if the fixed point fails to converge.
+        Uses fixed-point iteration on the linear steady state,
+        ``T -> steady_state(coefficients.evaluate(T))``: a monotone
+        contraction whenever the leakage feedback loop gain is below one
+        (physically: no thermal runaway); near the gain's fold the
+        contraction factor approaches one, so many cheap iterations may
+        be needed.  If ``max_iterations`` do not converge it integrates
+        in 5 s chunks of :meth:`advance_coefficients` until a chunk
+        moves no node by ``tolerance``, and raises
+        :class:`~repro.errors.SimulationError` if ``max_time`` simulated
+        seconds do not get there either.
         """
+        network = self.network
         temps = self.temps.copy()
         for _ in range(max_iterations):
-            power = np.asarray(power_fn(temps), dtype=float)
-            new_temps = self.network.steady_state(power)
+            new_temps = network.steady_state(coefficients.evaluate(temps))
             if np.max(np.abs(new_temps - temps)) < tolerance:
                 self.temps = new_temps
                 return new_temps
             temps = new_temps
-        # Fixed point did not converge; integrate instead.
         self.temps = temps
-        elapsed = 0.0
-        chunk = 5.0
+        elapsed, chunk = 0.0, 5.0
         while elapsed < max_time:
-            before = self.temps.copy()
-            self.advance(chunk, power_fn)
+            before = self.temps
+            self.advance_coefficients(chunk, coefficients)
             elapsed += chunk
             if np.max(np.abs(self.temps - before)) < tolerance:
-                break
-        return self.temps
+                return self.temps
+        raise SimulationError(
+            f"settle did not reach a steady state: {max_iterations} fixed-point "
+            f"iterations and {max_time} s of integration left it moving by "
+            f"more than {tolerance} °C"
+        )
 
 
 class FleetThermalIntegrator:
@@ -456,10 +382,8 @@ class FleetThermalIntegrator:
 
     Telemetry (``fleet`` scope): ``machines`` gauge, ``substeps``
     counter in *chip-substeps* (additive across machines and fleet
-    sizes), and the ``advance_wall`` timer over every advance.  These
-    are the simulation path's thermal counters; the
-    ``thermal.rcnetwork`` advance counters count only direct
-    :class:`ThermalIntegrator` use, so no advance is counted twice.
+    sizes), and the ``advance_wall`` timer over every advance: the
+    simulation's only thermal counters.
     """
 
     def __init__(
@@ -471,8 +395,8 @@ class FleetThermalIntegrator:
     ):
         if num_machines < 1:
             raise ConfigurationError("a fleet needs at least one machine")
-        if max_substep <= 0:
-            raise ConfigurationError("max_substep must be positive")
+        if not max_substep > 0:  # also rejects NaN
+            raise ConfigurationError(f"max_substep must be positive, got {max_substep}")
         self.network = network
         self.num_machines = int(num_machines)
         self.max_substep = float(max_substep)

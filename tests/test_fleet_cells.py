@@ -206,6 +206,9 @@ def test_runner_path_equals_direct_call(config):
 
 def test_pooled_cells_match_serial(config):
     specs = [rack_cell_spec(config, **{**CELL, "p": p}) for p in (0.0, 0.5)]
+    # A recorded-trace load shape too: its replayed arrivals cross the
+    # process boundary like every other cell input.
+    specs.append(rack_cell_spec(config, **CELL, shape="trace", rate=40.0))
     serial = ParallelRunner(jobs=1).run(specs)
     pooled = ParallelRunner(jobs=2).run(specs)
     assert serial == pooled

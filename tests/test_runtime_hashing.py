@@ -1,8 +1,11 @@
 """Tests for cache-key hashing: canonicalisation, sensitivity, stability."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core.injector import IdleMode
 from repro.errors import ConfigurationError
 from repro.experiments import fast_config
@@ -82,5 +85,15 @@ def test_fingerprint_covers_simulation_but_not_runtime():
     outcome, so editing it must not invalidate cached results."""
     assert "sim" in PHYSICS_MODULES
     assert "thermal" in PHYSICS_MODULES
-    assert "experiments" in PHYSICS_MODULES
     assert "runtime" not in PHYSICS_MODULES
+    # Of ``experiments`` only what one run executes counts: how a figure
+    # arranges or renders its runs never changes a run's outcome.
+    for executor in ("runner.py", "machine.py", "config.py"):
+        assert f"experiments/{executor}" in PHYSICS_MODULES
+    assert "experiments" not in PHYSICS_MODULES
+    for glue in ("sweeps.py", "figures.py", "tables.py", "reporting.py"):
+        assert f"experiments/{glue}" not in PHYSICS_MODULES
+    # A misspelt entry would silently drop out of the hash.
+    package_root = Path(repro.__file__).parent
+    for entry in PHYSICS_MODULES:
+        assert (package_root / entry).exists(), entry

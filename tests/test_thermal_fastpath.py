@@ -4,8 +4,8 @@ The fast path has three layers, each pinned against its scalar oracle:
 
 - power: :meth:`Chip.power_coefficients` vs :meth:`Chip.power_vector`
   (≤1e-12 W per node over randomized chip states);
-- integration: :meth:`ThermalIntegrator.advance_coefficients` vs
-  :meth:`ThermalIntegrator.advance` (≤1e-9 °C over long intervals);
+- integration: :meth:`ThermalIntegrator.advance_coefficients` vs the
+  scalar oracle of ``scalar_oracle.py`` (≤1e-9 °C over long intervals);
 - simulation: the default machine vs the same machine with its physics
   swapped for the scalar oracle over a fig2-style 60 s run (≤1e-9 °C
   on every logged sample).
@@ -32,6 +32,7 @@ from repro.thermal.floorplan import build_network
 from repro.thermal.params import ThermalParams
 from repro.thermal.rcnetwork import ThermalIntegrator
 from repro.workloads import CpuBurn
+from scalar_oracle import ScalarOracle, power_function
 
 POWER_TOL_W = 1e-12
 TEMP_TOL_C = 1e-9
@@ -73,7 +74,7 @@ def test_power_coefficients_match_scalar_property_sweep():
     rng = np.random.default_rng(0)
     for _ in range(60):
         chip = _random_chip(rng)
-        cstates, power_fn = chip.power_function(time=0.0)
+        cstates, power_fn = power_function(chip, 0.0)
         coefficients = chip.power_coefficients(cstates)
         n = chip.num_cores + 2
         # Include hot outliers so the exponential's cap is exercised.
@@ -89,7 +90,7 @@ def test_fused_terms_match_evaluate():
     prefactor) agrees with the documented evaluate() formula."""
     rng = np.random.default_rng(1)
     chip = _random_chip(rng)
-    cstates, _ = chip.power_function(time=0.0)
+    cstates, _ = power_function(chip, 0.0)
     coefficients = chip.power_coefficients(cstates)
     inv_slope, arg_cap, scaled_coef = coefficients.fused_terms()
     temps = rng.uniform(20.0, 170.0, size=chip.num_cores + 2)
@@ -108,17 +109,16 @@ def test_advance_coefficients_matches_scalar_advance():
             core.set_idle(-100.0)
     network = build_network(ThermalParams(), 4)
     temps0 = np.full(network.num_nodes, 55.0)
-    _, power_fn = chip.power_function(time=0.0)
+    _, power_fn = power_function(chip, 0.0)
     _, coefficients = chip.power_segment(0.0)
 
-    scalar = ThermalIntegrator(network, temps0.copy(), max_substep=5e-3)
+    scalar = ScalarOracle(network, temps0.copy(), max_substep=5e-3)
     fused = ThermalIntegrator(network, temps0.copy(), max_substep=5e-3)
-    r_scalar = scalar.advance(10.0, power_fn)
-    r_fused = fused.advance_coefficients(10.0, coefficients)
+    scalar_energy = scalar.advance(10.0, power_fn)
+    fused_energy = fused.advance_coefficients(10.0, coefficients)
 
     assert np.max(np.abs(scalar.temps - fused.temps)) <= TEMP_TOL_C
-    assert r_fused.energy == pytest.approx(r_scalar.energy, rel=1e-9)
-    assert r_fused.average_power == pytest.approx(r_scalar.average_power, rel=1e-9)
+    assert fused_energy == pytest.approx(scalar_energy, rel=1e-9)
 
 
 def test_advance_coefficients_zero_and_negative_duration():
@@ -128,16 +128,12 @@ def test_advance_coefficients_zero_and_negative_duration():
     network = build_network(ThermalParams(), 2)
     integ = ThermalIntegrator(network, np.full(network.num_nodes, 50.0))
     _, coefficients = chip.power_segment(0.0)
-    _, power_fn = chip.power_function(time=0.0)
 
-    result = integ.advance_coefficients(0.0, coefficients)
-    assert result.energy == 0.0
-    assert result.average_power == pytest.approx(float(power_fn(integ.temps).sum()))
+    assert integ.advance_coefficients(0.0, coefficients) == 0.0
+    assert np.array_equal(integ.temps, np.full(network.num_nodes, 50.0))
     for duration in (-1.0, float("nan")):
         with pytest.raises(ConfigurationError):
             integ.advance_coefficients(duration, coefficients)
-        with pytest.raises(ConfigurationError):
-            integ.advance(duration, power_fn)
 
 
 # ----------------------------------------------------------------------
@@ -348,14 +344,13 @@ def _use_scalar_oracle(machine: Machine) -> None:
 
     The machine's gap-closing hook is replaced by eager integration:
     every gap is split at C-state promotion instants exactly as the
-    fused path splits it, and each piece is integrated with
-    :meth:`ThermalIntegrator.advance` on :meth:`Chip.power_function`
-    (a Python per-core power loop plus a steady-state solve per
-    substep).  The result lands in the fleet state, so every
+    fused path splits it, and each piece is integrated by the
+    :class:`ScalarOracle` on :func:`power_function` (a Python per-core
+    power loop plus a steady-state solve per substep).  The result lands in the fleet state, so every
     temperature and energy read sees the oracle's numbers.
     """
     fleet, node, chip = machine.fleet, machine.node, machine.chip
-    oracle = ThermalIntegrator(
+    oracle = ScalarOracle(
         fleet.network, fleet.integrator.temps[0], max_substep=fleet.integrator.max_substep
     )
 
@@ -367,10 +362,10 @@ def _use_scalar_oracle(machine: Machine) -> None:
         for a, b in zip(edges, edges[1:]):
             if b <= a:
                 continue
-            cstates, power_fn = chip.power_function(time=0.5 * (a + b))
-            result = oracle.advance(b - a, power_fn)
+            cstates, power_fn = power_function(chip, 0.5 * (a + b))
+            energy = oracle.advance(b - a, power_fn)
             chip.record_residency(cstates, b - a)
-            machine.powermeter.record_segment(a, b - a, result.average_power)
+            machine.powermeter.record_segment(a, b - a, energy / (b - a))
         node.last_physics_time = now
         fleet.integrator.temps[0] = oracle.temps
 
