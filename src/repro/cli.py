@@ -25,10 +25,10 @@ failures retry with backoff (``--max-retries``), an interrupted sweep
 resumes from its journal (``--resume``), ``--keep-going`` degrades
 gracefully past terminal failures, and ``--inject-faults``
 chaos-tests all of the above (see ``docs/robustness.md``).  The
-single-machine experiments (fig1, fig2, fig5, fig6) interleave all
-their events on one simulated testbed — there is nothing to pool or
-cache, and asking for it is a usage error (exit 2), not a silent
-no-op.
+single-machine figures (fig1, fig2, fig5, fig6) build their machines
+(2, 4, 13 and 10 at the fast preset) directly instead of as run specs,
+so they are not routed through the runtime yet: batch flags there are
+a usage error (exit 2), not a silent no-op.
 """
 
 from __future__ import annotations
@@ -310,11 +310,11 @@ def validate_batch_flags(experiment: str, args: argparse.Namespace) -> None:
     """Reject batch flags on an experiment that would silently ignore
     them.
 
-    The single-machine experiments interleave every event on one
-    simulated testbed — there is nothing to pool, cache, journal, or
-    keep going past, so a ``--jobs 4`` there would be a lie the user
-    only discovers by timing the run.  ``all`` and ``list`` are exempt
-    (an ``all`` sweep legitimately mixes both kinds).
+    The single-machine figures build independent machines, but
+    directly rather than as run specs, so nothing of theirs reaches the
+    pool, cache or journal: a ``--jobs 4`` there would be a lie the
+    user only discovers by timing the run.  ``all`` and ``list`` are
+    exempt (an ``all`` sweep legitimately mixes both kinds).
     """
     if experiment in ("all", "list"):
         return
@@ -329,9 +329,9 @@ def validate_batch_flags(experiment: str, args: argparse.Namespace) -> None:
     ]
     if ignored:
         raise ConfigurationError(
-            f"{', '.join(ignored)}: no effect on {experiment!r}, which runs "
-            f"all its events on one simulated machine (batch experiments: "
-            f"{experiments_supporting(supports_runner)})"
+            f"{', '.join(ignored)}: no effect on {experiment!r}, whose runs "
+            f"are not routed through the batch runtime yet (batch "
+            f"experiments: {experiments_supporting(supports_runner)})"
         )
 
 

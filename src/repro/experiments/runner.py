@@ -4,11 +4,14 @@ The paper's basic measurement (§3.4) is: run a workload on all cores
 under a static (p, L) policy for 300 s, then report the mean core
 temperature over the last 30 s (relative to the idle baseline) and the
 throughput (relative to the unconstrained run).  This module implements
-that run and its finite-work variant used for model validation (§3.3).
+that run and its finite-work variant used for model validation (§3.3),
+and declares both as batch run kinds (:mod:`repro.runtime.kinds`) at
+its foot.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -18,6 +21,7 @@ from ..core.injector import IdleMode
 from ..cpu.dvfs import OperatingPoint
 from ..cpu.tcc import TccSetting
 from ..errors import ConfigurationError
+from ..runtime.kinds import register_executor
 from ..sched.thread import Thread
 from ..workloads.cpuburn import CpuBurn, FiniteCpuBurn
 from ..workloads.spec import SpecWorkload
@@ -35,14 +39,14 @@ def make_cpu_workload(name: str):
 def resolve_duration(duration: Optional[float], config: ExperimentConfig) -> float:
     """An explicit run duration, or the config's default when None.
 
-    A zero or negative duration is a configuration mistake, not a
-    request for the default — reject it rather than silently running
-    for ``config.characterization_duration``.
+    A zero, negative or non-finite duration is a configuration mistake,
+    not a request for the default — reject it before a machine is built
+    rather than silently running for ``config.characterization_duration``.
     """
     if duration is None:
         return config.characterization_duration
-    if duration <= 0:
-        raise ConfigurationError(f"duration must be positive, got {duration}")
+    if not 0 < duration < math.inf:
+        raise ConfigurationError(f"duration must be positive and finite, got {duration}")
     return float(duration)
 
 
@@ -189,3 +193,7 @@ def run_finite_cpuburn(
         window=measure_window,
         mean_schedules=mean_schedules,
     )
+
+
+register_executor("characterization", run_characterization, result=CharacterizationResult)
+register_executor("finite_cpuburn", run_finite_cpuburn, result=FiniteRunResult)

@@ -10,7 +10,7 @@ import numpy as np
 from ..core.models import predicted_runtime
 from ..core.pareto import PowerLawFit, fit_power_law
 from ..errors import ConfigurationError
-from ..runtime import ParallelRunner
+from ..runtime import ParallelRunner, finite_cpuburn_spec
 from ..units import MS
 from ..workloads.spec import TABLE1_FIT, TABLE1_RISE_PERCENT, all_benchmarks
 from .config import ExperimentConfig
@@ -168,14 +168,16 @@ def validate_throughput_model(
     batch = ParallelRunner() if runner is None else runner
     grid = [(p, l_ms) for p in ps for l_ms in ls_ms]
     specs = [
-        (
+        finite_cpuburn_spec(
             config.with_seed(config.seed + 1000 * rep + 1),
-            {"total_cpu": total_cpu, "p": p, "idle_quantum": l_ms * MS},
+            total_cpu=total_cpu,
+            p=p,
+            idle_quantum=l_ms * MS,
         )
         for p, l_ms in grid
         for rep in range(repetitions)
     ]
-    results = batch.run_finite_cpuburns(specs)
+    results = batch.run(specs)
 
     rows: List[ThroughputValidationRow] = []
     for slot, (p, l_ms) in enumerate(grid):
@@ -253,14 +255,14 @@ def validate_energy_model(
     # windows, so they cannot join the first fan-out.
     batch = ParallelRunner() if runner is None else runner
     grid = [(p, l_ms) for p in ps for l_ms in ls_ms]
-    dims = batch.run_finite_cpuburns(
+    dims = batch.run(
         [
-            (config, {"total_cpu": total_cpu, "p": p, "idle_quantum": l_ms * MS})
+            finite_cpuburn_spec(config, total_cpu=total_cpu, p=p, idle_quantum=l_ms * MS)
             for p, l_ms in grid
         ]
     )
-    races = batch.run_finite_cpuburns(
-        [(config, {"total_cpu": total_cpu, "p": 0.0, "window": dim.window}) for dim in dims]
+    races = batch.run(
+        [finite_cpuburn_spec(config, total_cpu=total_cpu, p=0.0, window=dim.window) for dim in dims]
     )
     rows = [
         EnergyValidationRow(

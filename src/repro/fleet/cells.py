@@ -8,12 +8,9 @@ one rack run as the :mod:`repro.runtime` unit of work:
 
 - :func:`rack_cell_spec` builds a picklable
   :class:`~repro.runtime.parallel.RunSpec` (kind ``"rack-cell"``)
-  whose cache key covers the experiment config, every cell parameter
-  (policy, load shape, injection, health thresholds, scoring windows),
-  the base physics fingerprint, *and* the fleet/health/analysis code
-  fingerprint (:func:`~repro.runtime.hashing.fleet_fingerprint`) — so
-  editing a scheduling policy invalidates exactly the rack cells, not
-  the figure sweeps;
+  whose cache key covers the experiment config and every cell
+  parameter (policy, load shape, injection, health thresholds, scoring
+  windows);
 - :func:`run_rack_cell` is the registered executor: it rebuilds the
   rack from the declarative parameters (arrival shapes come from
   :func:`build_scenario_arrivals`, node programming from scalar flags
@@ -21,8 +18,14 @@ one rack run as the :mod:`repro.runtime` unit of work:
   monitors it, and scores it into a :class:`RackCellResult`;
 - :class:`RackCellResult` is the serialisable cell result — the
   :class:`RackRun` measurement, the health rollup and the windowed SLO
-  report, all simulated data — registered with the result cache's
-  JSON codec so cached replay is bit-identical to execution.
+  report, all simulated data — which the result cache stores as JSON,
+  so cached replay is bit-identical to execution.
+
+The foot of the module declares the kind in one
+:func:`~repro.runtime.kinds.register_executor` call: executor, result
+type, and the source trees keying it — the physics modules plus
+:data:`FLEET_MODULES`, so editing a scheduling policy invalidates
+exactly the rack cells, not the figure sweeps.
 
 Because each cell rebuilds its rack from ``(config, params)`` alone,
 a ``jobs=N`` fan-out is bit-identical to a serial loop, and the
@@ -34,7 +37,6 @@ themselves are grid definitions run by :mod:`repro.fleet.grid`.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -45,9 +47,9 @@ from ..core.migration import ThermalMigrationPolicy
 from ..cpu.tcc import TccSetting
 from ..errors import ConfigurationError, ExecutionError
 from ..health import HealthParams
-from ..runtime.cache import register_result_codec
-from ..runtime.hashing import fleet_fingerprint
-from ..runtime.parallel import ParallelRunner, RunSpec, execute_spec, register_executor
+from ..runtime.hashing import PHYSICS_MODULES
+from ..runtime.kinds import register_executor
+from ..runtime.parallel import RunSpec
 from ..sim.rng import RngRegistry
 from ..telemetry.registry import registry as _metrics_registry
 from ..workloads.loadshapes import (
@@ -67,6 +69,14 @@ from .scheduling.registry import build_policy
 
 #: The executor kind rack cells run under (see ``repro.runtime``).
 RACK_CELL_KIND = "rack-cell"
+
+#: Paths (relative to the ``repro`` package) that rack cells depend on
+#: beyond one machine's physics: the fleet layer (balancers, scheduling
+#: policies, the experiments themselves), health monitoring, and the SLO
+#: scorer.  Disjoint from :data:`~repro.runtime.hashing.PHYSICS_MODULES`
+#: (``fleet/machine.py`` is physics), so editing them never invalidates
+#: cached figure sweeps.
+FLEET_MODULES = ("fleet", "health", "analysis")
 
 #: Load-shape registry; its order is presentation order in reports.
 SCENARIO_SHAPES = ("constant", "diurnal", "surge", "bursty", "trace")
@@ -183,23 +193,16 @@ class RackCellResult:
     #: scoring span, seconds (None when not scored or nothing answered).
     p95_response: Optional[float] = None
 
-    # -- cache codec (encoding is dataclasses.asdict) -------------------
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "RackCellResult":
+        """Rebuild a cell from its ``dataclasses.asdict`` form (the
+        result cache's decoder for this type)."""
         data = dict(payload)
         data["run"] = RackRun(**data["run"])
         slo = data.get("slo")
         if slo is not None:
             data["slo"] = SloReport(**{**slo, "windows": [WindowScore(**w) for w in slo["windows"]]})
         return cls(**data)
-
-
-register_result_codec(
-    RACK_CELL_KIND,
-    RackCellResult,
-    encode=dataclasses.asdict,
-    decode=RackCellResult.from_payload,
-)
 
 
 # ----------------------------------------------------------------------
@@ -209,26 +212,10 @@ def rack_cell_spec(config: Any, **params: Any) -> RunSpec:
     """A :class:`RunSpec` for one rack cell.
 
     ``params`` are :func:`run_rack_cell` keyword arguments; every one
-    of them participates in the cache key, alongside the config, the
-    physics fingerprint, and the fleet code fingerprint.
+    of them participates in the cache key, alongside the config and the
+    fingerprint of the kind's code.
     """
-    return RunSpec(
-        kind=RACK_CELL_KIND,
-        config=config,
-        params=params,
-        extra_code=fleet_fingerprint(),
-    )
-
-
-def run_cells(
-    runner: Optional[ParallelRunner], specs: Sequence[RunSpec]
-) -> List[Optional[RackCellResult]]:
-    """Execute rack cells through ``runner`` (pool + cache + journal +
-    retries), or in-process in submission order when no runner is
-    attached (library callers; identical results by construction)."""
-    if runner is not None:
-        return runner.run(list(specs))
-    return [execute_spec(spec) for spec in specs]
+    return RunSpec(kind=RACK_CELL_KIND, config=config, params=params)
 
 
 def require_cells(
@@ -425,4 +412,9 @@ def run_rack_cell(
     )
 
 
-register_executor(RACK_CELL_KIND, run_rack_cell)
+register_executor(
+    RACK_CELL_KIND,
+    run_rack_cell,
+    result=RackCellResult,
+    code=PHYSICS_MODULES + FLEET_MODULES,
+)

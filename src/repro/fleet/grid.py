@@ -19,10 +19,11 @@ is a function decorated with :func:`rack_experiment` that returns a
 - optionally a manifest artifact and a telemetry scope.
 
 :func:`run_grid` is the one place that builds the rack-cell specs,
-runs them through :func:`~repro.fleet.cells.run_cells` (pool, cache,
-journal), checks the required rows survived, and wraps the cells in a
-:class:`RackGridResult`, which scores tradeoffs against each shape's
-baseline, renders the table, and builds the manifest payloads.
+runs them through a :class:`~repro.runtime.parallel.ParallelRunner`
+(pool, cache, journal), checks the required rows survived, and wraps
+the cells in a :class:`RackGridResult`, which scores tradeoffs against
+each shape's baseline, renders the table, and builds the manifest
+payloads.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from ..health import HealthParams
 from ..runtime.parallel import ParallelRunner, RunSpec
 from ..telemetry.registry import registry as _metrics_registry
 from ..workloads.webserver import QOS_TOLERABLE
-from .cells import RackCellResult, RackRun, rack_cell_spec, require_cells, run_cells
+from .cells import SCENARIO_SHAPES, RackCellResult, RackRun, rack_cell_spec, require_cells
 from .scheduling.registry import POLICY_NAMES
 
 
@@ -102,11 +103,16 @@ class RackGrid:
                 f"{self.warmup}s warmup and {QOS_TOLERABLE}s drain"
             )
         for label in self.rows:
-            policy = self.params(label)["policy"]
-            if policy not in POLICY_NAMES:
+            params = self.params(label)
+            if params["policy"] not in POLICY_NAMES:
                 raise ConfigurationError(
-                    f"unknown scheduling policy {policy!r} "
+                    f"unknown scheduling policy {params['policy']!r} "
                     f"(known: {', '.join(POLICY_NAMES)})"
+                )
+            if params.get("shape") not in (None, *SCENARIO_SHAPES):
+                raise ConfigurationError(
+                    f"unknown load shape {params['shape']!r} "
+                    f"(known: {', '.join(SCENARIO_SHAPES)})"
                 )
 
     def params(self, label: str) -> Dict[str, Any]:
@@ -152,13 +158,14 @@ class RackRow:
 
 
 def run_grid(grid: RackGrid, runner: Optional[ParallelRunner] = None) -> "RackGridResult":
-    """Run every row of ``grid`` as a rack cell, through ``runner``'s
-    pool/cache/journal stack when one is attached (``--jobs`` results
-    are bit-identical to serial), else in-process in row order.  Under
+    """Run every row of ``grid`` as a rack cell through ``runner``'s
+    pool/cache/journal stack (a serial, uncached runner when None;
+    ``--jobs`` results are bit-identical to serial).  Under
     ``--keep-going`` a failed row is dropped; a failed required row is
     an :class:`~repro.errors.ExecutionError`."""
+    batch = ParallelRunner() if runner is None else runner
     labels = list(grid.rows)
-    cells = dict(zip(labels, run_cells(runner, [grid.spec(label) for label in labels])))
+    cells = dict(zip(labels, batch.run([grid.spec(label) for label in labels])))
     require_cells(grid.name, grid.required, [cells[label] for label in grid.required])
     rows = []
     for label, cell in cells.items():

@@ -12,8 +12,11 @@ those batches:
   deterministic jitter, permanent errors fail fast), and can keep
   going past terminal failures, collecting them into a
   :class:`FailureReport`;
+- :func:`register_executor` declares a run kind in one call: its
+  executor, the result type the cache stores, and the source trees
+  whose fingerprint keys it (:mod:`repro.runtime.kinds`);
 - :class:`ResultCache` persists results on disk keyed by a stable hash
-  of ``(config, run parameters, simulation-code fingerprint)`` —
+  of ``(config, run parameters, the kind's code fingerprint)`` —
   stores are fsync'd-atomic and corrupt entries are quarantined;
 - :class:`SweepJournal` is the crash-safe record of completed run
   keys (append-only fsync'd JSONL) behind ``--resume``;
@@ -24,17 +27,17 @@ Fault injection for all of the above lives in :mod:`repro.faults`.
 See ``docs/running-experiments.md`` and ``docs/robustness.md``.
 """
 
-from .cache import CacheStats, ResultCache, register_result_codec
+from .cache import CacheStats, ResultCache
 from .failures import FailureReport, RunFailure
 from .hashing import (
     CACHE_SCHEMA_VERSION,
     code_fingerprint,
     config_hash,
-    fleet_fingerprint,
     freeze,
     spec_key,
 )
 from .journal import SweepJournal
+from .kinds import register_executor, run_kind
 from .parallel import (
     ParallelRunner,
     ProgressEvent,
@@ -42,7 +45,6 @@ from .parallel import (
     RunSpec,
     characterization_spec,
     finite_cpuburn_spec,
-    register_executor,
 )
 from .policy import PERMANENT, PERMANENT_ERROR_TYPES, TIMEOUT, TRANSIENT, RetryPolicy
 
@@ -66,9 +68,8 @@ __all__ = [
     "code_fingerprint",
     "config_hash",
     "finite_cpuburn_spec",
-    "fleet_fingerprint",
     "freeze",
     "register_executor",
-    "register_result_codec",
+    "run_kind",
     "spec_key",
 ]

@@ -1,8 +1,12 @@
-"""On-disk result cache for characterization and finite runs.
+"""On-disk result cache for the results of every cacheable run kind.
 
-Results are stored one JSON file per key under ``<root>/<key[:2]>/``.
-Python's ``repr``-based float serialisation round-trips exactly, so a
-result loaded from cache is bit-identical to the one that was stored.
+Results are stored one JSON file per key under ``<root>/<key[:2]>/``,
+tagged with the kind that declared their type
+(:func:`~repro.runtime.kinds.register_executor`): a result is encoded
+with ``dataclasses.asdict`` and rebuilt through its type's
+``from_payload`` when it has one, else its constructor.  Python's
+``repr``-based float serialisation round-trips exactly, so a result
+loaded from cache is bit-identical to the one that was stored.
 
 Lookups never raise on a bad entry, but the *reason* a lookup failed is
 not flattened into one bucket: :class:`CacheStats` (and the
@@ -29,10 +33,11 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
+from typing import Any, Iterator, Optional, Union
 
 from ..telemetry.registry import registry as _metrics_registry
 from .hashing import CACHE_SCHEMA_VERSION
+from .kinds import result_kind, result_type
 
 
 @dataclasses.dataclass
@@ -58,85 +63,37 @@ class CacheStats:
 
 class _SchemaMismatch(ValueError):
     """Internal: the entry was written under a different schema version
-    (or a result kind this process has no codec for — stale either way,
-    never quarantined as corrupt)."""
-
-
-#: result type -> kind, and kind -> (encode, decode).  The built-in
-#: experiment result kinds register lazily (below); other layers —
-#: the fleet's rack cells — register theirs at import time through
-#: :func:`register_result_codec`.
-_ENCODER_KINDS: Dict[type, str] = {}
-_CODECS: Dict[str, Tuple[Callable[[Any], dict], Callable[[dict], Any]]] = {}
-
-
-def register_result_codec(
-    kind: str,
-    cls: type,
-    *,
-    encode: Callable[[Any], dict],
-    decode: Callable[[dict], Any],
-) -> None:
-    """Register a cacheable result type.
-
-    ``encode`` must produce a JSON-serialisable dict whose round trip
-    through ``json.dumps``/``json.loads`` and ``decode`` rebuilds a
-    result equal to the original — cached replay is only bit-identical
-    if the codec is.
-    """
-    _ENCODER_KINDS[cls] = kind
-    _CODECS[kind] = (encode, decode)
-
-
-def _ensure_builtin_codecs() -> None:
-    # Imported here (not at module top) so the runtime package never
-    # holds an import-time edge back into repro.experiments.
-    from ..experiments.runner import CharacterizationResult, FiniteRunResult
-
-    if CharacterizationResult not in _ENCODER_KINDS:
-        register_result_codec(
-            "characterization",
-            CharacterizationResult,
-            encode=dataclasses.asdict,
-            decode=lambda d: CharacterizationResult(**d),
-        )
-    if FiniteRunResult not in _ENCODER_KINDS:
-        register_result_codec(
-            "finite_cpuburn",
-            FiniteRunResult,
-            encode=dataclasses.asdict,
-            decode=lambda d: FiniteRunResult(**d),
-        )
+    (or for a result kind this process does not declare — stale either
+    way, never quarantined as corrupt)."""
 
 
 def _encode(result: Any) -> dict:
-    """Serialise a result to a tagged JSON payload via its codec."""
-    _ensure_builtin_codecs()
-    kind = _ENCODER_KINDS.get(type(result))
+    """Serialise a result to a kind-tagged JSON payload."""
+    kind = result_kind(result)
     if kind is None:
         raise TypeError(
-            f"cannot cache a {type(result).__name__}; register a codec for it"
+            f"cannot cache a {type(result).__name__}; no run kind declares it "
+            f"as its result"
         )
-    encode, _ = _CODECS[kind]
     return {
         "schema": CACHE_SCHEMA_VERSION,
         "kind": kind,
-        "result": encode(result),
+        "result": dataclasses.asdict(result),
     }
 
 
 def _decode(payload: dict) -> Any:
     """Rebuild a result from :func:`_encode` output."""
-    _ensure_builtin_codecs()
     if payload.get("schema") != CACHE_SCHEMA_VERSION:
         raise _SchemaMismatch("cache schema mismatch")
-    codec = _CODECS.get(payload["kind"])
-    if codec is None:
-        # A valid entry written by a process that had more codecs
-        # loaded; stale for us, not corrupt — do not quarantine it.
-        raise _SchemaMismatch(f"no codec for result kind {payload['kind']!r}")
-    _, decode = codec
-    return decode(payload["result"])
+    cls = result_type(payload["kind"])
+    if cls is None:
+        # A valid entry written by a process that declared more kinds;
+        # stale for us, not corrupt — do not quarantine it.
+        raise _SchemaMismatch(f"no result type for run kind {payload['kind']!r}")
+    if hasattr(cls, "from_payload"):
+        return cls.from_payload(payload["result"])
+    return cls(**payload["result"])
 
 
 class ResultCache:
@@ -148,12 +105,12 @@ class ResultCache:
         self.root = Path(root)
         self.stats = CacheStats()
         scope = _metrics_registry().scope("runtime.cache")
-        self._metric_hits = scope.counter("hits")
-        self._metric_misses = scope.counter("misses")
-        self._metric_corrupt = scope.counter("corrupt")
-        self._metric_schema_stale = scope.counter("schema_stale")
-        self._metric_quarantined = scope.counter("quarantined")
-        self._metric_stores = scope.counter("stores")
+        self._counters = {f.name: scope.counter(f.name) for f in dataclasses.fields(CacheStats)}
+
+    def _count(self, name: str) -> None:
+        """Bump one :class:`CacheStats` count and its telemetry twin."""
+        setattr(self.stats, name, getattr(self.stats, name) + 1)
+        self._counters[name].inc()
 
     def path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
@@ -168,21 +125,18 @@ class ResultCache:
             with self.path(key).open() as handle:
                 payload = json.load(handle)
         except OSError:
-            self.stats.misses += 1
-            self._metric_misses.inc()
+            self._count("misses")
             return None
         except ValueError:
             return self._quarantine(key)
         try:
             result = _decode(payload)
         except _SchemaMismatch:
-            self.stats.schema_stale += 1
-            self._metric_schema_stale.inc()
+            self._count("schema_stale")
             return None
         except (AttributeError, KeyError, TypeError, ValueError):
             return self._quarantine(key)
-        self.stats.hits += 1
-        self._metric_hits.inc()
+        self._count("hits")
         return result
 
     def _quarantine(self, key: str) -> None:
@@ -192,15 +146,13 @@ class ResultCache:
         shadows the key: the next lookup is a plain miss and the run
         re-executes.  Returns None (the lookup result).
         """
-        self.stats.corrupt += 1
-        self._metric_corrupt.inc()
+        self._count("corrupt")
         path = self.path(key)
         try:
             os.replace(path, path.with_name(path.name + ".corrupt"))
         except OSError:  # pragma: no cover - raced with another process
             return None
-        self.stats.quarantined += 1
-        self._metric_quarantined.inc()
+        self._count("quarantined")
         return None
 
     def put(self, key: str, result: Any) -> None:
@@ -225,8 +177,7 @@ class ResultCache:
             except OSError:
                 pass
             raise
-        self.stats.stores += 1
-        self._metric_stores.inc()
+        self._count("stores")
 
     # ------------------------------------------------------------------
     def _files(self) -> Iterator[Path]:

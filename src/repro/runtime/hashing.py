@@ -3,25 +3,20 @@
 A cached result is only valid if *everything that determines it* is
 unchanged: the :class:`~repro.experiments.config.ExperimentConfig`
 (including its nested thermal/power/C-state parameter dataclasses), the
-run's own parameters, and the simulation source code itself.  This
+run's own parameters, and the source code the run executes.  This
 module canonicalises the first two (:func:`freeze`) and fingerprints
 the third (:func:`code_fingerprint`), then folds them into one SHA-256
 key (:func:`spec_key`).
 
-The code fingerprint deliberately covers only the packages whose
-source determines simulation *outcomes* (see :data:`PHYSICS_MODULES`).
-Editing documentation, benchmarks, the CLI, or this runtime layer
-leaves every cached result valid; editing the scheduler or the thermal
-model invalidates the whole cache.
-
-Rack-cell runs (:mod:`repro.fleet.cells`) additionally depend on the
-rest of the fleet layer (balancers, scheduling policies, the rack
-experiments), health, and SLO analysis, which the base fingerprint
-deliberately excludes (editing them must not invalidate figure
-sweeps).  :func:`fleet_fingerprint` covers those packages
-(:data:`FLEET_MODULES`); rack-cell specs fold it in through
-:func:`spec_key`'s ``extra_code`` parameter, so a fleet code edit
-invalidates exactly the rack-cell entries and nothing else.
+Which source trees key a run is part of its kind's declaration
+(:func:`~repro.runtime.kinds.register_executor`).  By default it is
+:data:`PHYSICS_MODULES`, the packages whose source determines one
+machine's simulated outcome: editing documentation, benchmarks, the
+CLI, or this runtime layer leaves every cached result valid; editing
+the scheduler or the thermal model invalidates the whole cache.  Rack
+cells declare the fleet, health and SLO packages on top
+(:mod:`repro.fleet.cells`), so a fleet-layer edit invalidates exactly
+the rack-cell entries and never the figure sweeps.
 """
 
 from __future__ import annotations
@@ -31,7 +26,7 @@ import enum
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -63,20 +58,9 @@ PHYSICS_MODULES = (
     "errors.py",
 )
 
-#: Paths (relative to the ``repro`` package) that rack-cell runs
-#: additionally depend on: the fleet layer (machines, balancers,
-#: scheduling policies, the experiments themselves), health monitoring,
-#: and the SLO scorer.  Kept separate from :data:`PHYSICS_MODULES` so
-#: editing them never invalidates cached figure sweeps (the machine
-#: wiring, ``fleet/machine.py``, is physics as well).
-FLEET_MODULES = (
-    "fleet",
-    "health",
-    "analysis",
-)
-
-_fingerprint_cache: Optional[str] = None
-_fleet_fingerprint_cache: Optional[str] = None
+#: code tuple -> its fingerprint: a process keys every run by the
+#: source it hashed first.
+_fingerprints: Dict[Tuple[str, ...], str] = {}
 
 
 def freeze(value: Any) -> Any:
@@ -110,15 +94,20 @@ def freeze(value: Any) -> Any:
     )
 
 
-def _hash_modules(entries) -> str:
-    """SHA-256 over the named package source trees.
+def code_fingerprint(code: Sequence[str] = PHYSICS_MODULES) -> str:
+    """SHA-256 over the package source trees ``code`` names (memoised
+    per tuple).
 
     Files are hashed in sorted relative-path order together with their
     paths, so renames and content edits both change the fingerprint.
     """
+    code = tuple(code)
+    fingerprint = _fingerprints.get(code)
+    if fingerprint is not None:
+        return fingerprint
     package_root = Path(__file__).resolve().parent.parent
     digest = hashlib.sha256()
-    for entry in entries:
+    for entry in code:
         path = package_root / entry
         if path.is_file():
             files = [path]
@@ -131,29 +120,8 @@ def _hash_modules(entries) -> str:
             digest.update(b"\0")
             digest.update(source.read_bytes())
             digest.update(b"\0")
-    return digest.hexdigest()
-
-
-def code_fingerprint() -> str:
-    """SHA-256 over the simulation-relevant source files (memoised)."""
-    global _fingerprint_cache
-    if _fingerprint_cache is None:
-        _fingerprint_cache = _hash_modules(PHYSICS_MODULES)
-    return _fingerprint_cache
-
-
-def fleet_fingerprint() -> str:
-    """SHA-256 over the fleet/health/analysis source files (memoised).
-
-    Folded into rack-cell cache keys (see :mod:`repro.fleet.cells`), so
-    editing a balancer, scheduling policy, health monitor, or the SLO
-    scorer invalidates cached rack cells without touching the far more
-    expensive figure-sweep entries.
-    """
-    global _fleet_fingerprint_cache
-    if _fleet_fingerprint_cache is None:
-        _fleet_fingerprint_cache = _hash_modules(FLEET_MODULES)
-    return _fleet_fingerprint_cache
+    fingerprint = _fingerprints[code] = digest.hexdigest()
+    return fingerprint
 
 
 def config_hash(config: Any) -> str:
@@ -168,23 +136,16 @@ def config_hash(config: Any) -> str:
 
 
 def spec_key(
-    kind: str, config: Any, params: Any, *, extra_code: Optional[str] = None
+    kind: str, config: Any, params: Any, *, code: Sequence[str] = PHYSICS_MODULES
 ) -> str:
-    """The cache key for one run: hash of (schema, code, kind, inputs).
-
-    ``extra_code``, when given, is an additional code fingerprint the
-    run depends on (rack cells pass :func:`fleet_fingerprint`).  It is
-    folded into the document only when present, so keys of runs without
-    one are unchanged from earlier layouts.
-    """
+    """The cache key for one run: hash of (schema, code, kind, inputs),
+    where ``code`` names the source trees the run's kind declared."""
     document = {
         "schema": CACHE_SCHEMA_VERSION,
-        "code": code_fingerprint(),
+        "code": code_fingerprint(code),
         "kind": kind,
         "config": freeze(config),
         "params": freeze(params),
     }
-    if extra_code is not None:
-        document["extra_code"] = extra_code
     blob = json.dumps(document, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import multiprocessing
 import pickle
 import signal
@@ -78,6 +79,7 @@ from .cache import ResultCache
 from .failures import FailureReport
 from .hashing import spec_key
 from .journal import SweepJournal
+from .kinds import code_of, run_kind
 from .policy import PERMANENT, TIMEOUT, RetryPolicy, error_lineage
 
 
@@ -87,23 +89,17 @@ class RunSpec:
     parameters.  Must be picklable (it crosses process boundaries) and
     stably hashable via :func:`~repro.runtime.hashing.spec_key`."""
 
-    kind: str  # an executor name: "characterization" | "finite_cpuburn" | custom
+    kind: str  # a declared run kind (see repro.runtime.kinds)
     config: Any  # ExperimentConfig (typed loosely to keep this layer generic)
     params: Mapping[str, Any] = field(default_factory=dict)
     #: Fault armed for the *current attempt* (fault injection only).
     #: Excluded from equality and from :attr:`key`: an armed run is
     #: still the same run, cached under the same key.
     fault: Optional[FaultSpec] = field(default=None, compare=False)
-    #: Additional code fingerprint this run depends on beyond the base
-    #: physics fingerprint (rack cells carry the fleet fingerprint so a
-    #: fleet-layer edit invalidates exactly their cache entries).
-    extra_code: Optional[str] = None
 
     @property
     def key(self) -> str:
-        return spec_key(
-            self.kind, self.config, dict(self.params), extra_code=self.extra_code
-        )
+        return spec_key(self.kind, self.config, dict(self.params), code=code_of(self.kind))
 
 
 def characterization_spec(config: Any, **params: Any) -> RunSpec:
@@ -116,45 +112,9 @@ def finite_cpuburn_spec(config: Any, **params: Any) -> RunSpec:
     return RunSpec(kind="finite_cpuburn", config=config, params=params)
 
 
-# ----------------------------------------------------------------------
-# Executor registry
-# ----------------------------------------------------------------------
-_EXECUTORS: Dict[str, Callable[..., Any]] = {}
-
-
-def register_executor(kind: str, fn: Callable[..., Any]) -> None:
-    """Register a run kind: ``fn(config, **params) -> picklable result``.
-
-    The built-in kinds are registered lazily; custom kinds let callers
-    batch their own run functions through the same pool/cache plumbing
-    (with ``fork`` workers the registration is inherited automatically).
-    """
-    _EXECUTORS[kind] = fn
-
-
-def _resolve_executor(kind: str) -> Callable[..., Any]:
-    if kind not in _EXECUTORS:
-        # Lazy so importing repro.runtime never triggers (and can never
-        # cycle with) the repro.experiments package import.
-        from ..experiments.runner import run_characterization, run_finite_cpuburn
-
-        _EXECUTORS.setdefault("characterization", run_characterization)
-        _EXECUTORS.setdefault("finite_cpuburn", run_finite_cpuburn)
-    if kind == "rack-cell" and kind not in _EXECUTORS:
-        # Same lazy pattern for the fleet layer: importing the module
-        # registers the executor (needed in spawn-context workers,
-        # where the parent's registration is not inherited).
-        from ..fleet import cells  # noqa: F401 - import registers the kind
-
-    try:
-        return _EXECUTORS[kind]
-    except KeyError:
-        raise ConfigurationError(f"unknown run kind {kind!r}") from None
-
-
 def execute_spec(spec: RunSpec) -> Any:
     """Run one spec in the current process (faults not applied)."""
-    return _resolve_executor(spec.kind)(spec.config, **spec.params)
+    return run_kind(spec.kind).executor(spec.config, **spec.params)
 
 
 def _payload_digest(result: Any) -> str:
@@ -397,8 +357,10 @@ class ParallelRunner:
     ):
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-        if timeout is not None and timeout <= 0:
-            raise ConfigurationError(f"timeout must be > 0 seconds, got {timeout}")
+        if timeout is not None and not 0 < timeout < math.inf:
+            raise ConfigurationError(
+                f"timeout must be a finite number of seconds > 0, got {timeout}"
+            )
         self.jobs = jobs
         self.cache = cache
         self.progress = progress
@@ -430,8 +392,7 @@ class ParallelRunner:
         specs = list(specs)
         total = len(specs)
         plan = self.fault_plan.resolve(total) if self.fault_plan is not None else None
-        self.metrics.submitted += total
-        self._metric_scope.counter("submitted").inc(total)
+        self._count("submitted", total)
         results: List[Any] = [None] * total
         state = {"done": 0}
         #: index -> per-run metrics snapshot; merged in submission
@@ -448,15 +409,13 @@ class ParallelRunner:
 
         def complete(task: _Task, result: Any, snapshot: Optional[Dict[str, Any]], source: str) -> None:
             results[task.index] = result
-            self.metrics.executed += 1
-            self.metrics.completed += 1
-            self._metric_scope.counter("executed").inc()
-            self._metric_scope.counter("completed").inc()
+            self._count("executed")
+            self._count("completed")
             if snapshot is not None:
                 snapshots[task.index] = snapshot
             if task.key is not None and self.cache is not None:
                 self.cache.put(task.key, result)
-                self.metrics.cache_stores += 1
+                self._count("cache_stores")
                 if (
                     plan is not None
                     and task.index in plan.poison_targets
@@ -475,14 +434,11 @@ class ParallelRunner:
             ("failed", 0) for a kept-going terminal failure.  A terminal
             failure without keep_going raises ExecutionError."""
             classification = self.retry_policy.classify(info["lineage"])
-            self.metrics.failures += 1
-            self._metric_scope.counter("failures").inc()
+            self._count("failures")
             if classification == TIMEOUT:
-                self.metrics.timeouts += 1
-                self._metric_scope.counter("timeouts").inc()
+                self._count("timeouts")
             if classification == PERMANENT:
-                self.metrics.permanent_failures += 1
-                self._metric_scope.counter("permanent_failures").inc()
+                self._count("permanent_failures")
             self.failure_report.record(
                 index=task.index,
                 kind=task.spec.kind,
@@ -496,18 +452,15 @@ class ParallelRunner:
             )
             if self.retry_policy.should_retry(classification, task.attempt):
                 delay = self.retry_policy.backoff(task.attempt, task.key or task.spec.kind)
-                self.metrics.retries += 1
-                self.metrics.backoff_seconds += delay
-                self._metric_scope.counter("retries").inc()
-                self._metric_scope.counter("backoff_seconds").inc(delay)
+                self._count("retries")
+                self._count("backoff_seconds", delay)
                 return "retry", delay
             if self.journal is not None:
                 self.journal.record_failure(
                     task.key, info["error_type"], info["message"]
                 )
             if self.keep_going:
-                self.metrics.abandoned += 1
-                self._metric_scope.counter("abandoned").inc()
+                self._count("abandoned")
                 finish(task.index, "failed", task.spec)
                 return "failed", 0.0
             raise ExecutionError(
@@ -528,14 +481,11 @@ class ParallelRunner:
                 results[index] = hit
                 if key in replayable:
                     source = "replay"
-                    self.metrics.replayed += 1
-                    self._metric_scope.counter("replayed").inc()
+                    self._count("replayed")
                 else:
                     source = "cache"
-                    self.metrics.cache_hits += 1
-                    self._metric_scope.counter("cache_hits").inc()
-                self.metrics.completed += 1
-                self._metric_scope.counter("completed").inc()
+                    self._count("cache_hits")
+                self._count("completed")
                 if self.journal is not None:
                     self.journal.record_done(key, source)
                 finish(index, source, spec)
@@ -718,18 +668,12 @@ class ParallelRunner:
             raise
 
     # ------------------------------------------------------------------
-    # Typed conveniences
-    # ------------------------------------------------------------------
-    def run_finite_cpuburns(
-        self, specs: Sequence[Tuple[Any, Mapping[str, Any]]]
-    ) -> List[Any]:
-        """Batch :func:`run_finite_cpuburn` over (config, params) pairs
-        (configs vary per run in the validation experiments)."""
-        return self.run(
-            [finite_cpuburn_spec(config, **params) for config, params in specs]
-        )
+    def _count(self, name: str, amount: float = 1) -> None:
+        """Bump one :class:`RunnerMetrics` field and its
+        ``runtime.runner.<name>`` telemetry counter together."""
+        setattr(self.metrics, name, getattr(self.metrics, name) + amount)
+        self._metric_scope.counter(name).inc(amount)
 
-    # ------------------------------------------------------------------
     def _emit(self, index: int, done: int, total: int, source: str, spec: RunSpec) -> None:
         if self.progress is not None:
             self.progress(ProgressEvent(index=index, done=done, total=total, source=source, spec=spec))

@@ -84,9 +84,9 @@ def test_main_runs_single_experiment(capsys, tmp_path, monkeypatch):
 
 
 def test_batch_flags_rejected_for_single_machine_experiments(capsys):
-    # fig1/fig2/fig5/fig6 run every event on one simulated machine;
-    # batch flags would be silently ignored there, so asking for them
-    # is a usage error (exit 2), not a no-op.
+    # fig1/fig2/fig5/fig6 build their machines outside the batch
+    # runtime; batch flags would be silently ignored there, so asking
+    # for them is a usage error (exit 2), not a no-op.
     assert main(["fig1", "--jobs", "2"]) == 2
     captured = capsys.readouterr()
     assert "error:" in captured.err
@@ -271,6 +271,9 @@ def test_make_runner_rejects_bad_robustness_flags(tmp_path):
         make_runner(use_cache=False, resume=True)
     with pytest.raises(ConfigurationError):
         make_runner(cache_dir=str(tmp_path), use_cache=True, inject_faults="nope")
+    for timeout in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(ConfigurationError, match="timeout"):
+            make_runner(use_cache=False, timeout=timeout)
 
 
 def test_main_reports_flag_conflicts_as_exit_2(capsys):
@@ -497,6 +500,18 @@ def test_bad_health_period_exits_2_before_running(monkeypatch, capsys, period):
     assert main(["fig2", "--health-period", period]) == 2
     captured = capsys.readouterr()
     assert "health monitor period" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("timeout", ["nan", "inf", "0"])
+def test_bad_timeout_exits_2_before_running(monkeypatch, capsys, timeout):
+    def smoke(config, runner=None):
+        pytest.fail(f"smoke ran with --timeout {timeout}")
+
+    monkeypatch.setitem(EXPERIMENTS, "smoke", ("stub", smoke))
+    assert main(["smoke", "--no-cache", "--timeout", timeout]) == 2
+    captured = capsys.readouterr()
+    assert "timeout must be" in captured.err
     assert "Traceback" not in captured.err + captured.out
 
 

@@ -103,15 +103,21 @@ def test_finite_run_rejects_bad_input():
         run_finite_cpuburn(CFG, total_cpu=0.0)
 
 
-def test_characterization_rejects_non_positive_duration():
+def test_characterization_rejects_non_positive_duration(monkeypatch):
     """An explicit duration=0.0 is an error, not a request for the
-    config default."""
+    config default; a non-finite one is rejected too, before any
+    machine is built."""
     from repro.errors import ConfigurationError
+    from repro.experiments import runner
 
     with pytest.raises(ConfigurationError):
         run_characterization(CFG, duration=0.0)
     with pytest.raises(ConfigurationError):
         run_characterization(CFG, duration=-5.0)
+    monkeypatch.setattr(runner, "Machine", lambda *a, **k: pytest.fail("machine built"))
+    for duration in (float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match="finite"):
+            run_characterization(CFG, duration=duration)
 
 
 def test_characterization_none_duration_uses_config_default():

@@ -1,10 +1,10 @@
 """Tests for rack cells: the fleet experiments' batchable unit of work.
 
-Covers the cache-key contract (every cell parameter and the fleet code
-fingerprint participate; the physics fingerprint alone does not pick up
-fleet edits), the JSON cache codec round trip, and the equivalence
-guarantees: runner path == direct call, pooled == serial, cached
-replay == fresh execution with zero simulations.
+Covers the cache-key contract (every cell parameter and the fleet
+source trees participate; a fleet edit leaves physics-only keys alone),
+the JSON cache round trip, and the equivalence guarantees: runner path
+== direct call, pooled == serial, cached replay == fresh execution with
+zero simulations.
 """
 
 import dataclasses
@@ -14,16 +14,16 @@ import pytest
 from repro.errors import ExecutionError
 from repro.experiments import fast_config
 from repro.fleet.cells import (
+    FLEET_MODULES,
     RACK_CELL_KIND,
     RackCellResult,
     rack_cell_spec,
     require_cells,
-    run_cells,
     run_rack_cell,
 )
 from repro.health import HealthParams
-from repro.runtime import ParallelRunner, ResultCache, fleet_fingerprint
-from repro.runtime.hashing import FLEET_MODULES, PHYSICS_MODULES
+from repro.runtime import ParallelRunner, ResultCache, code_fingerprint, run_kind
+from repro.runtime.hashing import PHYSICS_MODULES
 from repro.runtime.parallel import execute_spec
 from repro.telemetry import isolated
 
@@ -74,14 +74,32 @@ def test_seed_changes_the_key(config):
     assert rack_cell_spec(config, **CELL).key != rack_cell_spec(other, **CELL).key
 
 
+def _edit_source(monkeypatch, *relative):
+    """Make the fingerprint see ``# edited`` appended to one source
+    file (path relative to the ``repro`` package), with a fresh memo."""
+    from pathlib import Path
+
+    from repro.runtime import hashing
+
+    edited = Path(hashing.__file__).resolve().parent.parent.joinpath(*relative)
+    assert edited.is_file(), edited
+    read_bytes = Path.read_bytes
+    monkeypatch.setattr(
+        Path,
+        "read_bytes",
+        lambda path: read_bytes(path) + (b"# edited" if path == edited else b""),
+    )
+    monkeypatch.setattr(hashing, "_fingerprints", {})
+
+
 def test_fleet_code_edit_invalidates_rack_cells_only(config, monkeypatch):
     """A fleet-layer edit must change rack-cell keys without touching
     the figure sweeps', whose entries are far more expensive."""
-    from repro.runtime import characterization_spec, hashing
+    from repro.runtime import characterization_spec
 
     cell_before = rack_cell_spec(config, **CELL).key
     sweep_before = characterization_spec(config, p=0.5).key
-    monkeypatch.setattr(hashing, "_fleet_fingerprint_cache", "0" * 64)
+    _edit_source(monkeypatch, "fleet", "balancer.py")
     assert rack_cell_spec(config, **CELL).key != cell_before
     assert characterization_spec(config, p=0.5).key == sweep_before
 
@@ -89,31 +107,22 @@ def test_fleet_code_edit_invalidates_rack_cells_only(config, monkeypatch):
 def test_machine_wiring_edit_invalidates_figure_sweeps(config, monkeypatch):
     """Every single-machine run executes the fleet wiring module, so an
     edit there must change characterization keys."""
-    from pathlib import Path
+    from repro.runtime import characterization_spec
 
-    from repro.runtime import characterization_spec, hashing
-
-    wiring = Path(hashing.__file__).resolve().parent.parent / "fleet" / "machine.py"
     sweep_before = characterization_spec(config, p=0.5).key
-    read_bytes = Path.read_bytes
-    monkeypatch.setattr(
-        Path,
-        "read_bytes",
-        lambda path: read_bytes(path) + (b"# edited" if path == wiring else b""),
-    )
-    monkeypatch.setattr(hashing, "_fingerprint_cache", None)
+    _edit_source(monkeypatch, "fleet", "machine.py")
     assert characterization_spec(config, p=0.5).key != sweep_before
 
 
-def test_fleet_fingerprint_is_distinct_from_physics(config):
-    from repro.runtime import code_fingerprint
-
-    assert fleet_fingerprint() != code_fingerprint()
-    assert len(fleet_fingerprint()) == 64
-    # The two module sets must not overlap: an edit belongs to exactly
-    # one fingerprint, so it invalidates exactly one class of entries.
+def test_fleet_fingerprint_is_distinct_from_physics():
+    """Rack cells are keyed by the physics and fleet trees together;
+    the two sets must not overlap, so an edit to a fleet-only module
+    invalidates exactly one class of entries."""
+    declared = run_kind(RACK_CELL_KIND).code
+    assert declared == PHYSICS_MODULES + FLEET_MODULES
     assert not set(FLEET_MODULES) & set(PHYSICS_MODULES)
-    assert rack_cell_spec(config, **CELL).extra_code == fleet_fingerprint()
+    assert code_fingerprint(declared) != code_fingerprint(PHYSICS_MODULES)
+    assert len(code_fingerprint(declared)) == 64
 
 
 # ======================================================================
@@ -200,8 +209,6 @@ def test_runner_path_equals_direct_call(config):
     direct = execute_spec(spec)
     [via_runner] = ParallelRunner(jobs=1).run([spec])
     assert direct == via_runner
-    [rerun] = run_cells(None, [spec])
-    assert rerun == direct
 
 
 def test_pooled_cells_match_serial(config):
@@ -251,6 +258,6 @@ def test_require_cells_raises_on_missing(config):
 
 
 def test_rack_cell_executor_is_registered():
-    from repro.runtime.parallel import _resolve_executor
-
-    assert _resolve_executor(RACK_CELL_KIND) is run_rack_cell
+    declared = run_kind(RACK_CELL_KIND)
+    assert declared.executor is run_rack_cell
+    assert declared.result is RackCellResult

@@ -1,9 +1,15 @@
 """Tests for the on-disk result cache: round-trips, misses, corruption."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.experiments import (
     CharacterizationResult,
     FiniteRunResult,
@@ -197,3 +203,66 @@ def test_telemetry_counters_track_lookup_outcomes(tmp_path):
 def test_uncacheable_type_raises(cache):
     with pytest.raises(TypeError):
         cache.put("9" * 64, object())
+
+
+# ----------------------------------------------------------------------
+# Run-kind declarations in a fresh process
+# ----------------------------------------------------------------------
+def test_fresh_runtime_import_resolves_and_caches_every_builtin_kind(tmp_path):
+    """Importing only ``repro.runtime`` declares all three built-in
+    kinds (``import repro`` runs first and imports their modules), so a
+    process that never names the experiments or the fleet still runs
+    and round-trips their cached results."""
+    script = textwrap.dedent(
+        """
+        import sys
+
+        from repro.runtime import ResultCache, run_kind
+
+        executors = {
+            "characterization": "run_characterization",
+            "finite_cpuburn": "run_finite_cpuburn",
+            "rack-cell": "run_rack_cell",
+        }
+        for kind, name in executors.items():
+            assert run_kind(kind).executor.__name__ == name, kind
+
+        samples = {
+            "characterization": run_kind("characterization").result(
+                workload="cpuburn", p=0.5, idle_quantum=0.01, duration=10.0,
+                mean_temp=40.1, temp_rise=8.1, idle_temp=32.0, work=17.9,
+                energy=512.25, details={"dispatches": 7.0},
+            ),
+            "finite_cpuburn": run_kind("finite_cpuburn").result(
+                p=0.25, idle_quantum=0.05, total_cpu=1.0, runtimes=[1.3, 1.4],
+                energy=80.5, window=1.4, mean_schedules=12.0,
+            ),
+            "rack-cell": run_kind("rack-cell").result.from_payload({
+                "run": {
+                    "qos_good": 0.9, "qos_tolerable": 0.99, "mean_response": 0.2,
+                    "mean_temp": 41.0, "peak_temp": 44.5, "energy": 900.0,
+                    "work_done": 30.0, "requests": 120,
+                },
+                "idle_mean_temp": 33.0,
+                "health": {"totals": {"alerts": 0}},
+            }),
+        }
+        cache = ResultCache(sys.argv[1])
+        for index, (kind, result) in enumerate(samples.items()):
+            key = f"{index}" * 64
+            cache.put(key, result)
+            loaded = ResultCache(sys.argv[1]).get(key)
+            assert type(loaded) is type(result) and loaded == result, kind
+        print("ok")
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "ok"

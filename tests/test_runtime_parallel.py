@@ -61,9 +61,9 @@ def test_results_returned_in_submission_order():
 
 
 def test_finite_runs_through_pool():
-    pairs = [(CFG, {"total_cpu": 0.5}), (CFG.with_seed(1), {"total_cpu": 0.5})]
-    serial = ParallelRunner(jobs=1).run_finite_cpuburns(pairs)
-    parallel = ParallelRunner(jobs=2).run_finite_cpuburns(pairs)
+    specs = [finite_cpuburn_spec(CFG, total_cpu=0.5), finite_cpuburn_spec(CFG.with_seed(1), total_cpu=0.5)]
+    serial = ParallelRunner(jobs=1).run(specs)
+    parallel = ParallelRunner(jobs=2).run(specs)
     assert [r.runtimes for r in serial] == [r.runtimes for r in parallel]
 
 
