@@ -31,18 +31,21 @@ is integrated yet; segments queue per node.
 Integration happens when temperatures or energy are actually needed
 (a temperature-log sample, a health-monitor sample, a power-meter read,
 a ``core_temps`` read, or the end of :meth:`FleetMachine.run`): the
-drain walks the nodes in index order and advances every queued segment
-of each, in time order, on its own machine — one fused call per
-segment, with that segment's own coefficients and step kernel, through
-the code a fleet of one runs.  Deferring is sound because power
-coefficients are segment constants: they capture the chip state at
-recording time and do not depend on when the integral is evaluated.
-No segment shares arithmetic with another machine's, so an N-machine
-fleet is bit-identical to N fleets of one by construction, whoever
-triggers a drain and whatever else is queued at that moment.
+drain advances every queued segment, each node's queue in time order,
+on its own machine with that segment's own coefficients and step
+kernel.  With one node pending (always, in a fleet of one) that is one
+fused call per segment; with several, one rounds call advances all the
+pending machines together, one stacked matmul per substep, and gives
+the same floats.  Deferring is sound because power coefficients are
+segment constants: they capture the chip state at recording time and
+do not depend on when the integral is evaluated.  No segment shares
+arithmetic with another machine's, so an N-machine fleet is
+bit-identical to N fleets of one by construction, whoever triggers a
+drain and whatever else is queued at that moment.
 
 Telemetry (shared registry, additive across nodes): the integrator's
-``fleet.machines`` / ``fleet.substeps`` / ``fleet.advance_wall``, plus
+``fleet.machines`` / ``fleet.substeps`` / ``fleet.rounds`` /
+``fleet.round_substeps`` / ``fleet.advance_wall``, plus
 ``fleet.segments`` (recorded pieces) and ``fleet.drains`` from this
 module.
 """
@@ -379,24 +382,39 @@ class FleetMachine:
         self._metric_segments.value += recorded
 
     def _drain(self) -> None:
-        """Integrate every recorded segment, one advance per segment.
+        """Integrate every recorded segment, each node's queue in time
+        order.
 
-        Nodes are walked in index order and each node's queue in time
-        order.  Every segment advances its own machine on its own
-        coefficients and step kernel, the code a fleet of one runs, so
-        no machine's floats depend on what its neighbours queued.
+        With one node pending, every segment is one
+        :meth:`~repro.thermal.rcnetwork.FleetThermalIntegrator.advance_machines`
+        call.  With several, all queues go to one
+        :meth:`~repro.thermal.rcnetwork.FleetThermalIntegrator.advance_rounds`
+        call, which advances the machines together and is bit-identical
+        to the per-segment calls.  Either way every segment advances its
+        own machine on its own coefficients and step kernel, so no
+        machine's floats depend on what its neighbours queued.
         """
-        nodes = self.nodes
-        if not any(node.pending for node in nodes):
+        busy = [node for node in self.nodes if node.pending]
+        if not busy:
             return
-        advance = self.integrator.advance_machines
-        for j, node in enumerate(nodes):
+        if len(busy) == 1:
+            (node,) = busy
+            advance = self.integrator.advance_machines
             pending = node.pending
             record = node.powermeter.record_segment
             while pending:
                 start, length, coefficients = pending.popleft()
-                (energy,) = advance((j,), length, coefficients)
+                (energy,) = advance((node.index,), length, coefficients)
                 record(start, length, energy / length)
+        else:
+            energies = self.integrator.advance_rounds(
+                [[(length, c) for _, length, c in node.pending] for node in self.nodes]
+            )
+            for node, node_energies in zip(self.nodes, energies):
+                record = node.powermeter.record_segment
+                for (start, length, _), energy in zip(node.pending, node_energies):
+                    record(start, length, energy / length)
+                node.pending.clear()
         self._metric_drains.inc()
 
     def _sync(self, index: int) -> None:

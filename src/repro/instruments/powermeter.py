@@ -94,7 +94,10 @@ class PowerMeter:
     # ------------------------------------------------------------------
     def energy(self, start: float = -np.inf, end: float = np.inf) -> float:
         """Exact energy (J) delivered in [start, end], pro-rating
-        segments that straddle the window edges."""
+        segments that straddle the window edges.  A NaN bound or
+        ``end < start`` raises :class:`~repro.errors.AnalysisError`."""
+        if not start <= end:  # also rejects NaN
+            raise AnalysisError(f"energy needs start <= end, got [{start}, {end}]")
         starts, durations, powers = self.segments()
         if starts.size == 0:
             return 0.0

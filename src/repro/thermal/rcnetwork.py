@@ -36,11 +36,11 @@ gemv, cheap enough to build afresh for every substep length (idle
 injection on desynchronised machines produces a new one almost every
 time), so nothing is cached.
 
-There is one advance loop, :func:`_fused_advance`: per substep one
+The scalar advance loop is :func:`_fused_advance`: per substep one
 elementwise leakage chain plus one gemv of the stacked step kernel
 into preallocated buffers, no allocation and no per-core Python work.
-:meth:`FleetThermalIntegrator.advance_machines` runs it for every
-simulated machine; :meth:`ThermalIntegrator.advance_coefficients` runs
+:meth:`FleetThermalIntegrator.advance_machines` runs it for one
+machine-segment; :meth:`ThermalIntegrator.advance_coefficients` runs
 it for one chip and backs :meth:`ThermalIntegrator.settle`'s fallback.
 Its reference is a scalar oracle kept with the tests (a Python power
 callback re-evaluated per substep plus a ``steady_state`` solve), which
@@ -50,8 +50,13 @@ pins the fused loop to 1e-9 °C.
 network (a rack of identical servers, or a single server as a rack of
 one): the whole fleet's temperature state is a single ``(N, nodes)``
 array, and each recorded segment advances its own machine's row with
-its own step kernel.  Every advance builds its kernel through
-:meth:`ThermalNetwork.step_kernel`.
+its own step kernel.  :meth:`FleetThermalIntegrator.advance_rounds`
+advances several machines' queues together: it builds every kernel in
+one :meth:`ThermalNetwork.step_kernels` batch and runs substep ``r``
+of every machine that has one as the same leakage chain on stacked
+rows plus one stacked matmul, whose items are the scalar loop's gemvs,
+so it is bit-identical to one :meth:`~FleetThermalIntegrator.advance_machines`
+call per segment.
 """
 
 from __future__ import annotations
@@ -212,6 +217,29 @@ class ThermalNetwork:
         kernel += self._kernel_limit
         return kernel.reshape(self.num_nodes, -1)
 
+    def step_kernels(self, lengths: Sequence[float]) -> np.ndarray:
+        """:meth:`step_kernel` of every length in one batch, shape
+        ``(len(lengths), n, 2n+1)``.
+
+        Row ``s`` equals ``step_kernel(lengths[s])`` bit for bit: the
+        same Python nanosecond rounding, the same elementwise ``exp``,
+        and per row the same vector-matrix gemv against the modes (a
+        stack of ``(1, n) @ (n, n·(2n+1))`` products, not one gemm,
+        whose blocking would reorder the sums).
+        """
+        hs = np.array([round(float(h), 9) for h in lengths])
+        decay = np.exp(-hs[:, None] * self._rates)
+        kernels = decay[:, None, :] @ self._kernel_modes
+        kernels += self._kernel_limit
+        return kernels.reshape(len(hs), self.num_nodes, -1)
+
+
+def _check_duration(duration: float) -> None:
+    if not 0 < duration < math.inf:  # also rejects NaN
+        raise ConfigurationError(
+            f"advance needs a finite positive duration, got {duration}"
+        )
+
 
 def _state_buffers(nodes: int):
     """Scratch for :func:`_fused_advance`: two stacked ``[T; P; 1]``
@@ -303,7 +331,7 @@ class ThermalIntegrator:
     def advance_coefficients(
         self, duration: float, coefficients: "PowerCoefficients"
     ) -> float:
-        """Integrate forward by ``duration`` seconds (≥ 0) on ``coefficients``.
+        """Integrate forward by ``duration`` seconds (finite, ≥ 0) on ``coefficients``.
 
         ``coefficients`` is the segment-constant affine-exponential power
         decomposition (:class:`repro.cpu.power.PowerCoefficients`, or
@@ -314,8 +342,10 @@ class ThermalIntegrator:
         agree bit for bit.  Returns the joules delivered over the
         interval; :attr:`temps` holds the end-of-interval temperatures.
         """
-        if not duration >= 0:  # also rejects NaN
-            raise ConfigurationError(f"cannot integrate a negative duration {duration}")
+        if not 0 <= duration < math.inf:  # also rejects NaN
+            raise ConfigurationError(
+                f"cannot integrate duration {duration}: needs a finite duration >= 0"
+            )
         if duration == 0:
             return 0.0
         _, end_temps, energy = _fused_advance(
@@ -376,13 +406,18 @@ class FleetThermalIntegrator:
     ``j``'s nodes are row ``j``, in the same node order a standalone
     :class:`ThermalIntegrator` uses.  :meth:`advance_machines` moves one
     machine forward through :func:`_fused_advance`, the code
-    :meth:`ThermalIntegrator.advance_coefficients` runs, so a machine's
-    row depends only on its own segments: an ``N``-machine fleet is
-    bit-identical to ``N`` fleets of one by construction.
+    :meth:`ThermalIntegrator.advance_coefficients` runs;
+    :meth:`advance_rounds` moves several machines through their queues
+    together, bit-identical to one :meth:`advance_machines` call per
+    segment.  Either way a machine's row depends only on its own
+    segments: an ``N``-machine fleet is bit-identical to ``N`` fleets of
+    one by construction.
 
     Telemetry (``fleet`` scope): ``machines`` gauge, ``substeps``
     counter in *chip-substeps* (additive across machines and fleet
-    sizes), and the ``advance_wall`` timer over every advance: the
+    sizes), ``rounds`` and ``round_substeps`` counters (rounds run by
+    :meth:`advance_rounds` and the machine-substeps inside them), and
+    the ``advance_wall`` timer, one entry per advance call: the
     simulation's only thermal counters.
     """
 
@@ -418,6 +453,8 @@ class FleetThermalIntegrator:
         scope.gauge("machines").set(num_machines)
         self._metric_substeps = scope.counter("substeps")
         self._metric_advance_wall = scope.timer("advance_wall")
+        self._metric_rounds = scope.counter("rounds")
+        self._metric_round_substeps = scope.counter("round_substeps")
         self._buffers = _state_buffers(n)
 
     # ------------------------------------------------------------------
@@ -433,16 +470,21 @@ class FleetThermalIntegrator:
     ) -> Tuple[float]:
         """Advance one machine by ``duration`` on its own coefficients.
 
+        A drain with one machine pending calls this once per segment;
+        one with several pending calls :meth:`advance_rounds`, which
+        gives the same floats.
+
         Parameters
         ----------
         machines:
-            ``(j,)``: the row of the one machine to advance.  It stays a
-            sequence because ``perfbench/tracing.py`` patches this method
-            as a layer boundary and reads ``len(machines)`` as the
-            advance's width; any other length raises
+            ``(j,)``: the row of the one machine to advance, with
+            ``0 <= j < num_machines``.  It stays a sequence because
+            ``perfbench/tracing.py`` patches this method as a layer
+            boundary and reads ``len(machines)`` as the advance's width;
+            any other length, or a row outside the fleet, raises
             :class:`~repro.errors.ConfigurationError`.
         duration:
-            Interval length, seconds (> 0).
+            Interval length, seconds (finite, > 0).
         coefficients:
             The machine's :class:`repro.cpu.power.PowerCoefficients`
             for the interval.
@@ -456,10 +498,13 @@ class FleetThermalIntegrator:
             raise ConfigurationError(
                 f"advance_machines advances one machine, got {len(machines)}"
             )
-        if not duration > 0:
-            raise ConfigurationError(f"advance needs a positive duration, got {duration}")
-        started = perf_counter()
         (machine,) = machines
+        if not 0 <= machine < self.num_machines:
+            raise ConfigurationError(
+                f"machine {machine} is not in this fleet of {self.num_machines}"
+            )
+        _check_duration(duration)
+        started = perf_counter()
         n_steps, end_temps, energy = _fused_advance(
             self.network,
             self.max_substep,
@@ -472,3 +517,116 @@ class FleetThermalIntegrator:
         self._metric_substeps.value += n_steps
         self._metric_advance_wall.add(perf_counter() - started)
         return (energy,)
+
+    def advance_rounds(
+        self, queues: Sequence[Sequence[Tuple[float, "PowerCoefficients"]]]
+    ) -> List[List[float]]:
+        """Advance every machine through its own queue of segments, all
+        machines together, bit-identical to one :meth:`advance_machines`
+        call per segment.
+
+        ``queues[j]`` is machine ``j``'s ``(duration, coefficients)``
+        segments in time order, one queue per machine; an empty queue
+        leaves its row untouched.  Every segment is split into the
+        substeps :func:`_fused_advance` would take, and the kernels of all
+        distinct substep lengths are built in one
+        :meth:`ThermalNetwork.step_kernels` batch.
+        Machines are sorted by total substep count, longest first, so
+        the machines still running in round ``r`` are a prefix of that
+        order.  Round ``r`` advances each of them by its ``r``-th
+        substep: the five-op leakage chain on the stacked ``(K, nodes)``
+        powers, then one stacked matmul whose every item is the gemv
+        ``dot(kernel, state)`` of the scalar loop.  Each substep's power
+        is logged, and a segment's energy is the in-order sum of its
+        substeps' powers times its ``h``, as in the scalar loop.
+
+        Returns each machine's segment energies (J), in queue order.
+        """
+        if len(queues) != self.num_machines:
+            raise ConfigurationError(
+                f"advance_rounds needs one queue per machine ({self.num_machines}), "
+                f"got {len(queues)}"
+            )
+        segments = [c for queue in queues for _, c in queue]
+        if not segments:
+            return [[] for _ in queues]
+        started = perf_counter()
+        durations = np.array([d for queue in queues for d, _ in queue])
+        bad = durations[~((durations > 0) & (durations < math.inf))]
+        if bad.size:
+            _check_duration(float(bad[0]))
+        # _fused_advance's split, elementwise: the same float ops.
+        seg_steps = np.maximum(
+            1, np.ceil(durations / self.max_substep - 1e-12)
+        ).astype(np.intp)
+        hs = durations / seg_steps
+
+        # Segment ids are queue order; machines are sorted longest first.
+        first = np.cumsum([0] + [len(queue) for queue in queues])
+        step_ends = np.concatenate([[0], np.cumsum(seg_steps)])
+        counts = step_ends[first[1:]] - step_ends[first[:-1]]
+        order = [j for j in np.argsort(-counts, kind="stable").tolist() if queues[j]]
+        counts = counts[order]
+        machine_segs = np.concatenate([np.arange(first[j], first[j + 1]) for j in order])
+        # Every machine-substep's segment, machine by machine, then
+        # regrouped round by round; round r is machines [0, widths[r]).
+        step_seg = np.repeat(machine_segs, seg_steps[machine_segs])
+        step_round = np.arange(len(step_seg)) - np.repeat(
+            np.cumsum(counts) - counts, counts
+        )
+        round_seg = step_seg[np.argsort(step_round, kind="stable")]
+        widths = np.searchsorted(-counts, -np.arange(counts[0]), side="left")
+        round_ends = np.cumsum(widths).tolist()
+
+        n = self.network.num_nodes
+        # One kernel per distinct length (about 60 % of segments on a rack).
+        lengths, round_kernel = np.unique(hs, return_inverse=True)
+        kernels = self.network.step_kernels(lengths.tolist())
+        round_kernel = round_kernel[round_seg]
+        terms = [c.fused_terms() for c in segments]
+        # Broadcast to full rows, so a round gathers all four in one take.
+        leak = np.empty((4, len(segments), n))
+        leak[0] = np.array([t[0] for t in terms])[:, None]
+        leak[1] = np.array([t[1] for t in terms])[:, None]
+        leak[2] = [t[2] for t in terms]
+        leak[3] = [c.base for c in segments]
+
+        # Two stacked [T; P; 1] states per machine, swapped every round.
+        states = np.zeros((2, len(order), 2 * n + 1))
+        states[0, :, :n] = self.temps[order]
+        states[:, :, 2 * n] = 1.0
+        state, other = states
+        power_log = np.empty((len(round_seg), n))
+        multiply, minimum, add, vexp, matmul = (
+            np.multiply, np.minimum, np.add, np.exp, np.matmul
+        )
+        leak_take, kernels_take = leak.take, kernels.take
+        lo = 0
+        for hi in round_ends:
+            k = hi - lo
+            ids = round_seg[lo:hi]
+            inv_slope, arg_cap, scaled_coef, base = leak_take(ids, axis=1)
+            p = power_log[lo:hi]
+            # P = base + scaled_coef * exp(min(T * inv_slope, arg_cap))
+            multiply(state[:k, :n], inv_slope, out=p)
+            minimum(p, arg_cap, out=p)
+            vexp(p, out=p)
+            multiply(p, scaled_coef, out=p)
+            add(p, base, out=p)
+            state[:k, n : 2 * n] = p
+            kernel = kernels_take(round_kernel[lo:hi], axis=0)
+            matmul(kernel, state[:k, :, None], out=other[:k, :n, None])
+            state, other = other, state
+            lo = hi
+        # Machine i's last round wrote states[counts[i] % 2].
+        self.temps[order] = states[counts % 2, np.arange(len(order)), :n]
+
+        acc = np.zeros((len(segments), n))
+        np.add.at(acc, round_seg, power_log)  # in round order per segment
+        energies = (acc.sum(axis=1) * hs).tolist()
+        total = len(round_seg)
+        self._metric_substeps.value += total
+        self._metric_rounds.value += len(round_ends)
+        self._metric_round_substeps.value += total
+        self._metric_advance_wall.add(perf_counter() - started)
+        return [energies[first[j] : first[j + 1]] for j in range(len(queues))]

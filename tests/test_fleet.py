@@ -1,10 +1,13 @@
 """Tests for the fleet layer: batched physics equivalence, the load
 balancer, telemetry additivity, and the CLI experiment."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.cli import EXPERIMENTS, supports_runner
+from repro.cpu.power import PowerCoefficients
 from repro.errors import ConfigurationError
 from repro.experiments import Machine, fast_config
 from repro.fleet import (
@@ -18,7 +21,7 @@ from repro.fleet.scheduling import MigrationPolicy, build_policy
 from repro.sim.process import PeriodicTask
 from repro.sim.rng import RngRegistry
 from repro.telemetry.registry import isolated
-from repro.thermal.rcnetwork import ThermalIntegrator
+from repro.thermal.rcnetwork import FleetThermalIntegrator, ThermalIntegrator
 from repro.workloads import CpuBurn
 from repro.workloads.webserver import Request, WebServer
 
@@ -181,6 +184,96 @@ def test_advance_machines_takes_one_machine_and_matches_single_chip_path():
     assert np.array_equal(integrator.temps[0], untouched)
 
 
+@pytest.mark.parametrize("machine", [-1, 2])
+def test_advance_machines_rejects_rows_outside_the_fleet(machine):
+    """Row -1 once silently advanced the last machine."""
+    fleet = FleetMachine(fast_config(0), machines=2)
+    _, coefficients = fleet.nodes[0].chip.power_segment(0.0)
+    before = fleet.integrator.temps.copy()
+    with pytest.raises(ConfigurationError):
+        fleet.integrator.advance_machines((machine,), 0.01, coefficients)
+    assert np.array_equal(fleet.integrator.temps, before)
+
+
+def test_non_finite_durations_are_rejected_by_every_advance():
+    """Infinity once died in ``math.ceil`` with an OverflowError."""
+    fleet = FleetMachine(fast_config(0), machines=2)
+    _, coefficients = fleet.nodes[0].chip.power_segment(0.0)
+    integrator = fleet.integrator
+    before = integrator.temps.copy()
+    for duration in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ConfigurationError):
+            integrator.advance_machines((0,), duration, coefficients)
+        with pytest.raises(ConfigurationError):
+            integrator.advance_rounds(
+                [[(0.01, coefficients)], [(0.02, coefficients), (duration, coefficients)]]
+            )
+    with pytest.raises(ConfigurationError):
+        integrator.advance_rounds([[(0.01, coefficients)]])  # one queue per machine
+    assert np.array_equal(integrator.temps, before)
+
+
+def _coefficient_mix(chip, count, rng):
+    """``count`` distinct coefficient sets around the chip's idle one."""
+    _, idle = chip.power_segment(0.0)
+    return [
+        PowerCoefficients(
+            base=idle.base + rng.uniform(0.0, 25.0, idle.base.shape),
+            leak_coef=idle.leak_coef * rng.uniform(0.5, 2.0),
+            leak_ref_temp=idle.leak_ref_temp,
+            leak_t_slope=idle.leak_t_slope,
+            leak_exp_cap=idle.leak_exp_cap,
+        )
+        for _ in range(count)
+    ]
+
+
+def test_advance_rounds_is_bit_identical_to_one_advance_per_segment():
+    """The rounds path equals per-segment ``advance_machines`` calls
+    exactly: temperatures with ``array_equal``, energies with ``==``."""
+    cfg = fast_config(0)
+    fleet = FleetMachine(cfg, machines=6)
+    rng = np.random.default_rng(7)
+    mix = _coefficient_mix(fleet.nodes[0].chip, 8, rng)
+    step = fleet.integrator.max_substep
+    queues = [
+        # Shorter than one substep, then several hundred substeps.
+        [(0.3 * step, mix[0]), (1.7, mix[1]), (0.0123, mix[2])],
+        [],  # nothing queued: the row must stay untouched
+        # Machines 2 and 3 tie at six substeps.
+        [(2 * step, mix[3]), (4 * step, mix[4])],
+        [(6 * step, mix[5])],
+        # Lengths a float-noise hair apart and a microsecond sliver.
+        [(step, mix[6]), (step + 3e-13, mix[6]), (2e-6, mix[7]), (step - 2e-13, mix[0])],
+        [(0.0371, mix[1])],
+    ]
+    initial = fleet.integrator.temps + rng.uniform(0.0, 20.0, fleet.integrator.temps.shape)
+
+    with isolated() as reg:
+        serial = FleetThermalIntegrator(
+            fleet.network, 6, initial_temps=initial, max_substep=step
+        )
+        expected = [
+            [serial.advance_machines((j,), d, c)[0] for d, c in queue]
+            for j, queue in enumerate(queues)
+        ]
+        serial_substeps = reg.value("fleet.substeps")
+    with isolated() as reg:
+        rounds = FleetThermalIntegrator(
+            fleet.network, 6, initial_temps=initial, max_substep=step
+        )
+        energies = rounds.advance_rounds(queues)
+        # Machine 0 runs 1 + 340 + 3 substeps, the most of any machine.
+        assert reg.value("fleet.rounds") == 344
+        assert reg.value("fleet.round_substeps") == serial_substeps
+        assert reg.value("fleet.substeps") == serial_substeps
+        assert reg.timer("fleet.advance_wall").count == 1
+    assert energies == expected
+    assert np.array_equal(rounds.temps, serial.temps)
+    assert np.array_equal(rounds.temps[1], initial[1])
+    assert rounds.advance_rounds([[] for _ in queues]) == [[] for _ in queues]
+
+
 # ======================================================================
 # Load balancer
 # ======================================================================
@@ -236,6 +329,9 @@ def test_fleet_telemetry_counts_chip_substeps_additively():
             _drive_burn(solo)
             solo.run(4.0)
             standalone_substeps += reg.value("fleet.substeps", 0)
+            # A fleet of one drains one advance per recorded segment.
+            assert reg.timer("fleet.advance_wall").count == reg.value("fleet.segments")
+            assert reg.value("fleet.rounds", 0) == 0
 
     with isolated() as reg:
         fleet = FleetMachine(cfg, machines=n)
@@ -244,9 +340,10 @@ def test_fleet_telemetry_counts_chip_substeps_additively():
         fleet.run(4.0)
         assert reg.value("fleet.machines") == n
         assert reg.value("fleet.substeps", 0) == standalone_substeps
-        # One advance per recorded segment.
+        # Drains that find both machines pending advance them in rounds.
         assert reg.value("fleet.segments", 0) > 0
-        assert reg.timer("fleet.advance_wall").count == reg.value("fleet.segments")
+        assert reg.value("fleet.rounds", 0) > 0
+        assert reg.value("fleet.round_substeps", 0) > reg.value("fleet.rounds")
         assert reg.value("fleet.drains", 0) > 0
         wall = reg.value("fleet.advance_wall")
         assert wall["total"] > 0.0 and wall["count"] > 0

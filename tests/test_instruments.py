@@ -38,6 +38,16 @@ def test_energy_empty():
     assert PowerMeter().energy() == 0.0
 
 
+@pytest.mark.parametrize(
+    "start, end", [(float("nan"), 1.0), (0.0, float("nan")), (2.0, 1.0)]
+)
+def test_energy_rejects_nan_and_reversed_windows(start, end):
+    meter = PowerMeter()
+    meter.record_segment(0.0, 4.0, 25.0)
+    with pytest.raises(AnalysisError):
+        meter.energy(start, end)
+
+
 def test_average_power():
     meter = PowerMeter()
     meter.record_segment(0.0, 4.0, 25.0)

@@ -114,6 +114,16 @@ def test_negative_duration_rejected():
         integ.advance_coefficients(-1.0, constant_power(1.0))
 
 
+@pytest.mark.parametrize("duration", [math.inf, math.nan])
+def test_non_finite_duration_rejected(duration):
+    """Infinity once died in ``math.ceil`` with an OverflowError."""
+    integ = ThermalIntegrator(one_node_network())
+    before = integ.temps.copy()
+    with pytest.raises(ConfigurationError):
+        integ.advance_coefficients(duration, constant_power(1.0))
+    assert np.array_equal(integ.temps, before)
+
+
 def test_invalid_substep_rejected():
     """Zero, negative and NaN substep caps are configuration errors at
     construction; NaN used to pass and fail mid-run in ``math.ceil``."""

@@ -163,6 +163,23 @@ def test_step_kernel_rounds_h_to_nanoseconds():
 
 
 @pytest.mark.parametrize("case", [_floorplan_case, _two_node_case], ids=["floorplan", "two-node"])
+def test_step_kernels_rows_equal_step_kernel_bitwise(case):
+    """The batch builder is the scalar builder row by row, bit for bit,
+    over seven decades of step length, including lengths that differ
+    from a neighbour only by sub-nanosecond float noise."""
+    net, _ = case()
+    lengths = list(np.geomspace(1e-7, 10.0, 300))
+    for h in (0.003, 5e-3, 0.01 / 3, 4.2e-6):
+        lengths += [h, h + 2e-13, h - 3e-13, h * (1 + 1e-15)]
+    batch = net.step_kernels(lengths)
+    assert batch.shape == (len(lengths), net.num_nodes, 2 * net.num_nodes + 1)
+    for h, kernel in zip(lengths, batch):
+        assert np.array_equal(kernel, net.step_kernel(h)), h
+    noisy = net.step_kernels([0.003, 0.003 + 2e-13])
+    assert np.array_equal(noisy[0], noisy[1])
+
+
+@pytest.mark.parametrize("case", [_floorplan_case, _two_node_case], ids=["floorplan", "two-node"])
 def test_time_constants_match_eigenvalues_of_a(case):
     net, laplacian = case()
     a = -laplacian / net.capacitances[:, None]
