@@ -21,6 +21,7 @@ from .runner import (
     FiniteRunResult,
     resolve_duration,
     run_characterization,
+    run_characterizations,
     run_finite_cpuburn,
 )
 from .sweeps import SmokeResult, Sweep, SweepResult, run_sweeps, smoke_sweep
@@ -61,6 +62,7 @@ __all__ = [
     "full_config",
     "resolve_duration",
     "run_characterization",
+    "run_characterizations",
     "run_finite_cpuburn",
     "run_sweeps",
     "smoke_sweep",

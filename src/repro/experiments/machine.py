@@ -38,8 +38,7 @@ class Machine:
     ):
         self.config = config or ExperimentConfig()
         self.fleet = FleetMachine(
-            self.config,
-            machines=1,
+            [self.config],
             idle_mode=idle_mode,
             co_schedule_smt=co_schedule_smt,
         )

@@ -4,16 +4,16 @@ The paper's basic measurement (§3.4) is: run a workload on all cores
 under a static (p, L) policy for 300 s, then report the mean core
 temperature over the last 30 s (relative to the idle baseline) and the
 throughput (relative to the unconstrained run).  This module implements
-that run and its finite-work variant used for model validation (§3.3),
-and declares both as batch run kinds (:mod:`repro.runtime.kinds`) at
-its foot.
+that run, a batch of such runs sharing one fleet, and the finite-work
+variant used for model validation (§3.3), and declares both kinds
+(:mod:`repro.runtime.kinds`) at its foot.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from ..core.injector import IdleMode
 from ..cpu.dvfs import OperatingPoint
 from ..cpu.tcc import TccSetting
 from ..errors import ConfigurationError
+from ..fleet.machine import FleetMachine, FleetNode, physics_of
 from ..runtime.kinds import register_executor
 from ..sched.thread import Thread
 from ..workloads.cpuburn import CpuBurn, FiniteCpuBurn
@@ -72,51 +73,106 @@ class CharacterizationResult:
     details: Dict[str, float] = field(default_factory=dict)
 
 
-def run_characterization(
-    config: ExperimentConfig,
-    *,
-    workload: str = "cpuburn",
-    p: float = 0.0,
-    idle_quantum: float = 0.025,
-    duration: Optional[float] = None,
-    deterministic: bool = False,
-    idle_mode: IdleMode = IdleMode.HALT,
-    operating_point: Optional[OperatingPoint] = None,
-    tcc: Optional[TccSetting] = None,
-) -> CharacterizationResult:
+@dataclass
+class _Characterization:
+    """One characterization run's parameters, checked and resolved:
+    the run starts on a fleet node (:meth:`start`) and is read back
+    from it (:meth:`result`), whether the node serves one run or a
+    batch."""
+
+    config: ExperimentConfig
+    workload: str = "cpuburn"
+    p: float = 0.0
+    idle_quantum: float = 0.025
+    #: None: the config's characterization duration.
+    duration: Optional[float] = None
+    deterministic: bool = False
+    idle_mode: IdleMode = IdleMode.HALT
+    operating_point: Optional[OperatingPoint] = None
+    tcc: Optional[TccSetting] = None
+
+    def __post_init__(self) -> None:
+        self.duration = resolve_duration(self.duration, self.config)
+
+    @property
+    def fleet_key(self) -> Tuple[Any, ...]:
+        """Runs with equal keys can share one fleet: same physics, run
+        length and idle mode."""
+        return (physics_of(self.config), self.duration, self.idle_mode)
+
+    def start(self, node: FleetNode) -> None:
+        """Program the node's policy and spawn one workload per core."""
+        if self.operating_point is not None:
+            node.chip.set_operating_point(self.operating_point)
+        if self.tcc is not None:
+            node.chip.set_tcc(self.tcc)
+        if self.p > 0:
+            node.control.set_global_policy(
+                self.p, self.idle_quantum, deterministic=self.deterministic
+            )
+        for i in range(self.config.num_cores):
+            node.scheduler.spawn(make_cpu_workload(self.workload), name=f"{self.workload}-{i}")
+
+    def result(self, node: FleetNode) -> CharacterizationResult:
+        """The §3.4 metrics of the node's finished run."""
+        mean_temp = node.mean_core_temp_over_window()
+        return CharacterizationResult(
+            workload=self.workload,
+            p=self.p,
+            idle_quantum=self.idle_quantum,
+            duration=self.duration,
+            mean_temp=mean_temp,
+            temp_rise=mean_temp - node.idle_mean_temp,
+            idle_temp=node.idle_mean_temp,
+            work=node.total_work_done(),
+            energy=node.energy(),
+            details={
+                "injected_quanta": float(node.scheduler.stats.injected_quanta),
+                "dispatches": float(node.scheduler.stats.dispatches),
+                "injection_fraction": node.injector.stats.injection_fraction,
+            },
+        )
+
+
+def run_characterizations(
+    runs: Sequence[Tuple[ExperimentConfig, Mapping[str, Any]]],
+) -> List[CharacterizationResult]:
+    """Run a batch of characterizations, each ``(config, params)`` with
+    :func:`run_characterization`'s keywords; results in batch order.
+
+    Runs that can share a fleet (same physics, duration and idle mode)
+    run as the nodes of one :class:`~repro.fleet.machine.FleetMachine`,
+    node ``j`` built from its own run's config, so the fleet's drains
+    advance them together.  A node's floats never depend on its
+    neighbours, so every result equals the same run executed alone.
+    """
+    plans = [_Characterization(config, **params) for config, params in runs]
+    groups: Dict[Tuple[Any, ...], List[int]] = {}
+    for index, plan in enumerate(plans):
+        groups.setdefault(plan.fleet_key, []).append(index)
+    results: List[Optional[CharacterizationResult]] = [None] * len(plans)
+    for members in groups.values():
+        first = plans[members[0]]
+        fleet = FleetMachine([plans[i].config for i in members], idle_mode=first.idle_mode)
+        for index, node in zip(members, fleet.nodes):
+            plans[index].start(node)
+        fleet.run(first.duration)
+        for index, node in zip(members, fleet.nodes):
+            results[index] = plans[index].result(node)
+        fleet.close()
+    return results
+
+
+def run_characterization(config: ExperimentConfig, **params: Any) -> CharacterizationResult:
     """Run ``num_cores`` instances of a CPU-bound workload under a
-    static policy and measure the §3.4 metrics."""
-    run_for = resolve_duration(duration, config)
-    machine = Machine(config, idle_mode=idle_mode)
-    if operating_point is not None:
-        machine.chip.set_operating_point(operating_point)
-    if tcc is not None:
-        machine.chip.set_tcc(tcc)
-    if p > 0:
-        machine.control.set_global_policy(p, idle_quantum, deterministic=deterministic)
+    static policy and measure the §3.4 metrics: a batch of one.
 
-    for i in range(config.num_cores):
-        machine.scheduler.spawn(make_cpu_workload(workload), name=f"{workload}-{i}")
-
-    machine.run(run_for)
-
-    mean_temp = machine.mean_core_temp_over_window()
-    return CharacterizationResult(
-        workload=workload,
-        p=p,
-        idle_quantum=idle_quantum,
-        duration=run_for,
-        mean_temp=mean_temp,
-        temp_rise=mean_temp - machine.idle_mean_temp,
-        idle_temp=machine.idle_mean_temp,
-        work=machine.total_work_done(),
-        energy=machine.energy(),
-        details={
-            "injected_quanta": float(machine.scheduler.stats.injected_quanta),
-            "dispatches": float(machine.scheduler.stats.dispatches),
-            "injection_fraction": machine.injector.stats.injection_fraction,
-        },
-    )
+    ``params``: ``workload`` (default ``"cpuburn"``), ``p``,
+    ``idle_quantum``, ``duration`` (None: the config's), ``deterministic``,
+    ``idle_mode``, ``operating_point``, ``tcc``.
+    """
+    (result,) = run_characterizations([(config, params)])
+    return result
 
 
 @dataclass
@@ -195,5 +251,10 @@ def run_finite_cpuburn(
     )
 
 
-register_executor("characterization", run_characterization, result=CharacterizationResult)
+register_executor(
+    "characterization",
+    run_characterization,
+    result=CharacterizationResult,
+    batch=run_characterizations,
+)
 register_executor("finite_cpuburn", run_finite_cpuburn, result=FiniteRunResult)

@@ -37,6 +37,7 @@ from .cells import (
     RackCellResult,
     build_scenario_arrivals,
     rack_cell_spec,
+    replica_configs,
     run_rack_cell,
 )
 from .experiment import fleet_compare_experiment, fleet_experiment
@@ -73,6 +74,7 @@ __all__ = [
     "fleet_compare_experiment",
     "fleet_experiment",
     "rack_cell_spec",
+    "replica_configs",
     "run_rack_cell",
     "scenarios_experiment",
 ]

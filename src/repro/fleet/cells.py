@@ -46,6 +46,7 @@ from ..analysis.slo import SloReport, WindowScore, score_windows
 from ..core.migration import ThermalMigrationPolicy
 from ..cpu.tcc import TccSetting
 from ..errors import ConfigurationError, ExecutionError
+from ..experiments.config import ExperimentConfig
 from ..health import HealthParams
 from ..runtime.hashing import PHYSICS_MODULES
 from ..runtime.kinds import register_executor
@@ -208,6 +209,14 @@ class RackCellResult:
 # ----------------------------------------------------------------------
 # Spec construction
 # ----------------------------------------------------------------------
+def replica_configs(config: ExperimentConfig, machines: int) -> List[ExperimentConfig]:
+    """A rack's node configs: node ``j`` is ``config`` seeded
+    ``config.seed + j``, so node 0 is the server a standalone
+    ``Machine(config)`` wraps and the other nodes are replicas with
+    decorrelated workload randomness."""
+    return [config.with_seed(config.seed + j) for j in range(machines)]
+
+
 def rack_cell_spec(config: Any, **params: Any) -> RunSpec:
     """A :class:`RunSpec` for one rack cell.
 
@@ -317,7 +326,7 @@ def run_rack_cell(
             shape, rate=rate, duration=duration, rng=trace_rng
         )
 
-    fleet = FleetMachine(config, machines=machines)
+    fleet = FleetMachine(replica_configs(config, machines))
     monitors = fleet.attach_health(health)
     servers = [
         WebServer(node.scheduler, node.rng.stream("web"), external_arrivals=True)

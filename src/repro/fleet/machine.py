@@ -3,14 +3,16 @@ physics state — the only place a server is wired.
 
 A :class:`FleetNode` is one simulated server, the paper's 1U testbed
 (§3.2): chip, scheduler, idle injector, RNG registry, power meter,
-sensors and temperature log.  A :class:`FleetMachine` is ``N`` nodes
-whose events interleave on one shared
-:class:`~repro.sim.engine.Simulator`; the single-server
-:class:`repro.experiments.machine.Machine` is a fleet of one, so every
+sensors and temperature log.  A :class:`FleetMachine` is ``N`` nodes,
+each built from its own config, whose events interleave on one shared
+:class:`~repro.sim.engine.Simulator`: a rack of replicas, the runs of
+a characterization batch, or — the single-server
+:class:`repro.experiments.machine.Machine` — a fleet of one, so every
 experiment runs through this wiring.  What is *not* per-node is the
-physics: every machine is a copy of the same thermal network, so the
-whole fleet's temperatures live in one ``(machines, nodes)`` array
-inside a :class:`~repro.thermal.rcnetwork.FleetThermalIntegrator`.
+physics (:func:`physics_of`): every machine is a copy of the same
+thermal network, so the whole fleet's temperatures live in one
+``(machines, nodes)`` array inside a
+:class:`~repro.thermal.rcnetwork.FleetThermalIntegrator`.
 
 How per-machine event streams drive deferred physics
 ----------------------------------------------------
@@ -56,7 +58,7 @@ import functools
 import heapq
 import math
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -192,9 +194,10 @@ class FleetNode:
             self.sensors = SensorBank.coretemp(core_nodes, self.rng.stream("sensors"))
         else:
             self.sensors = SensorBank.ideal(core_nodes)
+        sensors = self.sensors  # not self: the log must not hold its node
         self.templog = TemperatureLog(
             self.simview,
-            lambda: self.sensors.read(fleet._node_temps(index)),
+            lambda: sensors.read(fleet._node_temps(index)),
             period=cfg.temp_sample_period,
             num_cores=cfg.num_cores,
         )
@@ -240,28 +243,53 @@ class FleetNode:
         return self.powermeter.energy(start, end)
 
 
-class FleetMachine:
-    """``machines`` fully wired servers on one event queue.
+def physics_of(config: ExperimentConfig) -> Tuple[Any, ...]:
+    """The config fields every node of one fleet must share: the chip's
+    power model, C-states and core layout, and the thermal network.
+    One network and one idle settle seed every row of the fleet's
+    state, so nodes may differ in anything else (seed, scheduler,
+    instruments, run length) but not in these."""
+    return (
+        config.power,
+        config.thermal,
+        config.num_cores,
+        config.smt,
+        config.cstates,
+        config.c1e_enabled,
+    )
 
-    Node ``j`` is built from ``config.with_seed(config.seed + j)``, so
-    node 0 is the server a standalone ``Machine(config)`` wraps and the
-    other nodes are independent replicas with decorrelated workload
-    randomness.
+
+class FleetMachine:
+    """Fully wired servers on one event queue, node ``j`` built from
+    ``configs[j]``.
+
+    The node configs may differ in everything but their physics
+    (:func:`physics_of`); a fleet of identical replicas is the caller's
+    list (:func:`repro.fleet.cells.replica_configs`), and the
+    single-server :class:`~repro.experiments.machine.Machine` is the
+    fleet of ``[config]``.
     """
 
     def __init__(
         self,
-        config: Optional[ExperimentConfig] = None,
+        configs: Sequence[ExperimentConfig],
         *,
-        machines: int = 4,
         idle_mode: IdleMode = IdleMode.HALT,
         co_schedule_smt: bool = False,
     ):
-        if machines < 1:
+        configs = list(configs)
+        if not configs:
             raise ConfigurationError("a fleet needs at least one machine")
-        self.config = config or ExperimentConfig()
-        cfg = self.config
-        self.num_machines = int(machines)
+        self.config = cfg = configs[0]
+        physics = physics_of(cfg)
+        for j, node_config in enumerate(configs):
+            if physics_of(node_config) != physics:
+                raise ConfigurationError(
+                    f"fleet node {j}'s physics (power, thermal, cores, SMT, "
+                    "C-states, C1E) differ from node 0's: one thermal network "
+                    "and one idle settle seed every node"
+                )
+        self.num_machines = machines = len(configs)
 
         self.sim = Simulator()
         #: One network shared by every node: homogeneous machines share
@@ -273,11 +301,11 @@ class FleetMachine:
         self._metric_drains = scope.counter("drains")
 
         self.nodes: List[FleetNode] = []
-        for j in range(machines):
+        for j, node_config in enumerate(configs):
             node = FleetNode(
                 self,
                 j,
-                cfg.with_seed(cfg.seed + j),
+                node_config,
                 idle_mode=idle_mode,
                 co_schedule_smt=co_schedule_smt,
             )
@@ -286,7 +314,7 @@ class FleetMachine:
                 # baseline "idle temperature".  Chips are built
                 # long-idle, so node 0's chip is settled before its
                 # scheduler's start() re-marks cores naturally idle;
-                # all chips are identical, so this one settle seeds
+                # all nodes share their physics, so this one settle seeds
                 # every row of the fleet state.  The coefficients are
                 # built directly, not through power_segment, so the
                 # chip's coefficient table and its counters start clean.
@@ -444,6 +472,23 @@ class FleetMachine:
         for j in range(self.num_machines):
             self._close_gap(j)
         self._drain()
+
+    def close(self) -> None:
+        """Tear the fleet down once its results are read.
+
+        Pending events, sampling tasks and the node list are what tie a
+        fleet's objects into reference cycles; dropping them lets
+        reference counting free the whole fleet at once instead of
+        leaving it to the cycle collector, which may not run before the
+        next fleet is built.  A closed fleet cannot run again.
+        """
+        self.sim.clear()
+        for node in self.nodes:
+            node.templog.stop()
+        if self.health is not None:
+            self.health.stop()
+        self.nodes = []
+        self.health = None
 
     # ------------------------------------------------------------------
     # Fleet-level measurements

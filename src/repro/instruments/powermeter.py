@@ -12,6 +12,8 @@ for Figure 1 and the §3.3 energy-validation methodology.
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -36,6 +38,10 @@ class PowerMeter:
     current: a machine that integrates its physics lazily passes a
     callable that records and integrates everything up to the present
     instant, so a controller reading mid-run sees whole windows.
+
+    The trace is kept as three ``array('d')`` columns (8 bytes per
+    value, no boxed floats); reads hand out copies, because a live
+    buffer export would block further appends.
     """
 
     def __init__(
@@ -45,13 +51,15 @@ class PowerMeter:
         rng: Optional[np.random.Generator] = None,
         sync: Optional[Callable[[], None]] = None,
     ):
-        if clamp_gain_error < 0:
-            raise AnalysisError("clamp gain error must be non-negative")
+        if not 0 <= clamp_gain_error < math.inf:  # also rejects NaN
+            raise AnalysisError(
+                f"clamp gain error must be finite and non-negative, got {clamp_gain_error}"
+            )
         if clamp_gain_error > 0 and rng is None:
             raise AnalysisError("a noisy clamp needs an RNG stream")
-        self._starts: list = []
-        self._durations: list = []
-        self._powers: list = []
+        self._starts = array("d")
+        self._durations = array("d")
+        self._powers = array("d")
         self._sync = sync
         #: Per-run multiplicative gain error (drawn once, like a real
         #: clamp's calibration offset).
@@ -80,9 +88,9 @@ class PowerMeter:
     def segments(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         self._current()
         return (
-            np.asarray(self._starts),
-            np.asarray(self._durations),
-            np.asarray(self._powers),
+            np.array(self._starts, dtype=float),
+            np.array(self._durations, dtype=float),
+            np.array(self._powers, dtype=float),
         )
 
     def iter_segments(self):
@@ -114,10 +122,14 @@ class PowerMeter:
         """Fixed-rate sample stream like the DMM would log.
 
         Each sample is the window-averaged power over one period,
-        scaled by the clamp gain.  Returns (sample_times, watts).
+        scaled by the clamp gain.  Returns (sample_times, watts).  The
+        period must be positive and finite; ``end`` (default: the end
+        of the data) may be ``+inf`` but not NaN or ``-inf``.
         """
-        if period <= 0:
-            raise AnalysisError("sample period must be positive")
+        if not 0 < period < math.inf:  # also rejects NaN
+            raise AnalysisError(f"sample period must be positive and finite, got {period}")
+        if end is not None and not -math.inf < end:  # also rejects NaN
+            raise AnalysisError(f"resample end must be a time or +inf, got {end}")
         starts, durations, powers = self.segments()
         if starts.size == 0:
             return np.array([]), np.array([])

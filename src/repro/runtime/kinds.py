@@ -2,10 +2,12 @@
 
 :func:`register_executor` declares a kind in one call, next to its
 executor: the executor itself, the result dataclass the cache stores
-(a kind without one runs but is never cached), and the source trees
-whose fingerprint keys its cache entries.  The runner, the result
-cache and :attr:`RunSpec.key <repro.runtime.parallel.RunSpec.key>` all
-read this one table.
+(a kind without one runs but is never cached), the source trees
+whose fingerprint keys its cache entries, and optionally a batch
+executor that runs several of the kind's specs in one task.  The
+runner, the result cache and
+:attr:`RunSpec.key <repro.runtime.parallel.RunSpec.key>` all read
+this one table.
 
 The built-in kinds are declared in :mod:`repro.experiments.runner`
 (``characterization``, ``finite_cpuburn``) and :mod:`repro.fleet.cells`
@@ -17,7 +19,7 @@ worker included — sees all three.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from .hashing import PHYSICS_MODULES
@@ -32,6 +34,10 @@ class RunKind:
     result: Optional[type]
     #: Package-relative source paths fingerprinted into the kind's keys.
     code: Tuple[str, ...]
+    #: ``batch([(config, params), ...]) -> [result, ...]``: runs several
+    #: specs of this kind in one task, each result equal to ``executor``'s;
+    #: None when the kind only runs one spec at a time.
+    batch: Optional[Callable[[Sequence[Tuple[Any, Mapping[str, Any]]]], List[Any]]] = None
 
 
 _KINDS: Dict[str, RunKind] = {}
@@ -43,6 +49,7 @@ def register_executor(
     *,
     result: Optional[type] = None,
     code: Sequence[str] = PHYSICS_MODULES,
+    batch: Optional[Callable[..., List[Any]]] = None,
 ) -> None:
     """Declare run kind ``kind``: ``fn(config, **params) -> result``.
 
@@ -52,9 +59,13 @@ def register_executor(
     dataclasses), else ``result(**payload)``.  The rebuilt result must
     equal the original, or cached replay is not bit-identical.  Editing
     any source tree in ``code`` invalidates the kind's cached results.
-    ``fork`` workers inherit a custom kind's declaration.
+    With ``batch`` the runner may hand the kind's cache misses over
+    several at a time (see :data:`repro.runtime.parallel.BATCH_WIDTH`);
+    each batched result must equal ``fn``'s for the same spec, or a
+    batched run would not be the run its key names.  ``fork`` workers
+    inherit a custom kind's declaration.
     """
-    _KINDS[kind] = RunKind(executor=fn, result=result, code=tuple(code))
+    _KINDS[kind] = RunKind(executor=fn, result=result, code=tuple(code), batch=batch)
 
 
 def run_kind(kind: str) -> RunKind:
@@ -72,6 +83,13 @@ def code_of(kind: str) -> Tuple[str, ...]:
     runner looks it up in the cache."""
     declared = _KINDS.get(kind)
     return PHYSICS_MODULES if declared is None else declared.code
+
+
+def batch_executor(kind: str) -> Optional[Callable[..., List[Any]]]:
+    """``kind``'s batch executor; None when the kind is undeclared or
+    runs one spec at a time."""
+    declared = _KINDS.get(kind)
+    return None if declared is None else declared.batch
 
 
 def result_kind(result: Any) -> Optional[str]:

@@ -1,9 +1,19 @@
 """Parallel fan-out of independent experiment runs, hardened.
 
-Every run in a batch builds its own :class:`~repro.experiments.machine.Machine`
-from its own config, so runs share no state and the fan-out is
-embarrassingly parallel.  :class:`ParallelRunner` guarantees:
+Every run in a batch is built from its own config alone, so runs share
+no state and the fan-out is embarrassingly parallel.
+:class:`ParallelRunner` guarantees:
 
+- **Batch tasks** — the cache misses of a kind declared with a batch
+  executor (``characterization``: the §3.4 grids) are grouped into
+  tasks of at most :data:`BATCH_WIDTH` runs, in spec order, so one
+  task runs several runs on one fleet.  A task's members depend only
+  on the spec list and the cache state, never on ``jobs``; every
+  member keeps its own key, cache entry, journal line and progress
+  event, and its result equals the same run executed alone.  A member
+  armed with a fault runs solo; a batch that fails or overruns its
+  deadline (its width times ``timeout``) reruns its members solo
+  under the normal per-run retry policy.
 - **Determinism** — each run's seed travels inside its
   :class:`RunSpec`; results are returned in submission order no matter
   which worker finished first, so a ``jobs=N`` batch is bit-identical
@@ -65,6 +75,7 @@ import signal
 import threading
 import time
 import traceback
+import warnings
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -79,7 +90,7 @@ from .cache import ResultCache
 from .failures import FailureReport
 from .hashing import spec_key
 from .journal import SweepJournal
-from .kinds import code_of, run_kind
+from .kinds import batch_executor, code_of, run_kind
 from .policy import PERMANENT, TIMEOUT, RetryPolicy, error_lineage
 
 
@@ -112,9 +123,29 @@ def finite_cpuburn_spec(config: Any, **params: Any) -> RunSpec:
     return RunSpec(kind="finite_cpuburn", config=config, params=params)
 
 
+#: Most runs one batch task carries.  A module constant, not a flag:
+#: batch make-up must not depend on ``jobs`` or deterministic counters
+#: would differ between serial and pooled runs of the same grid.
+BATCH_WIDTH = 16
+
+
 def execute_spec(spec: RunSpec) -> Any:
     """Run one spec in the current process (faults not applied)."""
     return run_kind(spec.kind).executor(spec.config, **spec.params)
+
+
+def execute_specs(specs: Sequence[RunSpec]) -> List[Any]:
+    """Run one task — a single spec, or several of one batchable kind
+    through the kind's batch executor — in the current process."""
+    if len(specs) == 1:
+        return [execute_spec(specs[0])]
+    results = list(run_kind(specs[0].kind).batch([(s.config, dict(s.params)) for s in specs]))
+    if len(results) != len(specs):
+        raise ExecutionError(
+            f"batch executor of {specs[0].kind!r} returned {len(results)} results "
+            f"for {len(specs)} runs"
+        )
+    return results
 
 
 def _payload_digest(result: Any) -> str:
@@ -132,23 +163,33 @@ def _payload_digest(result: Any) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _execute_attempt(spec: RunSpec) -> Tuple[Any, Dict[str, Any], str]:
-    """Run one attempt: fire any armed fault, simulate instrumented.
+def _execute_attempt(specs: Sequence[RunSpec]) -> Tuple[List[Any], Dict[str, Any], List[str]]:
+    """Run one attempt of a task: fire any armed fault, simulate
+    instrumented.
 
-    Returns ``(result, metrics snapshot, digest)``.  The digest is
-    taken *before* a ``corrupt`` fault garbles the payload, which is
-    exactly what lets the parent detect the corruption.
+    Returns ``(results, metrics snapshot, digests)``, one result and
+    digest per spec.  A digest is taken *before* a ``corrupt`` fault
+    garbles its payload, which is exactly what lets the parent detect
+    the corruption.  ``runtime.run_wall`` books the task's wall time
+    split evenly over its runs, so its count stays one per run.
     """
-    if spec.fault is not None:
-        fire_execution_fault(spec.fault)
+    for spec in specs:
+        if spec.fault is not None:
+            fire_execution_fault(spec.fault)
     with isolated() as run_registry:
-        with run_registry.timer("runtime.run_wall").time():
-            result = execute_spec(spec)
+        started = time.perf_counter()
+        results = execute_specs(specs)
+        share = (time.perf_counter() - started) / len(specs)
+        run_wall = run_registry.timer("runtime.run_wall")
+        for _ in specs:
+            run_wall.add(share)
         snapshot = run_registry.snapshot()
-    digest = _payload_digest(result)
-    if spec.fault is not None:
-        result = garble_result(spec.fault, result)
-    return result, snapshot, digest
+    digests = [_payload_digest(result) for result in results]
+    results = [
+        result if spec.fault is None else garble_result(spec.fault, result)
+        for spec, result in zip(specs, results)
+    ]
+    return results, snapshot, digests
 
 
 def _verify_payload(spec: RunSpec, result: Any, digest: str) -> None:
@@ -178,10 +219,11 @@ def _timeout_info(seconds: float, where: str) -> Dict[str, Any]:
     }
 
 
-def _subprocess_main(conn, spec: RunSpec) -> None:
-    """Worker-process entry point: one attempt, outcome over the pipe."""
+def _subprocess_main(conn, specs: List[RunSpec]) -> None:
+    """Worker-process entry point: one task attempt, outcome over the
+    pipe."""
     try:
-        outcome: Tuple[Any, ...] = ("ok",) + _execute_attempt(spec)
+        outcome: Tuple[Any, ...] = ("ok",) + _execute_attempt(specs)
     except BaseException as error:  # noqa: BLE001 - must never leak
         outcome = ("err", _failure_info(error))
     try:
@@ -265,6 +307,10 @@ class RunnerMetrics:
     abandoned: int = 0
     #: Total seconds of retry backoff the batch waited through.
     backoff_seconds: float = 0.0
+    #: Batch tasks started (several runs on one fleet each).
+    batches: int = 0
+    #: Batch tasks that failed or timed out, their members rerun solo.
+    batch_fallbacks: int = 0
 
     def summary(self) -> str:
         parts = [f"{self.executed} executed", f"{self.cache_hits} cached"]
@@ -276,6 +322,8 @@ class RunnerMetrics:
             parts.append(f"{self.timeouts} timed out")
         if self.abandoned:
             parts.append(f"{self.abandoned} abandoned")
+        if self.batch_fallbacks:
+            parts.append(f"{self.batch_fallbacks} batches rerun solo")
         return ", ".join(parts)
 
 
@@ -292,7 +340,9 @@ class ProgressEvent:
 
 @dataclass
 class _Task:
-    """Parent-side state of one pending run."""
+    """Parent-side state of one pending run.  The runner executes
+    *units*: lists of tasks run as one attempt, a single task or a
+    batch."""
 
     index: int
     spec: RunSpec
@@ -323,7 +373,8 @@ class ParallelRunner:
         Forwarded to :func:`multiprocessing.get_context`; None uses the
         platform default.
     timeout:
-        Per-run wall-clock deadline in seconds.  Pooled runs that
+        Per-run wall-clock deadline in seconds (a batch task gets its
+        width times this).  Pooled runs that
         exceed it have their worker killed; in-process runs are
         interrupted via ``SIGALRM`` (main thread, Unix).  ``None``
         disables deadlines.
@@ -493,11 +544,12 @@ class ParallelRunner:
                 pending.append(_Task(index=index, spec=spec, key=key))
 
         # Execute the misses.
+        units = self._units(pending, plan)
         try:
-            if self.jobs > 1 and len(pending) > 1:
-                self._run_pooled(pending, plan, complete, on_attempt_failure)
+            if self.jobs > 1 and len(units) > 1:
+                self._run_pooled(units, plan, complete, on_attempt_failure)
             else:
-                self._run_serial(pending, plan, complete, on_attempt_failure)
+                self._run_serial(units, plan, complete, on_attempt_failure)
         finally:
             # Whatever happens — ExecutionError, KeyboardInterrupt — the
             # journal must reflect every completion already achieved, so
@@ -510,87 +562,175 @@ class ParallelRunner:
         return results
 
     # ------------------------------------------------------------------
+    def _fault(self, task: _Task, attempt: int, plan: Optional[FaultPlan]) -> Optional[FaultSpec]:
+        """The fault armed for ``task``'s attempt ``attempt``, if any."""
+        if plan is not None:
+            return plan.fault_for(task.index, attempt)
+        if task.spec.fault is not None and task.spec.fault.fires_on(attempt):
+            return task.spec.fault
+        return None
+
     def _arm(self, task: _Task, plan: Optional[FaultPlan]) -> RunSpec:
         """The spec for this attempt, with at most one fault attached."""
-        if plan is not None:
-            fault = plan.fault_for(task.index, task.attempt)
-        elif task.spec.fault is not None and task.spec.fault.fires_on(task.attempt):
-            fault = task.spec.fault
-        else:
-            fault = None
+        fault = self._fault(task, task.attempt, plan)
         if fault is task.spec.fault:
             return task.spec
         return dataclasses.replace(task.spec, fault=fault)
 
+    def _units(self, pending: List[_Task], plan: Optional[FaultPlan]) -> List[List[_Task]]:
+        """Group the misses into units, ordered by their first run.
+
+        Each batchable kind's misses (those not armed with a fault for
+        their first attempt) split in spec order into the fewest
+        batches of at most :data:`BATCH_WIDTH`, of near-equal width;
+        every other miss is a unit of its own.
+        """
+        units: List[List[_Task]] = []
+        batchable: Dict[str, List[_Task]] = {}
+        for task in pending:
+            if batch_executor(task.spec.kind) is None or self._fault(task, 1, plan) is not None:
+                units.append([task])
+            else:
+                batchable.setdefault(task.spec.kind, []).append(task)
+        for tasks in batchable.values():
+            count = -(-len(tasks) // BATCH_WIDTH)
+            units.extend(
+                tasks[i * len(tasks) // count : (i + 1) * len(tasks) // count]
+                for i in range(count)
+            )
+        units.sort(key=lambda unit: unit[0].index)
+        return units
+
+    def _start(self, unit: List[_Task], plan: Optional[FaultPlan]) -> List[RunSpec]:
+        """Begin one attempt of ``unit``: the specs to execute."""
+        for task in unit:
+            task.attempt += 1
+        if len(unit) > 1:
+            self._count("batches")
+        return [self._arm(task, plan) for task in unit]
+
+    def _deadline_of(self, unit: List[_Task]) -> Optional[float]:
+        """A unit's wall-clock deadline: ``timeout`` per run."""
+        return None if self.timeout is None else self.timeout * len(unit)
+
+    def _fall_back(self, unit: List[_Task], info: Dict[str, Any]) -> List[List[_Task]]:
+        """A failed batch's members, as solo units starting afresh.
+
+        The batch's error is reported as a warning, not as a run
+        failure: a member that caused it fails again on its own, under
+        its own index, retry policy and traceback.
+        """
+        warnings.warn(
+            f"a batch of {len(unit)} {unit[0].spec.kind!r} runs failed "
+            f"({info['error_type']}: {info['message']}); rerunning each run solo",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        self._count("batch_fallbacks")
+        for task in unit:
+            task.attempt = 0
+        return [[task] for task in unit]
+
+    @staticmethod
+    def _verify(specs: List[RunSpec], results: List[Any], digests: List[str]) -> None:
+        for spec, result, digest in zip(specs, results, digests):
+            _verify_payload(spec, result, digest)
+
+    @staticmethod
+    def _settle(
+        unit: List[_Task], results: List[Any], snapshot: Dict[str, Any], complete: Callable
+    ) -> None:
+        """Complete every member in spec order; the unit's telemetry is
+        merged at its first run's index."""
+        for position, (task, result) in enumerate(zip(unit, results)):
+            source = "run" if task.attempt == 1 else "retry"
+            complete(task, result, snapshot if position == 0 else None, source)
+
     def _run_serial(
         self,
-        tasks: List[_Task],
+        units: List[List[_Task]],
         plan: Optional[FaultPlan],
         complete: Callable,
         on_attempt_failure: Callable,
     ) -> None:
         """In-process execution with deadline + retry semantics."""
-        for task in tasks:
-            while True:
-                task.attempt += 1
-                armed = self._arm(task, plan)
-                try:
-                    with _deadline(self.timeout):
-                        result, snapshot, digest = _execute_attempt(armed)
-                    _verify_payload(armed, result, digest)
-                except KeyboardInterrupt:
-                    raise
-                except Exception as error:
-                    action, delay = on_attempt_failure(task, _failure_info(error))
-                    if action == "retry":
-                        time.sleep(delay)
-                        continue
-                    break  # kept going; slot stays None
-                else:
-                    complete(task, result, snapshot, "run" if task.attempt == 1 else "retry")
-                    break
+        queue = deque(units)
+        while queue:
+            unit = queue.popleft()
+            specs = self._start(unit, plan)
+            try:
+                with _deadline(self._deadline_of(unit)):
+                    results, snapshot, digests = _execute_attempt(specs)
+                self._verify(specs, results, digests)
+            except KeyboardInterrupt:
+                raise
+            except Exception as error:
+                info = _failure_info(error)
+                if len(unit) > 1:
+                    queue.extendleft(reversed(self._fall_back(unit, info)))
+                    continue
+                action, delay = on_attempt_failure(unit[0], info)
+                if action == "retry":
+                    time.sleep(delay)
+                    queue.appendleft(unit)
+                # else: kept going; the slot stays None
+            else:
+                self._settle(unit, results, snapshot, complete)
 
     def _run_pooled(
         self,
-        tasks: List[_Task],
+        units: List[List[_Task]],
         plan: Optional[FaultPlan],
         complete: Callable,
         on_attempt_failure: Callable,
     ) -> None:
-        """One worker process per attempt, at most ``jobs`` in flight.
+        """One worker process per unit attempt, at most ``jobs`` in
+        flight.
 
-        The parent multiplexes over result pipes, enforces per-run
-        deadlines by killing overdue workers, and re-queues retries
-        after their backoff delay.  On any raise — a terminal
-        ExecutionError or a KeyboardInterrupt — every live worker is
-        terminated before the exception propagates.
+        The parent multiplexes over result pipes, enforces deadlines by
+        killing overdue workers, re-queues retries after their backoff
+        delay, and re-queues a failed batch's members as solo units at
+        the front.  On any raise — a terminal ExecutionError or a
+        KeyboardInterrupt — every live worker is terminated before the
+        exception propagates.
         """
         context = multiprocessing.get_context(self.start_method)
-        ready = deque(tasks)
-        waiting: List[Tuple[float, _Task]] = []  # (eligible_at, task)
-        active: Dict[Any, Tuple[_Task, Any, float]] = {}  # conn -> (task, proc, started)
+        ready = deque(units)
+        waiting: List[Tuple[float, List[_Task]]] = []  # (eligible_at, unit)
+        # conn -> (unit, specs, proc, deadline_at)
+        active: Dict[Any, Tuple[List[_Task], List[RunSpec], Any, float]] = {}
+
+        def failed(unit: List[_Task], info: Dict[str, Any]) -> None:
+            if len(unit) > 1:
+                ready.extendleft(reversed(self._fall_back(unit, info)))
+                return
+            action, delay = on_attempt_failure(unit[0], info)
+            if action == "retry":
+                waiting.append((time.monotonic() + delay, unit))
+
         try:
             while ready or waiting or active:
                 now = time.monotonic()
                 still_waiting = []
-                for eligible_at, task in waiting:
+                for eligible_at, unit in waiting:
                     if eligible_at <= now:
-                        ready.append(task)
+                        ready.append(unit)
                     else:
-                        still_waiting.append((eligible_at, task))
+                        still_waiting.append((eligible_at, unit))
                 waiting = still_waiting
 
                 while ready and len(active) < self.jobs:
-                    task = ready.popleft()
-                    task.attempt += 1
-                    armed = self._arm(task, plan)
+                    unit = ready.popleft()
+                    specs = self._start(unit, plan)
                     parent_conn, child_conn = context.Pipe(duplex=False)
                     process = context.Process(
-                        target=_subprocess_main, args=(child_conn, armed), daemon=True
+                        target=_subprocess_main, args=(child_conn, specs), daemon=True
                     )
                     process.start()
                     child_conn.close()
-                    active[parent_conn] = (task, process, time.monotonic())
+                    deadline = self._deadline_of(unit)
+                    deadline_at = math.inf if deadline is None else time.monotonic() + deadline
+                    active[parent_conn] = (unit, specs, process, deadline_at)
 
                 if not active:
                     if waiting:
@@ -599,17 +739,13 @@ class ParallelRunner:
 
                 # Block until an outcome arrives, a deadline expires, or
                 # a backoff becomes eligible — whichever is soonest.
-                wake_times = []
-                if self.timeout is not None:
-                    wake_times.extend(
-                        started + self.timeout for _, _, started in active.values()
-                    )
+                wake_times = [at for _, _, _, at in active.values() if at < math.inf]
                 wake_times.extend(t for t, _ in waiting)
                 wait_timeout = (
                     max(0.0, min(wake_times) - time.monotonic()) if wake_times else None
                 )
                 for conn in _connection_wait(list(active), timeout=wait_timeout):
-                    task, process, _started = active.pop(conn)
+                    unit, specs, process, _deadline_at = active.pop(conn)
                     try:
                         outcome = conn.recv()
                     except EOFError:
@@ -627,41 +763,25 @@ class ParallelRunner:
                     conn.close()
                     process.join()
                     if outcome[0] == "ok":
-                        _, result, snapshot, digest = outcome
+                        _, results, snapshot, digests = outcome
                         try:
-                            _verify_payload(task.spec, result, digest)
+                            self._verify(specs, results, digests)
                         except CorruptResultError as error:
                             outcome = ("err", _failure_info(error))
                         else:
-                            complete(
-                                task,
-                                result,
-                                snapshot,
-                                "run" if task.attempt == 1 else "retry",
-                            )
+                            self._settle(unit, results, snapshot, complete)
                             continue
-                    action, delay = on_attempt_failure(task, outcome[1])
-                    if action == "retry":
-                        waiting.append((time.monotonic() + delay, task))
+                    failed(unit, outcome[1])
 
-                if self.timeout is not None:
-                    now = time.monotonic()
-                    overdue = [
-                        conn
-                        for conn, (_, _, started) in active.items()
-                        if now - started >= self.timeout
-                    ]
-                    for conn in overdue:
-                        task, process, _started = active.pop(conn)
-                        _terminate(process)
-                        conn.close()
-                        action, delay = on_attempt_failure(
-                            task, _timeout_info(self.timeout, "worker killed")
-                        )
-                        if action == "retry":
-                            waiting.append((time.monotonic() + delay, task))
+                now = time.monotonic()
+                overdue = [conn for conn, entry in active.items() if now >= entry[3]]
+                for conn in overdue:
+                    unit, _specs, process, _deadline_at = active.pop(conn)
+                    _terminate(process)
+                    conn.close()
+                    failed(unit, _timeout_info(self._deadline_of(unit), "worker killed"))
         except BaseException:
-            for _task, process, _started in active.values():
+            for _unit, _specs, process, _deadline_at in active.values():
                 _terminate(process)
             for conn in active:
                 conn.close()

@@ -125,6 +125,15 @@ class Simulator:
         heapq.heappush(self._heap, (time, next(self._seq), event))
         return event
 
+    def clear(self) -> None:
+        """Cancel every pending event and drop what it holds (its
+        callback, arguments and ``before`` hook), so objects kept alive
+        only by the queue are freed by reference counting."""
+        for _, _, event in self._heap:
+            event.cancelled = True
+            event.callback = event.args = event.before = None
+        self._heap.clear()
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------

@@ -115,6 +115,7 @@ class PeriodicTask:
     def cancel(self) -> None:
         """Stop future invocations. Idempotent."""
         self._cancelled = True
+        self._callback = None
         if self._event is not None:
             self._event.cancel()
             self._event = None

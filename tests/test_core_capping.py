@@ -42,7 +42,7 @@ def test_cap_is_enforced_under_full_load():
 def test_cap_is_enforced_on_a_fleet_node():
     """A fleet node's meter integrates pending physics before every
     read, so the controller sees whole windows and holds the cap."""
-    fleet = FleetMachine(fast_config(), machines=1)
+    fleet = FleetMachine([fast_config()])
     node = fleet.nodes[0]
     for _ in range(4):
         node.scheduler.spawn(CpuBurn())

@@ -16,6 +16,7 @@ from repro.fleet import (
     ThermalBalancer,
     fleet_compare_experiment,
     fleet_experiment,
+    replica_configs,
 )
 from repro.fleet.scheduling import MigrationPolicy, build_policy
 from repro.sim.process import PeriodicTask
@@ -44,7 +45,7 @@ def test_fleet_of_one_bit_matches_standalone():
     _drive_burn(solo)
     solo.run(6.0)
 
-    fleet = FleetMachine(cfg, machines=1)
+    fleet = FleetMachine([cfg])
     node = fleet.nodes[0]
     _drive_burn(node)
     fleet.run(6.0)
@@ -60,7 +61,7 @@ def test_fleet_of_one_bit_matches_standalone():
 def _web_fleet(cfg, machines, duration, *, on_start=None):
     """A ``machines``-node web fleet at p = 0.5, L = 10 ms, run for
     ``duration`` s; ``on_start(fleet)`` runs before the fleet does."""
-    fleet = FleetMachine(cfg, machines=machines)
+    fleet = FleetMachine(replica_configs(cfg, machines))
     servers = [WebServer(node.scheduler, node.rng.stream("web")) for node in fleet.nodes]
     for node in fleet.nodes:
         node.control.set_global_policy(0.5, 0.010)
@@ -137,7 +138,7 @@ def test_neighbour_reads_do_not_perturb_other_nodes():
 
 def test_node_accessors_and_fleet_aggregates():
     cfg = fast_config(0)
-    fleet = FleetMachine(cfg, machines=2)
+    fleet = FleetMachine(replica_configs(cfg, 2))
     for node in fleet.nodes:
         node.scheduler.spawn(CpuBurn())
     fleet.run(3.0)
@@ -155,7 +156,7 @@ def test_node_accessors_and_fleet_aggregates():
 
 def test_fleet_requires_at_least_one_machine():
     with pytest.raises(ConfigurationError):
-        FleetMachine(fast_config(0), machines=0)
+        FleetMachine([])
 
 
 # ======================================================================
@@ -163,7 +164,7 @@ def test_fleet_requires_at_least_one_machine():
 # ======================================================================
 def test_advance_machines_takes_one_machine_and_matches_single_chip_path():
     cfg = fast_config(0)
-    fleet = FleetMachine(cfg, machines=2)
+    fleet = FleetMachine(replica_configs(cfg, 2))
     _, coefficients = fleet.nodes[0].chip.power_segment(0.0)
     integrator = fleet.integrator
     for machines in [(), (0, 1)]:
@@ -187,7 +188,7 @@ def test_advance_machines_takes_one_machine_and_matches_single_chip_path():
 @pytest.mark.parametrize("machine", [-1, 2])
 def test_advance_machines_rejects_rows_outside_the_fleet(machine):
     """Row -1 once silently advanced the last machine."""
-    fleet = FleetMachine(fast_config(0), machines=2)
+    fleet = FleetMachine(replica_configs(fast_config(0), 2))
     _, coefficients = fleet.nodes[0].chip.power_segment(0.0)
     before = fleet.integrator.temps.copy()
     with pytest.raises(ConfigurationError):
@@ -197,7 +198,7 @@ def test_advance_machines_rejects_rows_outside_the_fleet(machine):
 
 def test_non_finite_durations_are_rejected_by_every_advance():
     """Infinity once died in ``math.ceil`` with an OverflowError."""
-    fleet = FleetMachine(fast_config(0), machines=2)
+    fleet = FleetMachine(replica_configs(fast_config(0), 2))
     _, coefficients = fleet.nodes[0].chip.power_segment(0.0)
     integrator = fleet.integrator
     before = integrator.temps.copy()
@@ -232,7 +233,7 @@ def test_advance_rounds_is_bit_identical_to_one_advance_per_segment():
     """The rounds path equals per-segment ``advance_machines`` calls
     exactly: temperatures with ``array_equal``, energies with ``==``."""
     cfg = fast_config(0)
-    fleet = FleetMachine(cfg, machines=6)
+    fleet = FleetMachine(replica_configs(cfg, 6))
     rng = np.random.default_rng(7)
     mix = _coefficient_mix(fleet.nodes[0].chip, 8, rng)
     step = fleet.integrator.max_substep
@@ -279,7 +280,7 @@ def test_advance_rounds_is_bit_identical_to_one_advance_per_segment():
 # ======================================================================
 def test_round_robin_balancer_spreads_requests_evenly():
     cfg = fast_config(0)
-    fleet = FleetMachine(cfg, machines=3)
+    fleet = FleetMachine(replica_configs(cfg, 3))
     servers = [
         WebServer(node.scheduler, node.rng.stream("web"), external_arrivals=True)
         for node in fleet.nodes
@@ -301,7 +302,7 @@ def test_round_robin_balancer_spreads_requests_evenly():
 
 def test_balancer_validates_inputs():
     cfg = fast_config(0)
-    fleet = FleetMachine(cfg, machines=2)
+    fleet = FleetMachine(replica_configs(cfg, 2))
     servers = [
         WebServer(node.scheduler, node.rng.stream("web"), external_arrivals=True)
         for node in fleet.nodes
@@ -334,7 +335,7 @@ def test_fleet_telemetry_counts_chip_substeps_additively():
             assert reg.value("fleet.rounds", 0) == 0
 
     with isolated() as reg:
-        fleet = FleetMachine(cfg, machines=n)
+        fleet = FleetMachine(replica_configs(cfg, n))
         for node in fleet.nodes:
             _drive_burn(node)
         fleet.run(4.0)
@@ -408,7 +409,7 @@ def test_single_machine_fleet_policies_degenerate_gracefully():
     """N=1: every balancer routes everything to machine 0, and the
     migration policy can never find a distinct target."""
     cfg = fast_config(0)
-    fleet = FleetMachine(cfg, machines=1)
+    fleet = FleetMachine([cfg])
     servers = _external_servers(fleet)
     rng = RngRegistry(cfg.seed).stream("fleet-balancer")
     balancer = ThermalBalancer(fleet, servers, rate=servers[0].arrival_rate, rng=rng)
@@ -426,7 +427,7 @@ def test_single_machine_fleet_policies_degenerate_gracefully():
 
 def test_policy_bundle_rejects_server_count_mismatch():
     cfg = fast_config(0)
-    fleet = FleetMachine(cfg, machines=2)
+    fleet = FleetMachine(replica_configs(cfg, 2))
     servers = _external_servers(fleet)
     rng = RngRegistry(cfg.seed).stream("fleet-balancer")
     with pytest.raises(ConfigurationError):
@@ -441,7 +442,7 @@ def test_idle_machine_accepts_migrated_request_mid_substep():
     must close its gap, wake a blocked worker, and serve the request —
     without the request appearing in the target's own log."""
     cfg = fast_config(0)
-    fleet = FleetMachine(cfg, machines=2)
+    fleet = FleetMachine(replica_configs(cfg, 2))
     servers = _external_servers(fleet)
     # Machine 0 works (so the fleet has real substep traffic); machine
     # 1 does nothing at all until the hand-off lands at t=2.
@@ -464,7 +465,7 @@ def test_fleet_migration_telemetry_is_additive():
     counters and the policy's own event history."""
     with isolated() as reg:
         cfg = fast_config(0)
-        fleet = FleetMachine(cfg, machines=2)
+        fleet = FleetMachine(replica_configs(cfg, 2))
         servers = [
             WebServer(
                 node.scheduler,

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import Machine, fast_config
-from repro.fleet import FleetMachine
+from repro.fleet import FleetMachine, replica_configs
 from repro.health import FleetHealth, HealthParams, HealthState
 from repro.workloads import CpuBurn
 
@@ -14,7 +14,7 @@ from repro.workloads import CpuBurn
 def _hot_fleet(machines=2, *, params=None, seed=0, duration=8.0):
     """A small rack running cpuburn on every core, monitored."""
     cfg = fast_config(seed)
-    fleet = FleetMachine(cfg, machines=machines)
+    fleet = FleetMachine(replica_configs(cfg, machines))
     health = fleet.attach_health(params)
     for node in fleet.nodes:
         for _ in range(cfg.num_cores):
@@ -40,7 +40,7 @@ def test_attach_health_monitors_every_machine():
 
 
 def test_attach_health_twice_raises():
-    fleet = FleetMachine(fast_config(0), machines=1)
+    fleet = FleetMachine([fast_config(0)])
     fleet.attach_health()
     with pytest.raises(ConfigurationError):
         fleet.attach_health()
@@ -121,7 +121,7 @@ def test_noisy_monitor_reads_do_not_perturb_templog():
     cfg = fast_config(0)
 
     def run(monitored):
-        fleet = FleetMachine(cfg, machines=1)
+        fleet = FleetMachine([cfg])
         if monitored:
             fleet.attach_health(NOISY)
         node = fleet.nodes[0]

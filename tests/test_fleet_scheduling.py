@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.experiments import fast_config
-from repro.fleet import FleetMachine, RoundRobinBalancer
+from repro.fleet import FleetMachine, RoundRobinBalancer, replica_configs
 from repro.fleet.scheduling import (
     POLICY_NAMES,
     ZERO_COST,
@@ -46,7 +46,7 @@ def _flooded_rack(
     worker, so a deep ready queue persists and machine 0 runs hot while
     the others stay at idle temperature — the migration showcase."""
     cfg = fast_config(0)
-    fleet = FleetMachine(cfg, machines=machines)
+    fleet = FleetMachine(replica_configs(cfg, machines))
     servers = _servers(fleet, service_mean=0.5, num_workers=1)
     for k in range(requests):
         fleet.nodes[0].simview.schedule(0.01 * k, servers[0].submit_request)
@@ -61,7 +61,7 @@ def _flooded_rack(
 # ======================================================================
 def test_coolest_first_routes_to_coolest_machine():
     cfg = fast_config(0)
-    fleet = FleetMachine(cfg, machines=3)
+    fleet = FleetMachine(replica_configs(cfg, 3))
     servers = _servers(fleet)
     temps = np.array([50.0, 40.0, 60.0])
     balancer = ThermalBalancer(
@@ -77,7 +77,7 @@ def test_coolest_first_routes_to_coolest_machine():
 
 def test_threshold_strategy_round_robins_the_cool_bucket():
     cfg = fast_config(0)
-    fleet = FleetMachine(cfg, machines=4)
+    fleet = FleetMachine(replica_configs(cfg, 4))
     servers = _servers(fleet)
     temps = np.array([45.0, 70.0, 46.0, 47.0])  # machine 1 is hot
     balancer = ThermalBalancer(
@@ -98,7 +98,7 @@ def test_threshold_strategy_round_robins_the_cool_bucket():
 
 def test_thermal_balancer_validates_configuration():
     cfg = fast_config(0)
-    fleet = FleetMachine(cfg, machines=2)
+    fleet = FleetMachine(replica_configs(cfg, 2))
     servers = _servers(fleet)
     rng = _balancer_rng(cfg)
     with pytest.raises(ConfigurationError):
@@ -114,7 +114,7 @@ def test_thermal_balancer_validates_configuration():
 
 def test_sampled_temps_fall_back_to_idle_before_first_sample():
     cfg = fast_config(0)
-    fleet = FleetMachine(cfg, machines=2)
+    fleet = FleetMachine(replica_configs(cfg, 2))
     idle = float(np.mean(fleet.idle_core_temps))
     assert sampled_machine_temps(fleet) == pytest.approx([idle, idle])
 
@@ -127,7 +127,7 @@ def select_rig():
     """One reusable 4-machine rack whose balancer reads a mutable
     temperature array (the simulation itself never runs)."""
     cfg = fast_config(0)
-    fleet = FleetMachine(cfg, machines=4)
+    fleet = FleetMachine(replica_configs(cfg, 4))
     servers = _servers(fleet)
     temps = np.zeros(4)
     coolest = ThermalBalancer(
@@ -190,7 +190,7 @@ def test_uniform_temperatures_cycle_round_robin(select_rig, seed):
 # under uniform temperatures and zero migration
 # ======================================================================
 def _run_rack(cfg, balancer_factory, *, machines=3, duration=6.0):
-    fleet = FleetMachine(cfg, machines=machines)
+    fleet = FleetMachine(replica_configs(cfg, machines))
     servers = _servers(fleet)
     balancer = balancer_factory(fleet, servers)
     fleet.run(duration)
@@ -388,7 +388,7 @@ def test_cache_aware_policy_holds_work_when_benefit_is_too_small():
 
 def test_migration_policy_validates_configuration():
     cfg = fast_config(0)
-    fleet = FleetMachine(cfg, machines=2)
+    fleet = FleetMachine(replica_configs(cfg, 2))
     servers = _servers(fleet)
     with pytest.raises(ConfigurationError):
         MigrationPolicy(fleet, servers[:1])
@@ -468,7 +468,7 @@ def test_donate_queued_properties(select_rig, services, max_requests, cutoff):
 # ======================================================================
 def test_registry_rejects_unknown_policy_names():
     cfg = fast_config(0)
-    fleet = FleetMachine(cfg, machines=2)
+    fleet = FleetMachine(replica_configs(cfg, 2))
     servers = _servers(fleet)
     with pytest.raises(ConfigurationError) as excinfo:
         build_policy(
@@ -482,7 +482,7 @@ def test_registry_rejects_unknown_policy_names():
 def test_registry_builds_every_policy(name):
     cfg = fast_config(0)
     with isolated() as reg:
-        fleet = FleetMachine(cfg, machines=2)
+        fleet = FleetMachine(replica_configs(cfg, 2))
         health = fleet.attach_health()
         servers = _servers(fleet)
         bundle = build_policy(
@@ -506,7 +506,7 @@ def test_registry_builds_every_policy(name):
 
 def test_registry_threshold_policy_sits_above_idle():
     cfg = fast_config(0)
-    fleet = FleetMachine(cfg, machines=2)
+    fleet = FleetMachine(replica_configs(cfg, 2))
     servers = _servers(fleet)
     bundle = build_policy(
         "threshold", fleet, servers, rate=10.0, rng=_balancer_rng(cfg)
@@ -531,7 +531,7 @@ def test_thermal_policy_overhead_is_bounded():
 
     def timed(policy_name):
         started = time.perf_counter()
-        fleet = FleetMachine(cfg, machines=3)
+        fleet = FleetMachine(replica_configs(cfg, 3))
         servers = _servers(fleet)
         bundle = build_policy(
             policy_name,

@@ -114,6 +114,42 @@ def test_resample_validation():
     assert meter.resample(1.0)[0].size == 0
 
 
+@pytest.mark.parametrize(
+    "period, end",
+    [(float("nan"), None), (float("inf"), None), (1.0, float("nan")), (1.0, -float("inf"))],
+)
+def test_resample_rejects_non_finite_period_and_end(period, end):
+    meter = PowerMeter()
+    meter.record_segment(0.0, 4.0, 10.0)
+    with pytest.raises(AnalysisError):
+        meter.resample(period, end=end)
+
+
+def test_resample_to_infinite_end_stops_at_the_data():
+    meter = PowerMeter()
+    meter.record_segment(0.0, 3.0, 10.0)
+    times, watts = meter.resample(1.0, end=float("inf"))
+    assert times.tolist() == [0.5, 1.5, 2.5]
+    assert watts.tolist() == [10.0, 10.0, 10.0]
+
+
+@pytest.mark.parametrize("gain_error", [float("nan"), float("inf"), -0.01])
+def test_clamp_gain_error_must_be_finite_and_non_negative(gain_error):
+    with pytest.raises(AnalysisError):
+        PowerMeter(clamp_gain_error=gain_error, rng=RngRegistry(0).stream("clamp"))
+
+
+def test_segments_are_copies_and_recording_continues():
+    meter = PowerMeter()
+    meter.record_segment(0.0, 1.0, 5.0)
+    starts, durations, powers = meter.segments()
+    meter.record_segment(1.0, 2.0, 7.0)  # no live export blocks the append
+    starts[0] = 99.0
+    assert meter.segments()[0].tolist() == [0.0, 1.0]
+    assert durations.tolist() == [1.0] and powers.tolist() == [5.0]
+    assert meter.num_segments == 2 and meter.energy() == 19.0
+
+
 def test_clamp_gain_error_applied():
     rng = RngRegistry(5).stream("clamp")
     meter = PowerMeter(clamp_gain_error=0.05, rng=rng)

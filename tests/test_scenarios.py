@@ -14,6 +14,7 @@ from repro.fleet import (
     FleetMachine,
     build_policy,
     build_scenario_arrivals,
+    replica_configs,
     scenarios_experiment,
 )
 from repro.sim import RngRegistry
@@ -61,7 +62,7 @@ def test_finite_trace_drives_exact_fleet_arrivals():
     """A finite trace at the balancer produces exactly its arrivals,
     at exactly its timestamps, pooled across the rack."""
     config = fast_config(0)
-    fleet = FleetMachine(config, machines=2)
+    fleet = FleetMachine(replica_configs(config, 2))
     servers = [
         WebServer(node.scheduler, node.rng.stream("web"), external_arrivals=True)
         for node in fleet.nodes
