@@ -12,9 +12,9 @@ from repro.experiments.figures import fig1_power_trace
 
 
 @pytest.mark.benchmark(group="fig1")
-def test_fig1_power_trace(benchmark, config, show):
+def test_fig1_power_trace(benchmark, config, show, runner):
     result = benchmark.pedantic(
-        lambda: fig1_power_trace(config), rounds=1, iterations=1
+        lambda: fig1_power_trace(config, runner=runner), rounds=1, iterations=1
     )
     show(result, "Figure 1 — race-to-idle vs Dimetrodon power trace")
 

@@ -11,9 +11,9 @@ from repro.experiments.figures import fig2_temperature_timeseries
 
 
 @pytest.mark.benchmark(group="fig2")
-def test_fig2_temperature_timeseries(benchmark, config, show):
+def test_fig2_temperature_timeseries(benchmark, config, show, runner):
     result = benchmark.pedantic(
-        lambda: fig2_temperature_timeseries(config), rounds=1, iterations=1
+        lambda: fig2_temperature_timeseries(config, runner=runner), rounds=1, iterations=1
     )
     show(result, "Figure 2 — temperature rise over idle vs time (L=100ms)")
 

@@ -12,9 +12,9 @@ from repro.experiments.figures import fig5_per_thread_control
 
 
 @pytest.mark.benchmark(group="fig5")
-def test_fig5_per_thread_control(benchmark, config, show):
+def test_fig5_per_thread_control(benchmark, config, show, runner):
     result = benchmark.pedantic(
-        lambda: fig5_per_thread_control(config), rounds=1, iterations=1
+        lambda: fig5_per_thread_control(config, runner=runner), rounds=1, iterations=1
     )
     show(result, "Figure 5 — global vs thread-specific control")
 

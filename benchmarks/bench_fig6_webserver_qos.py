@@ -14,9 +14,9 @@ from repro.experiments.figures import fig6_webserver_qos
 
 
 @pytest.mark.benchmark(group="fig6")
-def test_fig6_webserver_qos(benchmark, config, show):
+def test_fig6_webserver_qos(benchmark, config, show, runner):
     result = benchmark.pedantic(
-        lambda: fig6_webserver_qos(config), rounds=1, iterations=1
+        lambda: fig6_webserver_qos(config, runner=runner), rounds=1, iterations=1
     )
     show(result, "Figure 6 — web workload QoS vs temperature reduction")
 

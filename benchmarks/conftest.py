@@ -5,9 +5,11 @@ the same rows/series the paper reports (run pytest with ``-s`` to see
 them).  By default the CI-friendly fast configuration is used; set
 ``REPRO_FULL=1`` for paper-faithful 300 s runs.
 
-Sweep-shaped benchmarks (fig3, fig4, table1, the §3.3 validations) run
-their independent simulations through the :mod:`repro.runtime` batch
-layer.  Two environment variables control it:
+Every benchmark that regenerates a figure, table or validation (fig1
+to fig6, table1, the §3.3 validations) runs its independent
+simulations through the :mod:`repro.runtime` batch layer, via the
+``runner`` fixture; the ablation benchmarks wire their own machines.
+Two environment variables control the runner:
 
 - ``REPRO_JOBS=N`` — fan runs out over N worker processes (default 1;
   results are bit-identical to serial either way);
@@ -33,7 +35,8 @@ def config():
 
 @pytest.fixture(scope="session")
 def runner():
-    """The batch runner shared by the sweep-shaped benchmarks."""
+    """The batch runner shared by the figure, table and validation
+    benchmarks."""
     jobs = int(os.environ.get("REPRO_JOBS", "1"))
     cache_dir = os.environ.get("REPRO_CACHE_DIR", "").strip()
     cache = ResultCache(cache_dir) if cache_dir else None

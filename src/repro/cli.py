@@ -14,21 +14,17 @@ Examples
     python -m repro fig3 --resume               # pick up an interrupted sweep
     python -m repro smoke --inject-faults "crash@1,hang@3:30"  # chaos test
 
-Experiments built from independent runs — the characterization /
-finite sweeps (fig3, fig4, table1, the validations, smoke) *and* the
-rack-cell grids (fleet, fleet-compare, scenarios) — execute through
-the :mod:`repro.runtime` batch layer: ``--jobs N`` runs them on a
-worker pool and results are cached on disk (default
-``.repro-cache/``) so a repeat invocation is nearly instant.  Batch
-runs are hardened: ``--timeout`` kills hung workers, transient
-failures retry with backoff (``--max-retries``), an interrupted sweep
-resumes from its journal (``--resume``), ``--keep-going`` degrades
-gracefully past terminal failures, and ``--inject-faults``
-chaos-tests all of the above (see ``docs/robustness.md``).  The
-single-machine figures (fig1, fig2, fig5, fig6) build their machines
-(2, 4, 13 and 10 at the fast preset) directly instead of as run specs,
-so they are not routed through the runtime yet: batch flags there are
-a usage error (exit 2), not a silent no-op.
+Every experiment is built from independent runs — single-machine
+runs (the figures, table1, the validations, smoke) or rack cells
+(fleet, fleet-compare, scenarios) — and executes through the
+:mod:`repro.runtime` batch layer: ``--jobs N`` runs them on a worker
+pool and results are cached on disk (default ``.repro-cache/``) so a
+repeat invocation is nearly instant.  Batch runs are hardened:
+``--timeout`` kills hung workers, transient failures retry with
+backoff (``--max-retries``), an interrupted sweep resumes from its
+journal (``--resume``), ``--keep-going`` degrades gracefully past
+terminal failures, and ``--inject-faults`` chaos-tests all of the
+above (see ``docs/robustness.md``).
 """
 
 from __future__ import annotations
@@ -78,14 +74,6 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: The sweep journal lives inside the cache dir: resume needs both.
 JOURNAL_NAME = "journal.jsonl"
-
-#: The batch-runner flags (argparse destinations): set to anything but
-#: their parser default, they are a usage error on a non-batch
-#: experiment.
-BATCH_FLAGS = (
-    "jobs", "cache_dir", "no_cache", "progress", "timeout",
-    "max_retries", "resume", "keep_going", "inject_faults",
-)
 
 #: experiment name -> (description, runner).
 EXPERIMENTS: Dict[str, tuple] = {
@@ -235,11 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def supports_runner(func: Callable) -> bool:
-    """Whether an experiment accepts the batch ``runner`` keyword."""
-    return "runner" in inspect.signature(func).parameters
-
-
 def supports_policy(func: Callable) -> bool:
     """Whether an experiment accepts the scheduling ``policy`` keyword."""
     return "policy" in inspect.signature(func).parameters
@@ -303,35 +286,6 @@ def validate_policy(experiment: str, policy: Optional[str]) -> None:
             f"--policy applies only to experiments that take a scheduling "
             f"policy ({experiments_supporting(supports_policy)}), not "
             f"{experiment!r}"
-        )
-
-
-def validate_batch_flags(experiment: str, args: argparse.Namespace) -> None:
-    """Reject batch flags on an experiment that would silently ignore
-    them.
-
-    The single-machine figures build independent machines, but
-    directly rather than as run specs, so nothing of theirs reaches the
-    pool, cache or journal: a ``--jobs 4`` there would be a lie the
-    user only discovers by timing the run.  ``all`` and ``list`` are
-    exempt (an ``all`` sweep legitimately mixes both kinds).
-    """
-    if experiment in ("all", "list"):
-        return
-    func = EXPERIMENTS.get(experiment, (None, None))[1]
-    if func is None or supports_runner(func):
-        return
-    parser = build_parser()
-    ignored = [
-        f"--{dest.replace('_', '-')}"
-        for dest in BATCH_FLAGS
-        if getattr(args, dest) != parser.get_default(dest)
-    ]
-    if ignored:
-        raise ConfigurationError(
-            f"{', '.join(ignored)}: no effect on {experiment!r}, whose runs "
-            f"are not routed through the batch runtime yet (batch "
-            f"experiments: {experiments_supporting(supports_runner)})"
         )
 
 
@@ -402,7 +356,8 @@ def run_experiment(
     health_params: Optional[HealthParams] = None,
     health: Optional[Dict[str, object]] = None,
 ) -> str:
-    """Run one experiment and return its rendered text.
+    """Run one experiment through ``runner`` (None: a serial, uncached
+    one) and return its rendered text with a status line.
 
     ``timings``, when given, collects the experiment's wall seconds
     under its name (the manifest records these).  ``policy`` is passed
@@ -423,22 +378,18 @@ def run_experiment(
         kwargs["policy"] = policy
     if health_params is not None and supports_health(func):
         kwargs["health_params"] = health_params
+    runner = runner if runner is not None else ParallelRunner()
+    executed_before = runner.metrics.executed
+    hits_before = runner.metrics.cache_hits
     started = time.time()
-    if runner is not None and supports_runner(func):
-        executed_before = runner.metrics.executed
-        hits_before = runner.metrics.cache_hits
-        result = func(config, runner=runner, **kwargs)
-        elapsed = time.time() - started
-        executed = runner.metrics.executed - executed_before
-        hits = runner.metrics.cache_hits - hits_before
-        status = (
-            f"[{name}: {elapsed:.1f}s wall | runs: {executed} executed, "
-            f"{hits} cached | jobs={runner.jobs}]"
-        )
-    else:
-        result = func(config, **kwargs)
-        elapsed = time.time() - started
-        status = f"[{name}: {elapsed:.1f}s wall]"
+    result = func(config, runner=runner, **kwargs)
+    elapsed = time.time() - started
+    executed = runner.metrics.executed - executed_before
+    hits = runner.metrics.cache_hits - hits_before
+    status = (
+        f"[{name}: {elapsed:.1f}s wall | runs: {executed} executed, "
+        f"{hits} cached | jobs={runner.jobs}]"
+    )
     if timings is not None:
         timings[name] = elapsed
     if artifacts is not None:
@@ -487,9 +438,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.experiment == "list":
         for name in sorted(EXPERIMENTS):
-            description, func = EXPERIMENTS[name]
-            batch = " [batch]" if supports_runner(func) else ""
-            print(f"{name:22s} {description}{batch}")
+            print(f"{name:22s} {EXPERIMENTS[name][0]}")
         return 0
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     # A fresh registry per invocation: the manifest's metrics cover
@@ -497,7 +446,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     with isolated() as metrics_registry:
         try:
             validate_policy(args.experiment, args.policy)
-            validate_batch_flags(args.experiment, args)
             health_params = health_params_from_args(args)
             validate_health(args.experiment, health_params)
             runner = make_runner(

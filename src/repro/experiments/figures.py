@@ -10,7 +10,7 @@ text (series and summary statistics).  The benchmark harness under
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,17 +20,37 @@ from ..core.pareto import (
     fit_power_law,
     pareto_boundary,
 )
+from ..errors import ExecutionError
 from ..health import HealthParams
 from ..instruments.stats import relative_reduction
-from ..runtime import ParallelRunner
-from ..workloads.cpuburn import FiniteCpuBurn
-from ..workloads.mixes import build_hot_cool_mix
-from ..workloads.webserver import QOS_GOOD, QOS_TOLERABLE, WebServer
+from ..runtime import ParallelRunner, RunSpec
+from ..workloads.webserver import check_scoring_span
 from .config import ExperimentConfig
-from .machine import Machine
 from .reporting import format_series, format_table, percent
-from .runner import resolve_duration
+from .runner import (
+    HOT_COOL_MIX_KIND,
+    POWER_TRACE_KIND,
+    TRANSIENT_KIND,
+    WEB_QOS_KIND,
+    resolve_duration,
+)
 from .sweeps import FIG3_LS_MS, FIG3_PS, FIG4_LS_MS, FIG4_PS, Sweep, SweepResult, run_sweeps
+
+
+def _run_all(
+    figure: str, specs: Sequence[RunSpec], runner: Optional[ParallelRunner]
+) -> List[Any]:
+    """Every spec's result, in order, through ``runner`` (None: a
+    serial uncached one).  A figure needs all of its runs: one
+    abandoned under keep-going fails the figure."""
+    results = (runner if runner is not None else ParallelRunner()).run(specs)
+    missing = sum(result is None for result in results)
+    if missing:
+        raise ExecutionError(
+            f"{figure}: {missing} of {len(specs)} runs failed terminally and "
+            "left no result (see the failure report)"
+        )
+    return results
 
 
 # ======================================================================
@@ -73,53 +93,20 @@ def fig1_power_trace(
     p: float = 0.5,
     idle_quantum: float = 0.100,
     sample_period: float = 0.020,
+    runner: Optional[ParallelRunner] = None,
 ) -> Fig1Result:
     """Run the same finite 4-thread cpuburn with and without injection
     and return the sampled package power traces."""
-
-    def run(inject: bool) -> Tuple[Machine, float]:
-        machine = Machine(config)
-        if inject:
-            machine.control.set_global_policy(p, idle_quantum)
-        threads = [
-            machine.scheduler.spawn(FiniteCpuBurn(work_per_thread), name=f"burn-{i}")
-            for i in range(config.num_cores)
-        ]
-        while any(t.alive for t in threads):
-            machine.run(0.5)
-        return machine, max(t.stats.exit_time for t in threads)
-
-    race_machine, race_done = run(inject=False)
-    dim_machine, dim_done = run(inject=True)
-    # Idle out both machines to a common window for energy parity (the
-    # run loop advances in chunks, so take the later of the two clocks).
-    window = max(race_machine.now, dim_machine.now) + 0.2
-    race_machine.run(window - race_machine.now)
-    dim_machine.run(window - dim_machine.now)
-
-    times_race, power_race = race_machine.powermeter.resample(sample_period, end=window)
-    times_dim, power_dim = dim_machine.powermeter.resample(sample_period, end=window)
-
-    # The staircase levels: package power with k of n cores active,
-    # estimated at the run's typical temperature.
-    temp = float(np.mean(dim_machine.core_temps))
-    model = dim_machine.chip.power_model
-    levels = [
-        model.package_power_estimate(
-            k, config.num_cores, temp, dim_machine.chip.operating_point
-        )
-        for k in range(config.num_cores + 1)
-    ]
+    params = dict(
+        work_per_thread=work_per_thread,
+        p=p,
+        idle_quantum=idle_quantum,
+        sample_period=sample_period,
+    )
+    (trace,) = _run_all("fig1", [RunSpec(POWER_TRACE_KIND, config, params)], runner)
+    traces = ("times_race", "power_race", "times_dim", "power_dim")
     return Fig1Result(
-        times_race=times_race,
-        power_race=power_race,
-        times_dim=times_dim,
-        power_dim=power_dim,
-        completion_race=race_done,
-        completion_dim=dim_done,
-        energy_race=race_machine.energy(0.0, window),
-        energy_dim=dim_machine.energy(0.0, window),
-        power_levels=levels,
+        **{**vars(trace), **{name: np.asarray(getattr(trace, name)) for name in traces}}
     )
 
 
@@ -180,6 +167,7 @@ def fig2_temperature_timeseries(
     idle_quantum: float = 0.100,
     duration: Optional[float] = None,
     health_params: Optional[HealthParams] = None,
+    runner: Optional[ParallelRunner] = None,
 ) -> Fig2Result:
     """cpuburn heating transients for several idle proportions.
 
@@ -191,30 +179,19 @@ def fig2_temperature_timeseries(
     (the CLI's ``--health-*`` flags).
     """
     run_for = resolve_duration(duration, config)
+    params = dict(idle_quantum=idle_quantum, duration=run_for, health=health_params)
+    specs = [RunSpec(TRANSIENT_KIND, config, dict(params, p=p)) for p in ps]
     series: Dict[float, Tuple[np.ndarray, np.ndarray]] = {}
     final_rise: Dict[float, float] = {}
     ripple: Dict[float, float] = {}
     health: Dict[float, Dict[str, object]] = {}
-    for p in ps:
-        machine = Machine(config)
-        monitor = machine.attach_health(health_params)
-        if p > 0:
-            machine.control.set_global_policy(p, idle_quantum)
-        from .runner import make_cpu_workload
-
-        for i in range(config.num_cores):
-            machine.scheduler.spawn(make_cpu_workload("cpuburn"), name=f"burn-{i}")
-        machine.run(run_for)
-        monitor.stop()
-        monitor.finalize()
-        times = machine.templog.times
-        rise = machine.templog.samples.mean(axis=1) - machine.idle_mean_temp
+    for p, run in zip(ps, _run_all("fig2", specs, runner)):
+        times, rise = np.asarray(run.times), np.asarray(run.rise)
         series[p] = (times, rise)
-        window = config.measure_window
-        tail = rise[times >= times[-1] - window]
+        tail = rise[times >= times[-1] - config.measure_window]
         final_rise[p] = float(tail.mean())
         ripple[p] = float(tail.std())
-        health[p] = monitor.summary()
+        health[p] = run.health
     return Fig2Result(
         idle_quantum=idle_quantum,
         series=series,
@@ -379,6 +356,7 @@ def fig5_per_thread_control(
     burn_time: Optional[float] = None,
     sleep_time: Optional[float] = None,
     duration: Optional[float] = None,
+    runner: Optional[ParallelRunner] = None,
 ) -> Fig5Result:
     """The §3.6 demonstration: a duty-cycled "cool" process co-located
     with four hot calculix instances, under global vs per-thread policy."""
@@ -391,41 +369,38 @@ def fig5_per_thread_control(
     burn = burn_time if burn_time is not None else max(6.0 * scale, 1.0)
     sleep = sleep_time if sleep_time is not None else max(24.0 * scale, 4.0 * burn)
 
-    def run_mix(mode: str, p: float, idle_quantum: float):
-        machine = Machine(config)
-        mix = build_hot_cool_mix(
-            machine.scheduler, burn_time=burn, sleep_time=sleep
+    runs = [("global", 0.0, 0.010)] + [
+        (mode, p, idle_quantum)
+        for mode in ("per-thread", "global")
+        for p, idle_quantum in configs
+    ]
+    specs = [
+        RunSpec(
+            HOT_COOL_MIX_KIND,
+            config,
+            dict(
+                mode=mode,
+                p=p,
+                idle_quantum=idle_quantum,
+                burn_time=burn,
+                sleep_time=sleep,
+                duration=run_for,
+            ),
         )
-        if p > 0:
-            if mode == "global":
-                machine.control.set_global_policy(p, idle_quantum)
-            else:
-                for thread in mix.hot_threads:
-                    machine.control.set_thread_policy(thread, p, idle_quantum)
-        machine.run(run_for)
-        return machine, mix
-
-    base_machine, base_mix = run_mix("global", 0.0, 0.010)
-    base_temp = base_machine.mean_core_temp_over_window()
-    base_cool_work = base_mix.cool_thread.stats.work_done
-    baseline_rise = base_temp - base_machine.idle_mean_temp
-
-    points: List[Fig5Point] = []
-    for mode in ("per-thread", "global"):
-        for p, idle_quantum in configs:
-            machine, mix = run_mix(mode, p, idle_quantum)
-            temp = machine.mean_core_temp_over_window()
-            points.append(
-                Fig5Point(
-                    mode=mode,
-                    p=p,
-                    idle_quantum=idle_quantum,
-                    temp_reduction=relative_reduction(
-                        base_temp, temp, base_machine.idle_mean_temp
-                    ),
-                    cool_throughput=mix.cool_thread.stats.work_done / base_cool_work,
-                )
-            )
+        for mode, p, idle_quantum in runs
+    ]
+    base, *mixes = _run_all("fig5", specs, runner)
+    baseline_rise = base.mean_temp - base.idle_temp
+    points = [
+        Fig5Point(
+            mode=mode,
+            p=p,
+            idle_quantum=idle_quantum,
+            temp_reduction=relative_reduction(base.mean_temp, mix.mean_temp, base.idle_temp),
+            cool_throughput=mix.cool_work / base.cool_work,
+        )
+        for (mode, p, idle_quantum), mix in zip(runs[1:], mixes)
+    ]
     return Fig5Result(points=points, baseline_rise=baseline_rise)
 
 
@@ -490,47 +465,38 @@ def fig6_webserver_qos(
     ),
     duration: Optional[float] = None,
     warmup: float = 5.0,
+    runner: Optional[ParallelRunner] = None,
 ) -> Fig6Result:
     """SPECWeb-like QoS under injection (§3.7)."""
     run_for = resolve_duration(duration, config)
-
-    def run_web(p: float, idle_quantum: float):
-        machine = Machine(config)
-        server = WebServer(machine.scheduler, machine.rng.stream("web"))
-        if p > 0:
-            machine.control.set_global_policy(p, idle_quantum)
-        machine.run(run_for)
-        good = server.log.qos_fraction(QOS_GOOD, start=warmup, end=run_for - QOS_TOLERABLE)
-        tolerable = server.log.qos_fraction(
-            QOS_TOLERABLE, start=warmup, end=run_for - QOS_TOLERABLE
+    check_scoring_span(run_for, warmup)
+    runs = [(0.0, 0.1)] + list(configs)
+    specs = [
+        RunSpec(
+            WEB_QOS_KIND,
+            config,
+            dict(p=p, idle_quantum=idle_quantum, duration=run_for, warmup=warmup),
         )
-        mean_resp = server.log.mean_response_time(start=warmup, end=run_for - QOS_TOLERABLE)
-        return machine, server, good, tolerable, mean_resp
-
-    base_machine, base_server, base_good, base_tol, _ = run_web(0.0, 0.1)
-    base_temp = base_machine.mean_core_temp_over_window()
-    baseline_rise = base_temp - base_machine.idle_mean_temp
-
-    points: List[Fig6Point] = []
-    for p, idle_quantum in configs:
-        machine, server, good, tolerable, mean_resp = run_web(p, idle_quantum)
-        temp = machine.mean_core_temp_over_window()
-        points.append(
-            Fig6Point(
-                p=p,
-                idle_quantum=idle_quantum,
-                temp_reduction=relative_reduction(
-                    base_temp, temp, base_machine.idle_mean_temp
-                ),
-                qos_good=good / base_good if base_good > 0 else 0.0,
-                qos_tolerable=tolerable / base_tol if base_tol > 0 else 0.0,
-                mean_response=mean_resp,
-            )
+        for p, idle_quantum in runs
+    ]
+    base, *webs = _run_all("fig6", specs, runner)
+    points = [
+        Fig6Point(
+            p=p,
+            idle_quantum=idle_quantum,
+            temp_reduction=relative_reduction(base.mean_temp, web.mean_temp, base.idle_temp),
+            qos_good=web.qos_good / base.qos_good if base.qos_good > 0 else 0.0,
+            qos_tolerable=(
+                web.qos_tolerable / base.qos_tolerable if base.qos_tolerable > 0 else 0.0
+            ),
+            mean_response=web.mean_response,
         )
+        for (p, idle_quantum), web in zip(runs[1:], webs)
+    ]
     return Fig6Result(
         points=points,
-        baseline_rise=baseline_rise,
-        baseline_good=base_good,
-        baseline_tolerable=base_tol,
-        offered_load_per_core=base_server.offered_load_per_core,
+        baseline_rise=base.mean_temp - base.idle_temp,
+        baseline_good=base.qos_good,
+        baseline_tolerable=base.qos_tolerable,
+        offered_load_per_core=base.offered_load_per_core,
     )

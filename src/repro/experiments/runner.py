@@ -1,19 +1,32 @@
-"""Single-configuration experiment runs.
+"""Single-machine experiment runs, and the one loop that runs them.
 
 The paper's basic measurement (§3.4) is: run a workload on all cores
 under a static (p, L) policy for 300 s, then report the mean core
 temperature over the last 30 s (relative to the idle baseline) and the
-throughput (relative to the unconstrained run).  This module implements
-that run, a batch of such runs sharing one fleet, and the finite-work
-variant used for model validation (§3.3), and declares both kinds
-(:mod:`repro.runtime.kinds`) at its foot.
+throughput (relative to the unconstrained run).  Figures 2, 5 and 6
+are sets of the same kind of single-server run with another workload
+or read-out: a heating transient under a health monitor, the §3.6
+hot/cool mix, the §3.7 web server.
+
+Each such run is a *plan*: its parameters, checked and resolved, plus
+``fleet_key`` (the :class:`FleetSetup` its fleet needs),
+``start(node)`` (program a fleet node) and ``result(node)`` (read the
+finished node back).  :func:`run_plans` runs plans with equal keys as
+the nodes of one :class:`~repro.fleet.machine.FleetMachine`, so its
+drains advance them together; a node's floats never depend on its
+neighbours, so every result equals the same plan run alone.
+
+Figure 1 and the §3.3 model validations run to completion in chunks
+and stay solo executors on :class:`~repro.experiments.machine.Machine`.
+The foot of the module declares every kind
+(:mod:`repro.runtime.kinds`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,12 +35,24 @@ from ..cpu.dvfs import OperatingPoint
 from ..cpu.tcc import TccSetting
 from ..errors import ConfigurationError
 from ..fleet.machine import FleetMachine, FleetNode, physics_of
+from ..health import HealthParams
+from ..runtime.hashing import PHYSICS_MODULES
 from ..runtime.kinds import register_executor
 from ..sched.thread import Thread
 from ..workloads.cpuburn import CpuBurn, FiniteCpuBurn
+from ..workloads.mixes import build_hot_cool_mix
 from ..workloads.spec import SpecWorkload
+from ..workloads.webserver import QOS_GOOD, QOS_TOLERABLE, WebServer, check_scoring_span
 from .config import ExperimentConfig
 from .machine import Machine
+
+#: The run kinds declared here besides ``characterization`` and
+#: ``finite_cpuburn``: Figure 1's trace pair, Figure 2's transient,
+#: Figure 5's mix and Figure 6's web run.
+POWER_TRACE_KIND = "power_trace"
+TRANSIENT_KIND = "transient"
+HOT_COOL_MIX_KIND = "hot_cool_mix"
+WEB_QOS_KIND = "web_qos"
 
 
 def make_cpu_workload(name: str):
@@ -35,6 +60,14 @@ def make_cpu_workload(name: str):
     if name == "cpuburn":
         return CpuBurn()
     return SpecWorkload(name)
+
+
+def _require_length(name: str, value: float) -> float:
+    """``value`` as a float, if positive and finite; else a
+    :class:`ConfigurationError` naming it."""
+    if not 0 < value < math.inf:  # also rejects NaN
+        raise ConfigurationError(f"{name} must be positive and finite, got {value}")
+    return float(value)
 
 
 def resolve_duration(duration: Optional[float], config: ExperimentConfig) -> float:
@@ -46,11 +79,89 @@ def resolve_duration(duration: Optional[float], config: ExperimentConfig) -> flo
     """
     if duration is None:
         return config.characterization_duration
-    if not 0 < duration < math.inf:
-        raise ConfigurationError(f"duration must be positive and finite, got {duration}")
-    return float(duration)
+    return _require_length("duration", duration)
 
 
+# ======================================================================
+# Running plans
+# ======================================================================
+class FleetSetup(NamedTuple):
+    """What the plans sharing one fleet agree on: physics, run length,
+    idle mode, and the health monitors attached to every node (None:
+    unmonitored)."""
+
+    physics: Tuple[Any, ...]
+    duration: float
+    idle_mode: IdleMode = IdleMode.HALT
+    health: Optional[HealthParams] = None
+
+
+def run_plans(plans: Sequence[_Plan]) -> List[Any]:
+    """Run single-machine plans; results in plan order.
+
+    Plans with equal ``fleet_key`` run as the nodes of one
+    :class:`~repro.fleet.machine.FleetMachine`, node ``j`` built from
+    its own plan's config, which is closed once every node is read.
+    """
+    groups: Dict[FleetSetup, List[int]] = {}
+    for index, plan in enumerate(plans):
+        groups.setdefault(plan.fleet_key, []).append(index)
+    results: List[Any] = [None] * len(plans)
+    for setup, members in groups.items():
+        fleet = FleetMachine([plans[i].config for i in members], idle_mode=setup.idle_mode)
+        if setup.health is not None:
+            fleet.attach_health(setup.health)
+        for index, node in zip(members, fleet.nodes):
+            plans[index].start(node)
+        fleet.run(setup.duration)
+        for index, node in zip(members, fleet.nodes):
+            results[index] = plans[index].result(node)
+        fleet.close()
+    return results
+
+
+def _plan_executors(
+    plan: Callable[..., _Plan],
+) -> Tuple[Callable[..., Any], Callable[..., List[Any]]]:
+    """A plan type's ``(solo, batch)`` executors: ``batch`` runs
+    ``plan(config, **params)`` for each ``(config, params)`` through
+    :func:`run_plans`; ``solo(config, **params)`` is a batch of one."""
+
+    def batch(runs: Sequence[Tuple[ExperimentConfig, Mapping[str, Any]]]) -> List[Any]:
+        return run_plans([plan(config, **params) for config, params in runs])
+
+    def solo(config: ExperimentConfig, **params: Any) -> Any:
+        (result,) = batch([(config, params)])
+        return result
+
+    return solo, batch
+
+
+@dataclass
+class _Plan:
+    """A single-machine run's config and resolved length; subclasses add
+    their parameters, ``start`` and ``result``."""
+
+    config: ExperimentConfig
+    #: None: the config's characterization duration.
+    duration: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        self.duration = resolve_duration(self.duration, self.config)
+
+    @property
+    def fleet_key(self) -> FleetSetup:
+        return FleetSetup(physics_of(self.config), self.duration)
+
+
+def _set_global_policy(node: FleetNode, p: float, idle_quantum: float, **kwargs: Any) -> None:
+    if p > 0:
+        node.control.set_global_policy(p, idle_quantum, **kwargs)
+
+
+# ======================================================================
+# §3.4 characterization (Figures 3-4, Table 1)
+# ======================================================================
 @dataclass
 class CharacterizationResult:
     """Outcome of one static-policy characterisation run."""
@@ -74,31 +185,21 @@ class CharacterizationResult:
 
 
 @dataclass
-class _Characterization:
-    """One characterization run's parameters, checked and resolved:
-    the run starts on a fleet node (:meth:`start`) and is read back
-    from it (:meth:`result`), whether the node serves one run or a
-    batch."""
+class _Characterization(_Plan):
+    """One characterization run: a CPU-bound workload on every core
+    under a static technique."""
 
-    config: ExperimentConfig
     workload: str = "cpuburn"
     p: float = 0.0
     idle_quantum: float = 0.025
-    #: None: the config's characterization duration.
-    duration: Optional[float] = None
     deterministic: bool = False
     idle_mode: IdleMode = IdleMode.HALT
     operating_point: Optional[OperatingPoint] = None
     tcc: Optional[TccSetting] = None
 
-    def __post_init__(self) -> None:
-        self.duration = resolve_duration(self.duration, self.config)
-
     @property
-    def fleet_key(self) -> Tuple[Any, ...]:
-        """Runs with equal keys can share one fleet: same physics, run
-        length and idle mode."""
-        return (physics_of(self.config), self.duration, self.idle_mode)
+    def fleet_key(self) -> FleetSetup:
+        return FleetSetup(physics_of(self.config), self.duration, self.idle_mode)
 
     def start(self, node: FleetNode) -> None:
         """Program the node's policy and spawn one workload per core."""
@@ -106,10 +207,7 @@ class _Characterization:
             node.chip.set_operating_point(self.operating_point)
         if self.tcc is not None:
             node.chip.set_tcc(self.tcc)
-        if self.p > 0:
-            node.control.set_global_policy(
-                self.p, self.idle_quantum, deterministic=self.deterministic
-            )
+        _set_global_policy(node, self.p, self.idle_quantum, deterministic=self.deterministic)
         for i in range(self.config.num_cores):
             node.scheduler.spawn(make_cpu_workload(self.workload), name=f"{self.workload}-{i}")
 
@@ -141,26 +239,10 @@ def run_characterizations(
     :func:`run_characterization`'s keywords; results in batch order.
 
     Runs that can share a fleet (same physics, duration and idle mode)
-    run as the nodes of one :class:`~repro.fleet.machine.FleetMachine`,
-    node ``j`` built from its own run's config, so the fleet's drains
-    advance them together.  A node's floats never depend on its
-    neighbours, so every result equals the same run executed alone.
+    run as the nodes of one fleet (:func:`run_plans`), so every result
+    equals the same run executed alone.
     """
-    plans = [_Characterization(config, **params) for config, params in runs]
-    groups: Dict[Tuple[Any, ...], List[int]] = {}
-    for index, plan in enumerate(plans):
-        groups.setdefault(plan.fleet_key, []).append(index)
-    results: List[Optional[CharacterizationResult]] = [None] * len(plans)
-    for members in groups.values():
-        first = plans[members[0]]
-        fleet = FleetMachine([plans[i].config for i in members], idle_mode=first.idle_mode)
-        for index, node in zip(members, fleet.nodes):
-            plans[index].start(node)
-        fleet.run(first.duration)
-        for index, node in zip(members, fleet.nodes):
-            results[index] = plans[index].result(node)
-        fleet.close()
-    return results
+    return run_plans([_Characterization(config, **params) for config, params in runs])
 
 
 def run_characterization(config: ExperimentConfig, **params: Any) -> CharacterizationResult:
@@ -173,6 +255,235 @@ def run_characterization(config: ExperimentConfig, **params: Any) -> Characteriz
     """
     (result,) = run_characterizations([(config, params)])
     return result
+
+
+# ======================================================================
+# Figure 2: heating transients under a health monitor
+# ======================================================================
+@dataclass
+class TransientResult:
+    """One cpuburn heating transient: the mean-core temperature rise
+    over idle at every temperature-log sample, and the health monitor's
+    summary."""
+
+    times: List[float]
+    rise: List[float]
+    health: Dict[str, Any]
+
+
+@dataclass
+class _Transient(_Plan):
+    """cpuburn on every core under a global ``(p, L)`` policy, watched
+    by a health monitor (None: default :class:`HealthParams`)."""
+
+    p: float = 0.0
+    idle_quantum: float = 0.100
+    health: Optional[HealthParams] = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.health is None:
+            self.health = HealthParams()
+
+    @property
+    def fleet_key(self) -> FleetSetup:
+        # attach_health monitors every node of a fleet with one params.
+        return FleetSetup(physics_of(self.config), self.duration, health=self.health)
+
+    def start(self, node: FleetNode) -> None:
+        _set_global_policy(node, self.p, self.idle_quantum)
+        for i in range(self.config.num_cores):
+            node.scheduler.spawn(make_cpu_workload("cpuburn"), name=f"burn-{i}")
+
+    def result(self, node: FleetNode) -> TransientResult:
+        monitor = node.health
+        monitor.stop()
+        monitor.finalize()
+        rise = node.templog.samples.mean(axis=1) - node.idle_mean_temp
+        return TransientResult(
+            times=node.templog.times.tolist(),
+            rise=rise.tolist(),
+            # A node's monitor is numbered by its place in the fleet; a
+            # run reports itself as machine 0, as it would alone.
+            health={**monitor.summary(), "machine": 0},
+        )
+
+
+# ======================================================================
+# Figure 5: the §3.6 hot/cool mix
+# ======================================================================
+@dataclass
+class HotCoolMixResult:
+    """Temperatures and the cool process's work after one mix run."""
+
+    mean_temp: float
+    idle_temp: float
+    cool_work: float
+
+
+@dataclass
+class _HotCoolMix(_Plan):
+    """Four hot calculix threads beside a duty-cycled cool process,
+    injected globally or on the hot threads only."""
+
+    mode: str = "global"  # "global" | "per-thread"
+    p: float = 0.0
+    idle_quantum: float = 0.010
+    burn_time: float = 6.0
+    sleep_time: float = 60.0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.mode not in ("global", "per-thread"):
+            raise ConfigurationError(
+                f"mix mode must be 'global' or 'per-thread', got {self.mode!r}"
+            )
+
+    def start(self, node: FleetNode) -> None:
+        self._mix = build_hot_cool_mix(
+            node.scheduler, burn_time=self.burn_time, sleep_time=self.sleep_time
+        )
+        if self.mode == "global":
+            _set_global_policy(node, self.p, self.idle_quantum)
+        elif self.p > 0:
+            for thread in self._mix.hot_threads:
+                node.control.set_thread_policy(thread, self.p, self.idle_quantum)
+
+    def result(self, node: FleetNode) -> HotCoolMixResult:
+        return HotCoolMixResult(
+            mean_temp=node.mean_core_temp_over_window(),
+            idle_temp=node.idle_mean_temp,
+            cool_work=self._mix.cool_thread.stats.work_done,
+        )
+
+
+# ======================================================================
+# Figure 6: the §3.7 web server
+# ======================================================================
+@dataclass
+class WebQosResult:
+    """QoS and temperatures of one web-serving run; QoS is
+    scored over requests arriving between the warmup and the drain."""
+
+    mean_temp: float
+    idle_temp: float
+    qos_good: float
+    qos_tolerable: float
+    mean_response: float
+    offered_load_per_core: float
+
+
+@dataclass
+class _WebQos(_Plan):
+    """The SPECWeb-like server under a global ``(p, L)`` policy."""
+
+    p: float = 0.0
+    idle_quantum: float = 0.100
+    warmup: float = 5.0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        check_scoring_span(self.duration, self.warmup)
+
+    def start(self, node: FleetNode) -> None:
+        self._server = WebServer(node.scheduler, node.rng.stream("web"))
+        _set_global_policy(node, self.p, self.idle_quantum)
+
+    def result(self, node: FleetNode) -> WebQosResult:
+        log = self._server.log
+        span = dict(start=self.warmup, end=self.duration - QOS_TOLERABLE)
+        return WebQosResult(
+            mean_temp=node.mean_core_temp_over_window(),
+            idle_temp=node.idle_mean_temp,
+            qos_good=log.qos_fraction(QOS_GOOD, **span),
+            qos_tolerable=log.qos_fraction(QOS_TOLERABLE, **span),
+            mean_response=log.mean_response_time(**span),
+            offered_load_per_core=self._server.offered_load_per_core,
+        )
+
+
+# ======================================================================
+# Run-to-completion: Figure 1 and the §3.3 validations
+# ======================================================================
+@dataclass
+class PowerTraceResult:
+    """Figure 1's pair of runs of one finite job, without and with
+    injection: sampled package power over a common window."""
+
+    times_race: List[float]
+    power_race: List[float]
+    times_dim: List[float]
+    power_dim: List[float]
+    completion_race: float
+    completion_dim: float
+    #: Package energy over the common window, J.
+    energy_race: float
+    energy_dim: float
+    #: Package power with 0..num_cores cores active, W.
+    power_levels: List[float]
+
+
+def run_power_trace(
+    config: ExperimentConfig,
+    *,
+    work_per_thread: float = 1.5,
+    p: float = 0.5,
+    idle_quantum: float = 0.100,
+    sample_period: float = 0.020,
+) -> PowerTraceResult:
+    """Run the same finite all-core cpuburn with and without injection
+    and sample both package power traces.
+
+    Both runs go in one executor: the energy window they share ends
+    after the later completion, so neither run's result is its own.
+    """
+
+    def run(inject: bool) -> Tuple[Machine, float]:
+        machine = Machine(config)
+        if inject:
+            machine.control.set_global_policy(p, idle_quantum)
+        threads = [
+            machine.scheduler.spawn(FiniteCpuBurn(work_per_thread), name=f"burn-{i}")
+            for i in range(config.num_cores)
+        ]
+        while any(t.alive for t in threads):
+            machine.run(0.5)
+        return machine, max(t.stats.exit_time for t in threads)
+
+    race_machine, race_done = run(inject=False)
+    dim_machine, dim_done = run(inject=True)
+    # Idle out both machines to a common window for energy parity (the
+    # run loop advances in chunks, so take the later of the two clocks).
+    window = max(race_machine.now, dim_machine.now) + 0.2
+    race_machine.run(window - race_machine.now)
+    dim_machine.run(window - dim_machine.now)
+
+    times_race, power_race = race_machine.powermeter.resample(sample_period, end=window)
+    times_dim, power_dim = dim_machine.powermeter.resample(sample_period, end=window)
+
+    # The staircase levels: package power with k of n cores active,
+    # estimated at the run's typical temperature.
+    temp = float(np.mean(dim_machine.core_temps))
+    model = dim_machine.chip.power_model
+    levels = [
+        float(
+            model.package_power_estimate(
+                k, config.num_cores, temp, dim_machine.chip.operating_point
+            )
+        )
+        for k in range(config.num_cores + 1)
+    ]
+    return PowerTraceResult(
+        times_race=times_race.tolist(),
+        power_race=power_race.tolist(),
+        times_dim=times_dim.tolist(),
+        power_dim=power_dim.tolist(),
+        completion_race=race_done,
+        completion_dim=dim_done,
+        energy_race=race_machine.energy(0.0, window),
+        energy_dim=dim_machine.energy(0.0, window),
+        power_levels=levels,
+    )
 
 
 @dataclass
@@ -210,10 +521,14 @@ def run_finite_cpuburn(
 
     ``window``: if given, energy is measured over exactly this window
     (the §3.3 methodology compares equal windows across policies);
-    otherwise the window runs to the last thread exit.
+    otherwise the window runs to the last thread exit.  Every length
+    must be positive and finite: a NaN ``max_duration`` would never
+    stop the run.
     """
-    if total_cpu <= 0:
-        raise ConfigurationError("total_cpu must be positive")
+    _require_length("total_cpu", total_cpu)
+    _require_length("max_duration", max_duration)
+    if window is not None:
+        _require_length("window", window)
     machine = Machine(config)
     if p > 0:
         machine.control.set_global_policy(p, idle_quantum, deterministic=deterministic)
@@ -251,10 +566,27 @@ def run_finite_cpuburn(
     )
 
 
+run_transient, run_transients = _plan_executors(_Transient)
+run_hot_cool_mix, run_hot_cool_mixes = _plan_executors(_HotCoolMix)
+run_web_qos, run_web_qos_batch = _plan_executors(_WebQos)
+
 register_executor(
     "characterization",
     run_characterization,
     result=CharacterizationResult,
     batch=run_characterizations,
 )
+register_executor(
+    TRANSIENT_KIND,
+    run_transient,
+    result=TransientResult,
+    # The transient's monitors are part of its result.
+    code=PHYSICS_MODULES + ("health",),
+    batch=run_transients,
+)
+register_executor(
+    HOT_COOL_MIX_KIND, run_hot_cool_mix, result=HotCoolMixResult, batch=run_hot_cool_mixes
+)
+register_executor(WEB_QOS_KIND, run_web_qos, result=WebQosResult, batch=run_web_qos_batch)
+register_executor(POWER_TRACE_KIND, run_power_trace, result=PowerTraceResult)
 register_executor("finite_cpuburn", run_finite_cpuburn, result=FiniteRunResult)

@@ -42,7 +42,7 @@ from ..experiments.reporting import format_table, percent
 from ..health import HealthParams
 from ..runtime.parallel import ParallelRunner, RunSpec
 from ..telemetry.registry import registry as _metrics_registry
-from ..workloads.webserver import QOS_TOLERABLE
+from ..workloads.webserver import QOS_TOLERABLE, check_scoring_span
 from .cells import SCENARIO_SHAPES, RackCellResult, RackRun, rack_cell_spec, require_cells
 from .scheduling.registry import POLICY_NAMES
 
@@ -97,11 +97,7 @@ class RackGrid:
     metrics_scope: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.duration - QOS_TOLERABLE <= self.warmup:
-            raise ConfigurationError(
-                f"duration {self.duration}s leaves no scoring span past the "
-                f"{self.warmup}s warmup and {QOS_TOLERABLE}s drain"
-            )
+        check_scoring_span(self.duration, self.warmup)
         for label in self.rows:
             params = self.params(label)
             if params["policy"] not in POLICY_NAMES:

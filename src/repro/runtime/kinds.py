@@ -10,10 +10,11 @@ runner, the result cache and
 this one table.
 
 The built-in kinds are declared in :mod:`repro.experiments.runner`
-(``characterization``, ``finite_cpuburn``) and :mod:`repro.fleet.cells`
+(``characterization``, ``transient``, ``hot_cool_mix``, ``web_qos``,
+``power_trace``, ``finite_cpuburn``) and :mod:`repro.fleet.cells`
 (``rack-cell``).  ``repro/__init__.py`` imports both, and any
 ``import repro.<x>`` runs it first, so every process — a ``spawn``
-worker included — sees all three.
+worker included — sees them all.
 """
 
 from __future__ import annotations

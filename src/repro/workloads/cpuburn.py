@@ -13,6 +13,7 @@ workload's temperature rise.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from ..errors import WorkloadError
@@ -26,8 +27,8 @@ class CpuBurn(Workload):
     cpu_fraction = 1.0
 
     def __init__(self, *, chunk: float = 100.0):
-        if chunk <= 0:
-            raise WorkloadError("chunk must be positive")
+        if not 0 < chunk < math.inf:  # also rejects NaN
+            raise WorkloadError(f"chunk must be positive and finite, got {chunk}")
         #: Burst granularity, s.  Purely an implementation detail: the
         #: scheduler slices bursts into quanta anyway.
         self.chunk = chunk
@@ -52,8 +53,8 @@ class FiniteCpuBurn(Workload):
     cpu_fraction = 1.0
 
     def __init__(self, total_work: float):
-        if total_work <= 0:
-            raise WorkloadError("total_work must be positive")
+        if not 0 < total_work < math.inf:
+            raise WorkloadError(f"total_work must be positive and finite, got {total_work}")
         self.total_work = float(total_work)
         self._emitted = False
 
@@ -87,8 +88,11 @@ class DutyCycledBurn(Workload):
         *,
         iterations: Optional[int] = None,
     ):
-        if burn_time <= 0 or sleep_time < 0:
-            raise WorkloadError("burn_time must be > 0 and sleep_time >= 0")
+        if not (0 < burn_time < math.inf and 0 <= sleep_time < math.inf):
+            raise WorkloadError(
+                "burn_time must be positive and sleep_time non-negative, both "
+                f"finite; got {burn_time} and {sleep_time}"
+            )
         self.burn_time = burn_time
         self.sleep_time = sleep_time
         self.iterations = iterations

@@ -51,6 +51,17 @@ SERVICE_MEAN = 0.025
 KERNEL_OVERHEAD = 0.0002
 
 
+def check_scoring_span(duration: float, warmup: float) -> None:
+    """Reject a web run whose QoS scoring span — from ``warmup`` to
+    ``duration`` less the ``QOS_TOLERABLE`` drain — is empty: its QoS
+    would be NaN, not a score."""
+    if not duration - QOS_TOLERABLE > warmup:  # also rejects NaN
+        raise ConfigurationError(
+            f"duration {duration}s leaves no scoring span past the "
+            f"{warmup}s warmup and {QOS_TOLERABLE}s drain"
+        )
+
+
 def offered_load_per_core(
     num_cores: int,
     *,

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import inspect
+
 import pytest
 
 from repro.cli import (
@@ -8,7 +10,6 @@ from repro.cli import (
     main,
     make_runner,
     run_experiment,
-    supports_runner,
 )
 
 
@@ -38,21 +39,10 @@ def test_parser_accepts_batch_flags(tmp_path):
 
 
 def test_batch_experiments_accept_a_runner():
-    batch = (
-        "fig3",
-        "fig4",
-        "table1",
-        "validate-throughput",
-        "validate-energy",
-        "smoke",
-        "fleet",
-        "fleet-compare",
-        "scenarios",
-    )
-    for name in batch:
-        assert supports_runner(EXPERIMENTS[name][1]), name
-    for name in ("fig1", "fig2", "fig5", "fig6"):
-        assert not supports_runner(EXPERIMENTS[name][1]), name
+    # Every experiment runs through the batch runtime: there is no
+    # second, runner-less wiring path.
+    for name, (_, func) in EXPERIMENTS.items():
+        assert "runner" in inspect.signature(func).parameters, name
 
 
 def test_parser_rejects_unknown_experiment():
@@ -70,48 +60,16 @@ def test_list_prints_descriptions(capsys):
 def test_run_experiment_returns_rendered_text():
     text = run_experiment("fig1", seed=0)
     assert "Figure 1" in text
-    assert "wall]" in text
+    assert "wall | runs: 1 executed, 0 cached | jobs=1]" in text
 
 
 def test_main_runs_single_experiment(capsys, tmp_path, monkeypatch):
-    # fig1 takes no batch flags (they are rejected as a usage error),
-    # so run from a temp cwd to keep the default cache dir out of the
+    # Run from a temp cwd to keep the default cache dir out of the
     # repo tree.
     monkeypatch.chdir(tmp_path)
     assert main(["fig1"]) == 0
     out = capsys.readouterr().out
     assert "Figure 1" in out
-
-
-def test_batch_flags_rejected_for_single_machine_experiments(capsys):
-    # fig1/fig2/fig5/fig6 build their machines outside the batch
-    # runtime; batch flags would be silently ignored there, so asking
-    # for them is a usage error (exit 2), not a no-op.
-    assert main(["fig1", "--jobs", "2"]) == 2
-    captured = capsys.readouterr()
-    assert "error:" in captured.err
-    assert "--jobs" in captured.err
-    assert "no effect" in captured.err
-    assert "Traceback" not in captured.err + captured.out
-
-
-def test_resume_and_cache_flags_rejected_for_single_machine(capsys, tmp_path):
-    assert main(["fig5", "--resume"]) == 2
-    assert "--resume" in capsys.readouterr().err
-    assert main(["fig2", "--cache-dir", str(tmp_path)]) == 2
-    assert "--cache-dir" in capsys.readouterr().err
-    assert main(["fig6", "--keep-going", "--timeout", "5"]) == 2
-    err = capsys.readouterr().err
-    assert "--keep-going" in err and "--timeout" in err
-
-
-def test_batch_flags_validator_exempts_all_and_batch_experiments():
-    from repro.cli import validate_batch_flags
-
-    args = build_parser().parse_args(["all", "--jobs", "4", "--keep-going"])
-    validate_batch_flags("all", args)  # mixes both kinds: allowed
-    args = build_parser().parse_args(["scenarios", "--jobs", "4", "--resume"])
-    validate_batch_flags("scenarios", args)  # batch experiment: allowed
 
 
 def test_smoke_experiment_uses_cache_on_second_run(capsys, tmp_path):

@@ -1,12 +1,13 @@
 """Tests for the fleet layer: batched physics equivalence, the load
 balancer, telemetry additivity, and the CLI experiment."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from repro.cli import EXPERIMENTS, supports_runner
+from repro.cli import EXPERIMENTS
 from repro.cpu.power import PowerCoefficients
 from repro.errors import ConfigurationError
 from repro.experiments import Machine, fast_config
@@ -357,7 +358,7 @@ def test_fleet_experiment_registered_as_batch():
     assert "fleet" in EXPERIMENTS
     _, func = EXPERIMENTS["fleet"]
     assert func is fleet_experiment
-    assert supports_runner(func)
+    assert "runner" in inspect.signature(func).parameters
 
 
 #: ``fleet_experiment(fast_config(0), machines=2, duration=8.0,
@@ -544,4 +545,4 @@ def test_fleet_compare_registered_as_batch():
     assert "fleet-compare" in EXPERIMENTS
     _, func = EXPERIMENTS["fleet-compare"]
     assert func is fleet_compare_experiment
-    assert supports_runner(func)
+    assert "runner" in inspect.signature(func).parameters

@@ -192,7 +192,7 @@ def test_run_experiment_collects_manifest_payload(monkeypatch):
             return {"answer": 42}
 
     monkeypatch.setitem(
-        cli.EXPERIMENTS, "dummy", ("a stub", lambda config: DummyResult())
+        cli.EXPERIMENTS, "dummy", ("a stub", lambda config, runner: DummyResult())
     )
     artifacts = {}
     text = run_experiment("dummy", seed=0, artifacts=artifacts)
