@@ -52,7 +52,7 @@ from .experiments import (
     validate_energy_model,
     validate_throughput_model,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ExecutionError
 from .experiments.reporting import format_failure_report
 from .faults import FaultPlan
 from .fleet import fleet_compare_experiment, fleet_experiment, scenarios_experiment
@@ -465,22 +465,30 @@ def main(argv: Optional[List[str]] = None) -> int:
         timings: Dict[str, float] = {}
         artifacts: Dict[str, object] = {}
         health: Dict[str, object] = {}
+        aborted = False
         try:
-            for name in names:
-                print(
-                    run_experiment(
-                        name,
-                        seed=args.seed,
-                        full=args.full,
-                        runner=runner,
-                        timings=timings,
-                        policy=args.policy,
-                        artifacts=artifacts,
-                        health_params=health_params,
-                        health=health,
+            try:
+                for name in names:
+                    print(
+                        run_experiment(
+                            name,
+                            seed=args.seed,
+                            full=args.full,
+                            runner=runner,
+                            timings=timings,
+                            policy=args.policy,
+                            artifacts=artifacts,
+                            health_params=health_params,
+                            health=health,
+                        )
                     )
-                )
-                print()
+                    print()
+            except ExecutionError as error:
+                # An experiment lost a run it cannot do without (a
+                # terminal failure, or one abandoned under --keep-going
+                # that it needs): report it, then the failures, below.
+                print(f"error: {error}", file=sys.stderr)
+                aborted = True
             if runner.failure_report:
                 print(format_failure_report(runner.failure_report))
                 print()
@@ -503,7 +511,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             # what a later --resume replays.
             if runner.journal is not None:
                 runner.journal.close()
-    return 1 if runner.failure_report.fatal else 0
+    return 1 if aborted or runner.failure_report.fatal else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

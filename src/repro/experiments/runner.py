@@ -9,15 +9,15 @@ or read-out: a heating transient under a health monitor, the §3.6
 hot/cool mix, the §3.7 web server.
 
 Each such run is a *plan*: its parameters, checked and resolved, plus
-``fleet_key`` (the :class:`FleetSetup` its fleet needs),
-``start(node)`` (program a fleet node) and ``result(node)`` (read the
-finished node back).  :func:`run_plans` runs plans with equal keys as
-the nodes of one :class:`~repro.fleet.machine.FleetMachine`, so its
+``start(node)`` (program a fleet node, per-run settings such as a
+health monitor included) and ``result(node)`` (read the finished node
+back).  :func:`run_plans` runs plans with equal physics and run length
+as the nodes of one :class:`~repro.fleet.machine.FleetMachine`, so its
 drains advance them together; a node's floats never depend on its
 neighbours, so every result equals the same plan run alone.
 
 Figure 1 and the §3.3 model validations run to completion in chunks
-and stay solo executors on :class:`~repro.experiments.machine.Machine`.
+and stay solo executors on a :func:`~repro.experiments.machine.Machine`.
 The foot of the module declares every kind
 (:mod:`repro.runtime.kinds`).
 """
@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.injector import IdleMode
 from ..cpu.dvfs import OperatingPoint
 from ..cpu.tcc import TccSetting
 from ..errors import ConfigurationError
@@ -85,35 +84,23 @@ def resolve_duration(duration: Optional[float], config: ExperimentConfig) -> flo
 # ======================================================================
 # Running plans
 # ======================================================================
-class FleetSetup(NamedTuple):
-    """What the plans sharing one fleet agree on: physics, run length,
-    idle mode, and the health monitors attached to every node (None:
-    unmonitored)."""
-
-    physics: Tuple[Any, ...]
-    duration: float
-    idle_mode: IdleMode = IdleMode.HALT
-    health: Optional[HealthParams] = None
-
-
 def run_plans(plans: Sequence[_Plan]) -> List[Any]:
     """Run single-machine plans; results in plan order.
 
-    Plans with equal ``fleet_key`` run as the nodes of one
+    Plans with equal physics (:func:`~repro.fleet.machine.physics_of`)
+    and run length run as the nodes of one
     :class:`~repro.fleet.machine.FleetMachine`, node ``j`` built from
     its own plan's config, which is closed once every node is read.
     """
-    groups: Dict[FleetSetup, List[int]] = {}
+    groups: Dict[Tuple[Any, ...], List[int]] = {}
     for index, plan in enumerate(plans):
-        groups.setdefault(plan.fleet_key, []).append(index)
+        groups.setdefault((physics_of(plan.config), plan.duration), []).append(index)
     results: List[Any] = [None] * len(plans)
-    for setup, members in groups.items():
-        fleet = FleetMachine([plans[i].config for i in members], idle_mode=setup.idle_mode)
-        if setup.health is not None:
-            fleet.attach_health(setup.health)
+    for (_, duration), members in groups.items():
+        fleet = FleetMachine([plans[i].config for i in members])
         for index, node in zip(members, fleet.nodes):
             plans[index].start(node)
-        fleet.run(setup.duration)
+        fleet.run(duration)
         for index, node in zip(members, fleet.nodes):
             results[index] = plans[index].result(node)
         fleet.close()
@@ -148,10 +135,6 @@ class _Plan:
 
     def __post_init__(self) -> None:
         self.duration = resolve_duration(self.duration, self.config)
-
-    @property
-    def fleet_key(self) -> FleetSetup:
-        return FleetSetup(physics_of(self.config), self.duration)
 
 
 def _set_global_policy(node: FleetNode, p: float, idle_quantum: float, **kwargs: Any) -> None:
@@ -193,13 +176,8 @@ class _Characterization(_Plan):
     p: float = 0.0
     idle_quantum: float = 0.025
     deterministic: bool = False
-    idle_mode: IdleMode = IdleMode.HALT
     operating_point: Optional[OperatingPoint] = None
     tcc: Optional[TccSetting] = None
-
-    @property
-    def fleet_key(self) -> FleetSetup:
-        return FleetSetup(physics_of(self.config), self.duration, self.idle_mode)
 
     def start(self, node: FleetNode) -> None:
         """Program the node's policy and spawn one workload per core."""
@@ -238,8 +216,8 @@ def run_characterizations(
     """Run a batch of characterizations, each ``(config, params)`` with
     :func:`run_characterization`'s keywords; results in batch order.
 
-    Runs that can share a fleet (same physics, duration and idle mode)
-    run as the nodes of one fleet (:func:`run_plans`), so every result
+    Runs that can share a fleet (same physics and duration) run as the
+    nodes of one fleet (:func:`run_plans`), so every result
     equals the same run executed alone.
     """
     return run_plans([_Characterization(config, **params) for config, params in runs])
@@ -251,7 +229,7 @@ def run_characterization(config: ExperimentConfig, **params: Any) -> Characteriz
 
     ``params``: ``workload`` (default ``"cpuburn"``), ``p``,
     ``idle_quantum``, ``duration`` (None: the config's), ``deterministic``,
-    ``idle_mode``, ``operating_point``, ``tcc``.
+    ``operating_point``, ``tcc``.
     """
     (result,) = run_characterizations([(config, params)])
     return result
@@ -280,17 +258,8 @@ class _Transient(_Plan):
     idle_quantum: float = 0.100
     health: Optional[HealthParams] = None
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.health is None:
-            self.health = HealthParams()
-
-    @property
-    def fleet_key(self) -> FleetSetup:
-        # attach_health monitors every node of a fleet with one params.
-        return FleetSetup(physics_of(self.config), self.duration, health=self.health)
-
     def start(self, node: FleetNode) -> None:
+        node.attach_health(self.health)
         _set_global_policy(node, self.p, self.idle_quantum)
         for i in range(self.config.num_cores):
             node.scheduler.spawn(make_cpu_workload("cpuburn"), name=f"burn-{i}")
@@ -438,7 +407,7 @@ def run_power_trace(
     after the later completion, so neither run's result is its own.
     """
 
-    def run(inject: bool) -> Tuple[Machine, float]:
+    def run(inject: bool) -> Tuple[FleetNode, float]:
         machine = Machine(config)
         if inject:
             machine.control.set_global_policy(p, idle_quantum)

@@ -119,7 +119,7 @@ class Balancer:
             index = self.select()
             # Zero-delay hop through the node's sim view: the node's
             # physics gap closes before the server sees the request.
-            self.fleet.nodes[index].simview.schedule(
+            self.fleet.nodes[index].sim.schedule(
                 0.0, self.servers[index].submit_request
             )
             self.routed[index] += 1

@@ -211,8 +211,8 @@ class RackCellResult:
 # ----------------------------------------------------------------------
 def replica_configs(config: ExperimentConfig, machines: int) -> List[ExperimentConfig]:
     """A rack's node configs: node ``j`` is ``config`` seeded
-    ``config.seed + j``, so node 0 is the server a standalone
-    ``Machine(config)`` wraps and the other nodes are replicas with
+    ``config.seed + j``, so node 0 is seeded as the server
+    ``Machine(config)`` returns and the other nodes are replicas with
     decorrelated workload randomness."""
     return [config.with_seed(config.seed + j) for j in range(machines)]
 
@@ -350,11 +350,11 @@ def run_rack_cell(
         if heat_and_run:
             def read_temps(node=node):
                 sample = node.templog.latest()
-                return node.fleet.idle_core_temps if sample is None else sample
+                return node.idle_core_temps if sample is None else sample
 
             core_policies.append(
                 ThermalMigrationPolicy(
-                    node.simview, node.scheduler, read_temps, period=1.0, min_delta=0.5
+                    node.sim, node.scheduler, read_temps, period=1.0, min_delta=0.5
                 )
             )
     if p > 0:
@@ -411,7 +411,7 @@ def run_rack_cell(
         )
         p95 = float(np.percentile(scored, 95.0)) if scored else None
 
-    return RackCellResult(
+    result = RackCellResult(
         run=run,
         idle_mean_temp=float(fleet.idle_mean_temp),
         health=_plain(monitors.summary(per_machine=health_per_machine)),
@@ -419,6 +419,8 @@ def run_rack_cell(
         slo=slo,
         p95_response=p95,
     )
+    fleet.close()
+    return result
 
 
 register_executor(

@@ -6,9 +6,12 @@ A :class:`FleetNode` is one simulated server, the paper's 1U testbed
 sensors and temperature log.  A :class:`FleetMachine` is ``N`` nodes,
 each built from its own config, whose events interleave on one shared
 :class:`~repro.sim.engine.Simulator`: a rack of replicas, the runs of
-a characterization batch, or — the single-server
-:class:`repro.experiments.machine.Machine` — a fleet of one, so every
-experiment runs through this wiring.  What is *not* per-node is the
+a characterization batch, or a fleet of one — what
+:func:`repro.experiments.machine.Machine` returns is node 0 of one —
+so every experiment runs through this wiring.  A node carries its own
+per-run settings (its injector's idle mode and SMT co-scheduling, its
+health monitor), so nodes of one fleet may differ in them.  What is
+*not* per-node is the
 physics (:func:`physics_of`): every machine is a copy of the same
 thermal network, so the whole fleet's temperatures live in one
 ``(machines, nodes)`` array inside a
@@ -62,7 +65,7 @@ from typing import Any, Callable, Deque, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.injector import IdleInjector, IdleMode
+from ..core.injector import IdleInjector
 from ..cpu.chip import Chip
 from ..cpu.power import PowerCoefficients
 from ..errors import ConfigurationError, SimulationError
@@ -76,7 +79,7 @@ from ..sim.engine import Event, Simulator
 from ..sim.rng import RngRegistry
 from ..telemetry.registry import registry as _metrics_registry
 from ..thermal.floorplan import build_network
-from ..thermal.rcnetwork import FleetThermalIntegrator, ThermalIntegrator
+from ..thermal.rcnetwork import FleetThermalIntegrator, ThermalIntegrator, ThermalNetwork
 from ..thermal.sensors import SensorBank
 
 
@@ -135,22 +138,20 @@ class FleetNode:
     callables, the power meter through its ``sync`` hook), so a
     controller never sees a partially integrated window.  The owning
     :class:`FleetMachine` starts the scheduler once the node is built.
+    The injector starts in HALT mode without SMT co-scheduling; it reads
+    both settings at each decision, so setting ``injector.mode`` or
+    ``injector.co_schedule_smt`` before the run takes effect.
     """
 
-    def __init__(
-        self,
-        fleet: "FleetMachine",
-        index: int,
-        config: ExperimentConfig,
-        *,
-        idle_mode: IdleMode,
-        co_schedule_smt: bool,
-    ):
+    def __init__(self, fleet: "FleetMachine", index: int, config: ExperimentConfig):
         self.fleet = fleet
         self.index = index
         self.config = config
         cfg = config
-        self.simview = _NodeSimView(fleet, index, fleet.sim)
+        #: This node's view of the shared simulator: callbacks scheduled
+        #: on it see the node's physics recorded up to their firing
+        #: instant.
+        self.sim = _NodeSimView(fleet, index, fleet.sim)
         self.rng = RngRegistry(cfg.seed)
         self.chip = Chip(
             cfg.power,
@@ -162,7 +163,7 @@ class FleetNode:
         for core in self.chip.cores:
             core.set_idle(-1e6)  # long-idle: deep state from the start
 
-        self.injector = IdleInjector(mode=idle_mode, co_schedule_smt=co_schedule_smt)
+        self.injector = IdleInjector()
         if cfg.scheduler_queue == "ule":
             from ..sched.ule import UleRunqueue
 
@@ -174,7 +175,7 @@ class FleetNode:
                 f"unknown scheduler_queue {cfg.scheduler_queue!r} (bsd|ule)"
             )
         self.scheduler = Scheduler(
-            self.simview,
+            self.sim,
             self.chip,
             quantum=cfg.quantum,
             context_switch_cost=cfg.context_switch_cost,
@@ -196,7 +197,7 @@ class FleetNode:
             self.sensors = SensorBank.ideal(core_nodes)
         sensors = self.sensors  # not self: the log must not hold its node
         self.templog = TemperatureLog(
-            self.simview,
+            self.sim,
             lambda: sensors.read(fleet._node_temps(index)),
             period=cfg.temp_sample_period,
             num_cores=cfg.num_cores,
@@ -207,12 +208,62 @@ class FleetNode:
         self.pending: Deque[Tuple[float, float, PowerCoefficients]] = deque()
         #: End of the last recorded piece (= this node's last event).
         self.last_physics_time = fleet.sim.now
-        #: This node's health monitor once the fleet attaches one.
+        #: This node's health monitor, once :meth:`attach_health` ran.
         self.health: Optional[HealthMonitor] = None
 
+    def attach_health(self, params: Optional[HealthParams] = None) -> HealthMonitor:
+        """Attach a thermal health monitor to this node.
+
+        The monitor samples through its own quantised (optionally
+        noisy) :class:`~repro.thermal.sensors.SensorBank` — never the
+        true integrator state — at the params' period, with rise
+        thresholds pinned to the idle baseline.  A noisy monitor draws
+        from the node's dedicated ``"health-sensors"`` RNG stream, so
+        monitor reads never perturb the temperature log's noise
+        sequence and identical seeds reproduce identical alert streams.
+        It runs through the node's sim view, so a sample sees physics
+        integrated up to the sampling instant.  Call once; the monitor
+        is also exposed as :attr:`health`.
+        """
+        if self.health is not None:
+            raise ConfigurationError(
+                f"fleet node {self.index} already has a health monitor attached"
+            )
+        params = params if params is not None else HealthParams()
+        rng = self.rng.stream("health-sensors") if params.noisy else None
+        fleet, index = self.fleet, self.index  # not self: the monitor must not hold its node
+        self.health = HealthMonitor(
+            self.sim,
+            params.sensor_bank(list(range(self.config.num_cores)), rng),
+            lambda: fleet._node_temps(index),
+            thresholds=params.thresholds(self.idle_mean_temp),
+            period=params.period,
+            machine=index,
+        )
+        return self.health
+
     # ------------------------------------------------------------------
-    # Convenience measurements (the Machine API, per node)
+    # Running and measurements
     # ------------------------------------------------------------------
+    def run(self, duration: float) -> None:
+        """Advance the fleet's shared clock (every node) by ``duration``
+        seconds."""
+        self.fleet.run(duration)
+
+    @property
+    def now(self) -> float:
+        return self.fleet.now
+
+    @property
+    def network(self) -> ThermalNetwork:
+        """The thermal network every node of the fleet shares."""
+        return self.fleet.network
+
+    @property
+    def idle_core_temps(self) -> np.ndarray:
+        """Per-core idle temperatures — the paper's baseline, °C."""
+        return self.fleet.idle_core_temps
+
     @property
     def core_temps(self) -> np.ndarray:
         """Current true per-core temperatures, °C (drains physics)."""
@@ -221,7 +272,7 @@ class FleetNode:
     @property
     def idle_mean_temp(self) -> float:
         """Mean per-core idle (baseline) temperature, °C."""
-        return float(np.mean(self.fleet.idle_core_temps))
+        return float(np.mean(self.idle_core_temps))
 
     def mean_core_temp_over_window(self, window: Optional[float] = None) -> float:
         """Mean core temperature over the trailing window (``None``: the
@@ -266,17 +317,11 @@ class FleetMachine:
     The node configs may differ in everything but their physics
     (:func:`physics_of`); a fleet of identical replicas is the caller's
     list (:func:`repro.fleet.cells.replica_configs`), and the
-    single-server :class:`~repro.experiments.machine.Machine` is the
-    fleet of ``[config]``.
+    single server :func:`~repro.experiments.machine.Machine` returns is
+    node 0 of the fleet of ``[config]``.
     """
 
-    def __init__(
-        self,
-        configs: Sequence[ExperimentConfig],
-        *,
-        idle_mode: IdleMode = IdleMode.HALT,
-        co_schedule_smt: bool = False,
-    ):
+    def __init__(self, configs: Sequence[ExperimentConfig]):
         configs = list(configs)
         if not configs:
             raise ConfigurationError("a fleet needs at least one machine")
@@ -302,13 +347,7 @@ class FleetMachine:
 
         self.nodes: List[FleetNode] = []
         for j, node_config in enumerate(configs):
-            node = FleetNode(
-                self,
-                j,
-                node_config,
-                idle_mode=idle_mode,
-                co_schedule_smt=co_schedule_smt,
-            )
+            node = FleetNode(self, j, node_config)
             if j == 0:
                 # Idle-equilibrium initial condition, the paper's
                 # baseline "idle temperature".  Chips are built
@@ -343,39 +382,12 @@ class FleetMachine:
     # Health monitoring
     # ------------------------------------------------------------------
     def attach_health(self, params: Optional[HealthParams] = None) -> FleetHealth:
-        """Attach one :class:`~repro.health.HealthMonitor` per node.
-
-        Each monitor samples through its own quantised (optionally
-        noisy) :class:`~repro.thermal.sensors.SensorBank` at the
-        params' period, with rise thresholds pinned to this rack's idle
-        baseline.  Noisy monitors draw from the node's dedicated
-        ``"health-sensors"`` RNG stream, so monitor reads never perturb
-        the temperature log's noise sequence and identical seeds
-        reproduce identical alert streams.  Monitors run through each
-        node's sim view, so a sample sees physics integrated up to the
-        sampling instant.
-        """
-        if self.health is not None:
-            raise ConfigurationError("fleet already has health monitors attached")
+        """Attach one :class:`~repro.health.HealthMonitor` per node
+        (:meth:`FleetNode.attach_health`, all with ``params``) and roll
+        them up into a :class:`~repro.health.FleetHealth`."""
         params = params if params is not None else HealthParams()
-        thresholds = params.thresholds(self.idle_mean_temp)
-        core_nodes = list(range(self.config.num_cores))
-        monitors = []
-        for node in self.nodes:
-            rng = node.rng.stream("health-sensors") if params.noisy else None
-            monitor = HealthMonitor(
-                node.simview,
-                params.sensor_bank(core_nodes, rng),
-                lambda j=node.index: self._node_temps(j),
-                thresholds=thresholds,
-                period=params.period,
-                machine=node.index,
-            )
-            node.health = monitor
-            monitors.append(monitor)
-        self.health = FleetHealth(
-            monitors, params=params, idle_mean=self.idle_mean_temp
-        )
+        monitors = [node.attach_health(params) for node in self.nodes]
+        self.health = FleetHealth(monitors, params=params, idle_mean=self.idle_mean_temp)
         return self.health
 
     # ------------------------------------------------------------------
@@ -485,8 +497,8 @@ class FleetMachine:
         self.sim.clear()
         for node in self.nodes:
             node.templog.stop()
-        if self.health is not None:
-            self.health.stop()
+            if node.health is not None:
+                node.health.stop()
         self.nodes = []
         self.health = None
 

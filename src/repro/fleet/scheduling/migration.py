@@ -229,7 +229,7 @@ class MigrationPolicy:
         # the target's physics gap closes before its queues change and
         # a blocked worker wakes — even on a machine that was fully
         # idle mid-substep.
-        self.fleet.nodes[target].simview.schedule(
+        self.fleet.nodes[target].sim.schedule(
             self.cost_model.transfer_latency,
             self.servers[target].accept_migrated,
             request,

@@ -274,6 +274,45 @@ def test_abandoned_run_fails_the_invocation_under_keep_going(capsys, tmp_path):
     assert "ABANDONED" in out
 
 
+@pytest.mark.parametrize(
+    "experiment, fault, message",
+    [
+        ("smoke", "crash@0", "baseline run failed"),  # a sweep baseline
+        ("fig2", "crash@1", "1 of 4 runs failed"),  # a figure run
+        ("fleet", "crash@0", "required rack cell(s) failed"),  # the baseline cell
+    ],
+)
+def test_abort_under_keep_going_prints_the_failure_report(
+    capsys, tmp_path, experiment, fault, message
+):
+    """A run the experiment cannot do without is abandoned: the
+    invocation exits 1 with the error on stderr and the failure report
+    on stdout, not a traceback, and still writes its manifest."""
+    from repro.telemetry import RunManifest
+
+    manifest_path = tmp_path / "manifest.json"
+    code = main(
+        [
+            experiment,
+            "--cache-dir",
+            str(tmp_path / "cache"),
+            "--max-retries",
+            "0",
+            "--keep-going",
+            "--inject-faults",
+            fault,
+            "--metrics",
+            str(manifest_path),
+        ]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "ABANDONED" in captured.out
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "Traceback" not in captured.err
+    assert RunManifest.load(manifest_path).failures["fatal"] == 1
+
+
 def test_manifest_records_failures_and_resume(tmp_path):
     from repro.telemetry import RunManifest
 

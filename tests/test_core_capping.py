@@ -47,7 +47,7 @@ def test_cap_is_enforced_on_a_fleet_node():
     for _ in range(4):
         node.scheduler.spawn(CpuBurn())
     controller = PowerCapController(
-        node.simview, node.control, node.powermeter, cap_watts=45.0, idle_quantum=0.01
+        node.sim, node.control, node.powermeter, cap_watts=45.0, idle_quantum=0.01
     )
     fleet.run(100.0)
     assert controller.compliance(tolerance=2.0, skip=40) > 0.9

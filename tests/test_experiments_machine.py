@@ -3,10 +3,41 @@
 import numpy as np
 import pytest
 
+from repro.core.injector import IdleMode
 from repro.cpu import CState
 from repro.errors import ConfigurationError
 from repro.experiments import ExperimentConfig, Machine, fast_config, full_config
+from repro.fleet import FleetMachine
 from repro.workloads import CpuBurn, FiniteCpuBurn
+
+
+def test_machine_is_node_zero_of_a_fleet_of_one():
+    cfg = fast_config(2)
+    machine = Machine(cfg)
+    assert machine.fleet.nodes == [machine] and machine.index == 0
+    assert machine.config is cfg and machine.sim.now == machine.now == 0.0
+
+    # The same server built by hand runs bit-identically.
+    node = FleetMachine([cfg]).nodes[0]
+    for server in (machine, node):
+        server.control.set_global_policy(0.5, 0.01)
+        for _ in range(cfg.num_cores):
+            server.scheduler.spawn(CpuBurn())
+        server.run(3.0)
+    assert np.array_equal(machine.templog.samples, node.templog.samples)
+    assert machine.energy() == node.energy()
+    assert Machine().config == ExperimentConfig()
+
+
+@pytest.mark.parametrize(
+    "settings", [{}, dict(idle_mode=IdleMode.SPIN, co_schedule_smt=True)]
+)
+def test_machine_settings_live_on_the_node_injector(settings):
+    machine = Machine(fast_config(), **settings)
+    (node,) = machine.fleet.nodes
+    assert node is machine
+    assert node.injector.mode is settings.get("idle_mode", IdleMode.HALT)
+    assert node.injector.co_schedule_smt is settings.get("co_schedule_smt", False)
 
 
 def test_machine_starts_at_idle_equilibrium():

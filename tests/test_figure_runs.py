@@ -2,7 +2,9 @@
 Figure 2's transient, Figure 5's hot/cool mix and Figure 6's web run.
 
 Each batched result must equal its batch of one and the same run wired
-by hand on a :class:`~repro.experiments.machine.Machine`; cached
+by hand on a :func:`~repro.experiments.machine.Machine` (a fleet of
+one's node 0); runs that differ only in per-run settings (health
+monitors included) must share one fleet; cached
 results must round-trip exactly; and the figures must reject inputs
 that would score nothing before any machine is built."""
 
@@ -15,6 +17,7 @@ from repro.errors import ConfigurationError, WorkloadError
 from repro.experiments import Machine, fast_config
 from repro.experiments import runner as runner_module
 from repro.experiments.figures import fig2_temperature_timeseries, fig6_webserver_qos
+from repro.fleet import FleetMachine
 from repro.experiments.runner import (
     HOT_COOL_MIX_KIND,
     POWER_TRACE_KIND,
@@ -141,6 +144,25 @@ def test_transient_health_reports_machine_zero(batched):
         CASES[TRANSIENT_KIND][1]
     )
     assert any(r.health["samples"] > 0 for r in batched[TRANSIENT_KIND])
+
+
+def test_transients_share_a_fleet_whatever_their_health_params(monkeypatch, batched):
+    """Health monitors are per node, so only physics and run length
+    split a batch: the SHORT transients (one with its own
+    :class:`HealthParams`) run as one fleet, the 3 s one as another."""
+    builds = []
+
+    def counting(configs, *args, **kwargs):
+        builds.append(len(configs))
+        return FleetMachine(configs, *args, **kwargs)
+
+    monkeypatch.setattr(runner_module, "FleetMachine", counting)
+    _, runs = CASES[TRANSIENT_KIND]
+    results = run_kind(TRANSIENT_KIND).batch([(CFG, p) for p in runs])
+    assert builds == [4, 1]
+    assert results == batched[TRANSIENT_KIND]
+    for params, result in zip(runs, results):
+        assert result == run_kind(TRANSIENT_KIND).executor(CFG, **params)
 
 
 @pytest.mark.parametrize("kind", sorted(CASES))

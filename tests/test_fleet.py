@@ -449,7 +449,7 @@ def test_idle_machine_accepts_migrated_request_mid_substep():
     # 1 does nothing at all until the hand-off lands at t=2.
     fleet.nodes[0].scheduler.spawn(CpuBurn())
     stray = Request(rid=999, arrival=2.0, service_time=0.2)
-    fleet.nodes[1].simview.schedule(2.0, servers[1].accept_migrated, stray)
+    fleet.nodes[1].sim.schedule(2.0, servers[1].accept_migrated, stray)
     fleet.run(5.0)
 
     assert stray.completed is not None
@@ -478,7 +478,7 @@ def test_fleet_migration_telemetry_is_additive():
             for node in fleet.nodes
         ]
         for k in range(20):
-            fleet.nodes[0].simview.schedule(0.01 * k, servers[0].submit_request)
+            fleet.nodes[0].sim.schedule(0.01 * k, servers[0].submit_request)
         policy = MigrationPolicy(fleet, servers, period=0.5, min_delta=0.05)
         fleet.run(6.0)
         policy.stop()

@@ -349,7 +349,7 @@ def _use_scalar_oracle(machine: Machine) -> None:
     power loop plus a steady-state solve per substep).  The result lands in the fleet state, so every
     temperature and energy read sees the oracle's numbers.
     """
-    fleet, node, chip = machine.fleet, machine.node, machine.chip
+    fleet, node, chip = machine.fleet, machine, machine.chip
     oracle = ScalarOracle(
         fleet.network, fleet.integrator.temps[0], max_substep=fleet.integrator.max_substep
     )
@@ -372,7 +372,7 @@ def _use_scalar_oracle(machine: Machine) -> None:
     fleet._close_gap = close_gap
     # Node events carry the view's gap closer as their ``before`` hook:
     # repoint the view and every already-queued event at the oracle.
-    hook = node.simview.close_gap = functools.partial(close_gap, 0)
+    hook = node.sim.close_gap = functools.partial(close_gap, 0)
     for _, _, event in fleet.sim._heap:
         event.before = hook
 
