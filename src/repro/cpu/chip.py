@@ -17,20 +17,33 @@ the machine can split its thermal integration at promotion instants.
 Power is exposed two ways.  The simulation hot path calls
 :meth:`Chip.power_segment`, which returns the segment-constant
 :class:`~repro.cpu.power.PowerCoefficients` decomposition for the
-fused integrator.  Each core *holds* its power-relevant state
-(``running``, ``busy_contexts``, ``activity``; only the two context
-mutators change it), so a lookup works out the per-core C-states at
-the query time and reads one interned coefficient set from a table
-keyed by the per-core ``(cstate, activity, busy_contexts)`` tuple.
-Power states repeat heavily under idle injection — every quantum
-flips cores between the same few states — so an entry is built once
-per distinct state; the chip-wide DVFS, TCC and per-core override
-setters clear the table.  :meth:`Chip.power_vector` is the scalar
-per-core reference the coefficients are validated against.
+fused integrator.  Each core *holds* its power-relevant state (only
+the two context mutators change it): ``running``, ``busy_contexts``,
+``activity``, its table key ``(cstate, activity, busy_contexts)``
+before promotion, and its promotion instant (``inf`` while running or
+on a chip without C1E).  A lookup therefore picks each core's held
+key, or the constant C1E key once the query time reaches the core's
+promotion instant, and reads one interned coefficient set from a
+table keyed by that tuple.  Power states repeat heavily under idle
+injection — every quantum flips cores between the same few states —
+so an entry is built once per distinct state.  There is one table per
+chip-wide setting (operating point, TCC, per-core overrides); the
+setters switch the chip to the table of its new setting, so a
+controller that returns to an earlier setting rebuilds nothing.  A
+fleet hands every node's chip one dict of tables (its nodes share one
+power model), so a state one node built is a hit on every other.
+:meth:`Chip.power_vector` is the scalar per-core reference the
+coefficients are validated against.
+
+Residency is logged per piece as one float add on the piece's
+interned C-state tuple; :attr:`Core.residency` is derived from that
+log when read.  The same held promotion instant decides a core's
+C-state for power, for the gap's breakpoints and for its wake latency.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -43,10 +56,15 @@ from .dvfs import DvfsTable, OperatingPoint, xeon_e5520_table
 from .power import PowerCoefficients, PowerModel, PowerParams
 from .tcc import TCC_OFF, TccSetting
 
-#: Entries one chip's coefficient table may hold before it starts over.
-#: Workloads reach a few dozen power states; the cap only bounds memory
-#: for pathological ones (many cores, ever-new activity factors).
+#: Entries one coefficient table, and tables one dict of tables, may
+#: hold before it starts over.  Workloads reach a few dozen power states
+#: under a handful of settings; the cap only bounds memory for
+#: pathological ones (many cores, ever-new activity factors).
 _TABLE_LIMIT = 4096
+
+#: Table-key entries of an idle core: before and after its promotion.
+_C1_KEY = (CState.C1, 0.0, 0)
+_C1E_KEY = (CState.C1E, 0.0, 0)
 
 
 @dataclass
@@ -81,8 +99,13 @@ class Core:
     #: modelled so the hypothetical can be compared against per-thread
     #: injection.
     operating_point_override: Optional[OperatingPoint] = None
-    residency: ResidencyCounter = field(default_factory=ResidencyCounter)
-    # The next three are derived from the context lists by _refresh,
+    #: False when the chip has no usable C1E: an idle core never
+    #: promotes and stays in C1.
+    c1e_enabled: bool = True
+    #: Residency per C-state tuple of the owning chip (see
+    #: :meth:`Chip.record_residency`); :attr:`residency` reads it.
+    residency_log: Dict[Tuple[CState, ...], float] = field(default_factory=dict, repr=False)
+    # The next five are derived from the context lists by _refresh,
     # which only the two context mutators call, so the power path reads
     # plain attributes instead of re-deriving them on every query.
     #: Number of contexts executing (a thread or nonzero activity).
@@ -92,6 +115,13 @@ class Core:
     #: Aggregate switching activity of all busy contexts (SMT
     #: co-residency scaling is applied by :meth:`Chip.core_activity`).
     activity: float = field(init=False, default=0.0)
+    #: Coefficient-table key entry before :attr:`promotion_at`:
+    #: ``(C0, activity, busy_contexts)`` while running, the C1 entry
+    #: while idle.
+    power_key: Tuple[CState, float, int] = field(init=False, default=_C1_KEY)
+    #: Instant the idle core is promoted to C1E (``idle_since +
+    #: idle_threshold``); ``inf`` while running or without C1E.
+    promotion_at: float = field(init=False, default=math.inf)
 
     def __post_init__(self) -> None:
         if self.smt < 1:
@@ -114,6 +144,18 @@ class Core:
         )
         self.running = self.busy_contexts > 0
         self.activity = sum(self.context_activity)
+        if self.running:
+            self.power_key = (CState.C0, self.activity, self.busy_contexts)
+        else:
+            self.power_key = _C1_KEY
+        self._hold_promotion()
+
+    def _hold_promotion(self) -> None:
+        """Re-derive :attr:`promotion_at` from the idle period."""
+        if self.running or not self.c1e_enabled:
+            self.promotion_at = math.inf
+        else:
+            self.promotion_at = self.idle_since + self.idle_threshold
 
     @property
     def thread(self) -> Optional[object]:
@@ -154,6 +196,7 @@ class Core:
                 else params.natural_promotion_threshold
             )
             self.idle_threshold = base + params.c1e_entry_latency
+            self._hold_promotion()
 
     def _check_context(self, context: int) -> None:
         if not 0 <= context < self.smt:
@@ -178,22 +221,22 @@ class Core:
     def cstate_at(self, time: float) -> CState:
         """C-state of this core at absolute time ``time``.
 
-        The comparison uses the exact float value
-        :meth:`promotion_time` returns, so classification and the
-        promotion instant agree to the ulp — the machine splits its
-        gaps at that instant, and a mismatched rounding (``time -
-        idle_since`` vs ``idle_since + threshold``) would misclassify
-        a piece that ends on it.
+        The comparison uses the held :attr:`promotion_at`, the exact
+        float the chip's breakpoints and its coefficient-table key use,
+        so classification and the promotion instant agree to the ulp —
+        the machine splits its gaps at that instant, and a mismatched
+        rounding (``time - idle_since`` vs ``idle_since + threshold``)
+        would misclassify a piece that ends on it.
         """
         if self.running:
             return CState.C0
-        return CState.C1 if time < self.idle_since + self.idle_threshold else CState.C1E
+        return CState.C1 if time < self.promotion_at else CState.C1E
 
     def promotion_time(self) -> Optional[float]:
-        """Absolute time this core will be promoted to C1E, if idle."""
-        if self.running:
-            return None
-        return self.idle_since + self.idle_threshold
+        """Absolute time this core is promoted to C1E, or None if it
+        never is (running, or the chip has no C1E)."""
+        promotion = self.promotion_at
+        return None if promotion == math.inf else promotion
 
     def wake_latency(self, now: float) -> float:
         """Cost to resume execution if woken at ``now``."""
@@ -201,9 +244,24 @@ class Core:
             return 0.0
         return exit_latency(self.cstate_at(now), self.cstate_params)
 
+    @property
+    def residency(self) -> ResidencyCounter:
+        """Per-state residency of this core, derived from the chip's
+        per-tuple log."""
+        counter = ResidencyCounter()
+        for cstates, duration in self.residency_log.items():
+            counter.add(cstates[self.index], duration)
+        return counter
+
 
 class Chip:
-    """The package: cores plus uncore, with DVFS and TCC settings."""
+    """The package: cores plus uncore, with DVFS and TCC settings.
+
+    ``coefficient_tables`` is the dict of coefficient tables (one per
+    chip-wide setting) this chip reads and fills.  Chips may share one
+    only if they share their power model, DVFS table and core layout,
+    as a fleet's nodes do; by default a chip keeps a private dict.
+    """
 
     def __init__(
         self,
@@ -214,6 +272,7 @@ class Chip:
         dvfs_table: Optional[DvfsTable] = None,
         cstate_params: Optional[CStateParams] = None,
         c1e_enabled: bool = True,
+        coefficient_tables: Optional[Dict[tuple, Dict[tuple, tuple]]] = None,
     ):
         if num_cores < 1:
             raise ConfigurationError("chip needs at least one core")
@@ -229,13 +288,20 @@ class Chip:
         self.smt = smt
         self.operating_point: OperatingPoint = self.dvfs_table.max_point
         self.tcc: TccSetting = TCC_OFF
+        #: Residency per interned C-state tuple (:meth:`record_residency`).
+        self._residency: Dict[Tuple[CState, ...], float] = {}
         self.cores: List[Core] = [
-            Core(index=i, cstate_params=self.cstate_params, smt=smt)
+            Core(
+                index=i,
+                cstate_params=self.cstate_params,
+                smt=smt,
+                c1e_enabled=c1e_enabled,
+                residency_log=self._residency,
+            )
             for i in range(num_cores)
         ]
-        #: Interned ``(cstates, coefficients)`` per power state (see
-        #: :meth:`power_segment`); cleared by the chip-wide setters.
-        self._coefficients: Dict[tuple, Tuple[Tuple[CState, ...], PowerCoefficients]] = {}
+        self._tables = coefficient_tables if coefficient_tables is not None else {}
+        self._switch_table()
         scope = _metrics_registry().scope("cpu.chip")
         self._metric_segment_rebuilds = scope.counter("power_segments.rebuilds")
         self._metric_segment_reuses = scope.counter("power_segments.reuses")
@@ -250,7 +316,7 @@ class Chip:
         if point not in self.dvfs_table.points:
             raise ConfigurationError(f"unsupported operating point {point}")
         self.operating_point = point
-        self._coefficients.clear()
+        self._switch_table()
 
     def set_core_operating_point(
         self, core_index: int, point: Optional[OperatingPoint]
@@ -264,7 +330,7 @@ class Chip:
         if point is not None and point not in self.dvfs_table.points:
             raise ConfigurationError(f"unsupported operating point {point}")
         self.cores[core_index].operating_point_override = point
-        self._coefficients.clear()
+        self._switch_table()
 
     def point_for(self, core: Core) -> OperatingPoint:
         """The operating point currently governing ``core``."""
@@ -273,7 +339,24 @@ class Chip:
     def set_tcc(self, setting: TccSetting) -> None:
         """Program the thermal control circuit duty cycle (chip-wide)."""
         self.tcc = setting
-        self._coefficients.clear()
+        self._switch_table()
+
+    def _switch_table(self) -> None:
+        """Point the chip at the coefficient table of its current
+        chip-wide setting, creating it on first use."""
+        setting = (
+            self.operating_point,
+            self.tcc,
+            tuple([core.operating_point_override for core in self.cores]),
+        )
+        table = self._tables.get(setting)
+        if table is None:
+            if len(self._tables) >= _TABLE_LIMIT:
+                self._tables.clear()
+            table = self._tables[setting] = {}
+        #: Interned ``(cstates, coefficients)`` per power state under
+        #: the current setting (see :meth:`power_segment`).
+        self._coefficients: Dict[tuple, Tuple[Tuple[CState, ...], PowerCoefficients]] = table
 
     def core_activity(self, core: Core) -> float:
         """Effective switching activity of a core for the power model.
@@ -314,25 +397,12 @@ class Chip:
         return speed
 
     # ------------------------------------------------------------------
-    def effective_cstate(self, core: Core, time: float) -> CState:
-        """:meth:`Core.cstate_at` accounting for the chip-level C1E
-        enable switch (inlined: it runs per core on every power query)."""
-        if core.running:
-            return CState.C0
-        if self.c1e_enabled and not time < core.idle_since + core.idle_threshold:
-            return CState.C1E
-        return CState.C1
-
     def cstate_breakpoints(self, t0: float, t1: float) -> List[float]:
         """Times in (t0, t1) at which any idle core changes C-state."""
-        if not self.c1e_enabled:
-            return []
-        times = []
-        for core in self.cores:
-            promo = core.promotion_time()
-            if promo is not None and t0 < promo < t1:
-                times.append(promo)
-        return sorted(set(times))
+        times = [core.promotion_at for core in self.cores if t0 < core.promotion_at < t1]
+        if len(times) > 1:
+            times = sorted(set(times))
+        return times
 
     def power_vector(
         self, cstates: Sequence[CState], temps: np.ndarray
@@ -396,14 +466,16 @@ class Chip:
         The per-core C-states at ``time`` plus each core's held
         ``activity``/``busy_contexts`` are everything
         :meth:`power_coefficients` reads besides the chip-wide settings,
-        so that tuple keys an intern table: a repeated power state gets
-        the identical (read-only, fused terms precomputed) coefficient
-        object, and only a new state runs the model.  Same inputs, same
-        object — results are bit-identical to rebuilding every time.
+        so that tuple keys the current setting's intern table: a
+        repeated power state gets the identical (read-only, fused terms
+        precomputed) coefficient object, and only a new state runs the
+        model.  Each core contributes its held key, or the C1E entry
+        from its promotion instant on.  Same inputs, same object —
+        results are bit-identical to rebuilding every time.
         """
         key = tuple(
             [
-                (self.effective_cstate(core, time), core.activity, core.busy_contexts)
+                core.power_key if time < core.promotion_at else _C1E_KEY
                 for core in self.cores
             ]
         )
@@ -421,6 +493,13 @@ class Chip:
         return entry
 
     def record_residency(self, cstates: Sequence[CState], duration: float) -> None:
-        """Accumulate per-core residency for an integrated piece."""
-        for core, state in zip(self.cores, cstates):
-            core.residency.add(state, duration)
+        """Accumulate per-core residency for an integrated piece: one
+        add on the piece's C-state tuple (interned by
+        :meth:`power_segment`); :attr:`Core.residency` sums it per core
+        when read."""
+        if duration < 0:
+            raise ValueError(f"negative residency {duration}")
+        if cstates.__class__ is not tuple:
+            cstates = tuple(cstates)
+        log = self._residency
+        log[cstates] = log.get(cstates, 0.0) + duration

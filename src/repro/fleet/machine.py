@@ -159,6 +159,7 @@ class FleetNode:
             smt=cfg.smt,
             cstate_params=cfg.cstates,
             c1e_enabled=cfg.c1e_enabled,
+            coefficient_tables=fleet.coefficient_tables,
         )
         for core in self.chip.cores:
             core.set_idle(-1e6)  # long-idle: deep state from the start
@@ -337,6 +338,10 @@ class FleetMachine:
         self.num_machines = machines = len(configs)
 
         self.sim = Simulator()
+        #: The coefficient tables every node's chip reads and fills: the
+        #: nodes share one power model, so one node's power state is a
+        #: hit on every other (:class:`~repro.cpu.chip.Chip`).
+        self.coefficient_tables: dict = {}
         #: One network shared by every node: homogeneous machines share
         #: its eigendecomposition, from which every step kernel is built.
         self.network = build_network(cfg.thermal, cfg.num_cores)
@@ -359,7 +364,7 @@ class FleetMachine:
                 # chip's coefficient table and its counters start clean.
                 chip = node.chip
                 idle_coefficients = chip.power_coefficients(
-                    [chip.effective_cstate(core, 0.0) for core in chip.cores]
+                    [core.cstate_at(0.0) for core in chip.cores]
                 )
                 idle_temps = ThermalIntegrator(
                     self.network, max_substep=cfg.thermal.max_substep
@@ -400,7 +405,9 @@ class FleetMachine:
         each non-empty piece accounts residency and queues its power
         coefficients, evaluated at the piece midpoint (a piece boundary
         sits exactly on a promotion instant, where float roundoff on
-        the comparison could misclassify the whole piece).
+        the comparison could misclassify the whole piece).  The common
+        gap, with no promotion instant inside, is one piece recorded
+        directly.
         """
         node = self.nodes[index]
         now = self.sim._now
@@ -409,7 +416,15 @@ class FleetMachine:
             return
         chip = node.chip
         pending = node.pending
-        edges = [t0] + chip.cstate_breakpoints(t0, now) + [now]
+        node.last_physics_time = now
+        breakpoints = chip.cstate_breakpoints(t0, now)
+        if not breakpoints:
+            cstates, coefficients = chip.power_segment(0.5 * (t0 + now))
+            chip.record_residency(cstates, now - t0)
+            pending.append((t0, now - t0, coefficients))
+            self._metric_segments.value += 1
+            return
+        edges = [t0] + breakpoints + [now]
         recorded = 0
         for a, b in zip(edges, edges[1:]):
             if b <= a:
@@ -418,7 +433,6 @@ class FleetMachine:
             chip.record_residency(cstates, b - a)
             pending.append((a, b - a, coefficients))
             recorded += 1
-        node.last_physics_time = now
         self._metric_segments.value += recorded
 
     def _drain(self) -> None:

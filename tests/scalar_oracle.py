@@ -17,13 +17,28 @@ import math
 
 import numpy as np
 
+from repro.cpu.cstates import CState
 from repro.errors import ConfigurationError
+
+
+def cstates_at(chip, time):
+    """Per-core C-states at ``time``, derived from each core's idle
+    period and the chip's C1E switch rather than its held promotion
+    instant, so tests can check the held state against it."""
+    return [
+        CState.C0
+        if core.running
+        else CState.C1E
+        if chip.c1e_enabled and not time < core.idle_since + core.idle_threshold
+        else CState.C1
+        for core in chip.cores
+    ]
 
 
 def power_function(chip, time):
     """Per-core C-states frozen at ``time`` and a power callback
     (temps → node powers) valid while no core changes state."""
-    cstates = [chip.effective_cstate(core, time) for core in chip.cores]
+    cstates = cstates_at(chip, time)
     return cstates, (lambda temps: chip.power_vector(cstates, temps))
 
 

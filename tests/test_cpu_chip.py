@@ -76,8 +76,19 @@ def test_c1e_disabled_keeps_cores_shallow():
     chip = Chip(num_cores=2, c1e_enabled=False)
     core = chip.cores[0]
     core.set_idle(now=0.0)
-    assert chip.effective_cstate(core, 10.0) is CState.C1
+    assert core.cstate_at(10.0) is CState.C1
     assert chip.cstate_breakpoints(0.0, 10.0) == []
+
+
+def test_c1e_disabled_core_wakes_from_c1():
+    """One rule decides the C-state for power, breakpoints and wake
+    latency: without C1E a long-idle core pays C1's exit latency."""
+    chip = Chip(num_cores=1, c1e_enabled=False)
+    core = chip.cores[0]
+    core.set_idle(now=0.0)
+    assert core.cstate_at(1.0) is CState.C1
+    assert core.promotion_time() is None
+    assert core.wake_latency(1.0) == chip.cstate_params.c1_exit_latency
 
 
 def test_cstate_breakpoints_for_idle_cores(chip):
@@ -167,9 +178,15 @@ def test_set_operating_point_rejects_foreign_point(chip):
 def test_record_residency(chip):
     states = [CState.C0, CState.C1, CState.C1E, CState.C0]
     chip.record_residency(states, 2.0)
-    assert chip.cores[0].residency.get(CState.C0) == 2.0
-    assert chip.cores[1].residency.get(CState.C1) == 2.0
-    assert chip.cores[2].residency.get(CState.C1E) == 2.0
+    chip.record_residency(tuple(states), 0.5)
+    assert chip.cores[0].residency.get(CState.C0) == 2.5
+    assert chip.cores[1].residency.get(CState.C1) == 2.5
+    assert chip.cores[2].residency.get(CState.C1E) == 2.5
+    assert chip.cores[3].residency.total() == 2.5
+    # One entry per C-state tuple, shared by every core.
+    assert chip.cores[0].residency_log == {tuple(states): 2.5}
+    with pytest.raises(ValueError):
+        chip.record_residency(states, -1.0)
 
 
 def test_chip_needs_a_core():

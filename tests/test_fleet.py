@@ -9,6 +9,7 @@ import pytest
 
 from repro.cli import EXPERIMENTS
 from repro.cpu.power import PowerCoefficients
+from repro.cpu.tcc import setpoints
 from repro.errors import ConfigurationError
 from repro.experiments import Machine, fast_config
 from repro.fleet import (
@@ -153,6 +154,22 @@ def test_node_accessors_and_fleet_aggregates():
     )
     assert fleet.total_work_done() > 0.0
     assert fleet.now == pytest.approx(3.0)
+
+
+def test_fleet_nodes_share_one_coefficient_table_per_setting():
+    """Nodes in one power state get the identical coefficient object,
+    whichever node built it; a node at another DVFS point or TCC
+    setting gets its own."""
+    with isolated() as registry:
+        fleet = FleetMachine(replica_configs(fast_config(0), 4))
+        chips = [node.chip for node in fleet.nodes]
+        chips[2].set_operating_point(chips[2].dvfs_table.min_point)
+        chips[3].set_tcc(setpoints(8)[2])
+        (_, k0), (_, k1), (_, k2), (_, k3) = [chip.power_segment(0.0) for chip in chips]
+        assert k1 is k0
+        assert k2 is not k0 and k3 is not k0 and k3 is not k2
+        assert registry.value("cpu.chip.power_segments.rebuilds") == 3
+        assert registry.value("cpu.chip.power_segments.reuses") == 1
 
 
 def test_fleet_requires_at_least_one_machine():

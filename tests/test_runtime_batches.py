@@ -138,6 +138,41 @@ def test_fleet_rejects_node_configs_with_different_physics(override):
         FleetMachine([CFG, CFG.scaled(**override)])
 
 
+@pytest.mark.parametrize("smt", [1, 2])
+def test_residency_partitions_the_run_on_every_node_of_a_mixed_batch(smt):
+    """Per-core C-state residency sums to the elapsed time on every node
+    of a heterogeneous fleet: random and deterministic injection, a VFS
+    point and a TCC duty, each with and without SMT."""
+    settings = [
+        {},
+        {"p": 0.5, "idle_quantum": 0.010},
+        {"p": 0.25, "idle_quantum": 0.005, "deterministic": True},
+        {"p": 0.25, "operating_point": list(xeon_e5520_table())[1]},
+        {"p": 0.5, "idle_quantum": 0.001, "tcc": setpoints(8)[2]},
+    ]
+    config = CFG.scaled(smt=smt)
+    fleet = FleetMachine([config.with_seed(seed) for seed in range(len(settings))])
+    for node, params in zip(fleet.nodes, settings):
+        if "operating_point" in params:
+            node.chip.set_operating_point(params["operating_point"])
+        if "tcc" in params:
+            node.chip.set_tcc(params["tcc"])
+        node.injector.co_schedule_smt = smt == 2
+        if "p" in params:
+            node.control.set_global_policy(
+                params["p"],
+                params.get("idle_quantum", 0.025),
+                deterministic=params.get("deterministic", False),
+            )
+        for _ in range(config.num_cores * smt):
+            node.scheduler.spawn(make_cpu_workload("cpuburn"))
+    fleet.run(SHORT)
+    for node in fleet.nodes:
+        for core in node.chip.cores:
+            assert core.residency.total() == pytest.approx(SHORT, rel=1e-9)
+    fleet.close()
+
+
 def test_fleet_accepts_node_configs_that_differ_outside_physics():
     fleet = FleetMachine([CFG, CFG.scaled(seed=5, quantum=0.05, measure_window=5.0)])
     assert [node.config.seed for node in fleet.nodes] == [CFG.seed, 5]

@@ -32,7 +32,7 @@ from repro.thermal.floorplan import build_network
 from repro.thermal.params import ThermalParams
 from repro.thermal.rcnetwork import ThermalIntegrator
 from repro.workloads import CpuBurn
-from scalar_oracle import ScalarOracle, power_function
+from scalar_oracle import ScalarOracle, cstates_at, power_function
 
 POWER_TOL_W = 1e-12
 TEMP_TOL_C = 1e-9
@@ -161,6 +161,11 @@ def test_power_segment_reuses_until_state_epoch_changes():
         assert k4 is not k3
         assert registry.value("cpu.chip.power_segments.rebuilds") == 3
 
+        chip.set_tcc(TCC_OFF)  # back to the first setting: its table is kept
+        _, k5 = chip.power_segment(0.45)
+        assert k5 is k3
+        assert registry.value("cpu.chip.power_segments.rebuilds") == 3
+
 
 def test_power_segment_invalidates_at_cstate_promotion():
     chip = Chip(num_cores=1)
@@ -197,13 +202,21 @@ def _assert_held_state_matches_contexts(chip: Chip) -> None:
         assert core.busy_contexts == sum(busy)
         assert core.running == any(busy)
         assert core.activity == sum(core.context_activity)
+        if any(busy):
+            assert core.power_key == (CState.C0, sum(core.context_activity), sum(busy))
+            assert core.promotion_at == math.inf
+        else:
+            assert core.power_key == (CState.C1, 0.0, 0)
+            promotion = core.idle_since + core.idle_threshold
+            assert core.promotion_at == (promotion if chip.c1e_enabled else math.inf)
 
 
 def _assert_segment_is_fresh(chip: Chip, time: float) -> None:
     """``power_segment(time)`` equals a from-scratch evaluation, bit
     for bit: the interned entry may never stand in for another state."""
     cstates, coefficients = chip.power_segment(time)
-    assert cstates == tuple(chip.effective_cstate(core, time) for core in chip.cores)
+    assert cstates == tuple(cstates_at(chip, time))
+    assert list(cstates) == [core.cstate_at(time) for core in chip.cores]
     fresh = chip.power_coefficients(cstates)
     assert np.array_equal(coefficients.base, fresh.base)
     assert np.array_equal(coefficients.leak_coef, fresh.leak_coef)
