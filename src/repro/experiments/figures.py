@@ -10,7 +10,7 @@ text (series and summary statistics).  The benchmark harness under
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,10 +20,9 @@ from ..core.pareto import (
     fit_power_law,
     pareto_boundary,
 )
-from ..errors import ExecutionError
 from ..health import HealthParams
 from ..instruments.stats import relative_reduction
-from ..runtime import ParallelRunner, RunSpec
+from ..runtime import ParallelRunner, RunSpec, run_required
 from ..workloads.webserver import check_scoring_span
 from .config import ExperimentConfig
 from .reporting import format_series, format_table, percent
@@ -35,22 +34,6 @@ from .runner import (
     resolve_duration,
 )
 from .sweeps import FIG3_LS_MS, FIG3_PS, FIG4_LS_MS, FIG4_PS, Sweep, SweepResult, run_sweeps
-
-
-def _run_all(
-    figure: str, specs: Sequence[RunSpec], runner: Optional[ParallelRunner]
-) -> List[Any]:
-    """Every spec's result, in order, through ``runner`` (None: a
-    serial uncached one).  A figure needs all of its runs: one
-    abandoned under keep-going fails the figure."""
-    results = (runner if runner is not None else ParallelRunner()).run(specs)
-    missing = sum(result is None for result in results)
-    if missing:
-        raise ExecutionError(
-            f"{figure}: {missing} of {len(specs)} runs failed terminally and "
-            "left no result (see the failure report)"
-        )
-    return results
 
 
 # ======================================================================
@@ -103,7 +86,7 @@ def fig1_power_trace(
         idle_quantum=idle_quantum,
         sample_period=sample_period,
     )
-    (trace,) = _run_all("fig1", [RunSpec(POWER_TRACE_KIND, config, params)], runner)
+    (trace,) = run_required("fig1", [RunSpec(POWER_TRACE_KIND, config, params)], runner)
     traces = ("times_race", "power_race", "times_dim", "power_dim")
     return Fig1Result(
         **{**vars(trace), **{name: np.asarray(getattr(trace, name)) for name in traces}}
@@ -185,7 +168,7 @@ def fig2_temperature_timeseries(
     final_rise: Dict[float, float] = {}
     ripple: Dict[float, float] = {}
     health: Dict[float, Dict[str, object]] = {}
-    for p, run in zip(ps, _run_all("fig2", specs, runner)):
+    for p, run in zip(ps, run_required("fig2", specs, runner)):
         times, rise = np.asarray(run.times), np.asarray(run.rise)
         series[p] = (times, rise)
         tail = rise[times >= times[-1] - config.measure_window]
@@ -389,7 +372,7 @@ def fig5_per_thread_control(
         )
         for mode, p, idle_quantum in runs
     ]
-    base, *mixes = _run_all("fig5", specs, runner)
+    base, *mixes = run_required("fig5", specs, runner)
     baseline_rise = base.mean_temp - base.idle_temp
     points = [
         Fig5Point(
@@ -479,7 +462,7 @@ def fig6_webserver_qos(
         )
         for p, idle_quantum in runs
     ]
-    base, *webs = _run_all("fig6", specs, runner)
+    base, *webs = run_required("fig6", specs, runner)
     points = [
         Fig6Point(
             p=p,

@@ -23,9 +23,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..core.pareto import TradeoffPoint
 from ..cpu.dvfs import OperatingPoint, xeon_e5520_table
 from ..cpu.tcc import TccSetting, setpoints
-from ..errors import ExecutionError
 from ..instruments.stats import relative_reduction, throughput_reduction
-from ..runtime import ParallelRunner, RunSpec, characterization_spec
+from ..runtime import ParallelRunner, RunSpec, characterization_spec, run_required
 from ..units import MS
 from .config import ExperimentConfig
 from .reporting import format_table
@@ -162,18 +161,19 @@ def run_sweeps(
             )
             for _, run in sweep.points
         )
-    results = (runner if runner is not None else ParallelRunner()).run(specs)
+    results = run_required(
+        "sweep",
+        specs,
+        runner,
+        required={slot: f"{workload} baseline" for workload, slot in baseline_slot.items()},
+    )
 
     swept: List[SweepResult] = []
     for sweep, first in zip(sweeps, first_slot):
-        baseline = results[baseline_slot[sweep.workload]]
-        if baseline is None:
-            raise ExecutionError(
-                f"the {sweep.technique}/{sweep.workload} baseline run failed; a "
-                "sweep cannot degrade past its baseline (see the failure report)"
-            )
         result = SweepResult(
-            technique=sweep.technique, workload=sweep.workload, baseline=baseline
+            technique=sweep.technique,
+            workload=sweep.workload,
+            baseline=results[baseline_slot[sweep.workload]],
         )
         for (params, _), run in zip(sweep.points, results[first:]):
             if run is None:

@@ -10,7 +10,7 @@ import numpy as np
 from ..core.models import predicted_runtime
 from ..core.pareto import PowerLawFit, fit_power_law
 from ..errors import ConfigurationError
-from ..runtime import ParallelRunner, finite_cpuburn_spec
+from ..runtime import ParallelRunner, finite_cpuburn_spec, run_required
 from ..units import MS
 from ..workloads.spec import TABLE1_FIT, TABLE1_RISE_PERCENT, all_benchmarks
 from .config import ExperimentConfig
@@ -165,7 +165,6 @@ def validate_throughput_model(
     """
     # The whole (p, L, repetition) grid is independent: fan it out as
     # one batch, then regroup per configuration.
-    batch = ParallelRunner() if runner is None else runner
     grid = [(p, l_ms) for p in ps for l_ms in ls_ms]
     specs = [
         finite_cpuburn_spec(
@@ -177,7 +176,7 @@ def validate_throughput_model(
         for p, l_ms in grid
         for rep in range(repetitions)
     ]
-    results = batch.run(specs)
+    results = run_required("validate-throughput", specs, runner)
 
     rows: List[ThroughputValidationRow] = []
     for slot, (p, l_ms) in enumerate(grid):
@@ -255,14 +254,18 @@ def validate_energy_model(
     # windows, so they cannot join the first fan-out.
     batch = ParallelRunner() if runner is None else runner
     grid = [(p, l_ms) for p in ps for l_ms in ls_ms]
-    dims = batch.run(
+    dims = run_required(
+        "validate-energy",
         [
             finite_cpuburn_spec(config, total_cpu=total_cpu, p=p, idle_quantum=l_ms * MS)
             for p, l_ms in grid
-        ]
+        ],
+        batch,
     )
-    races = batch.run(
-        [finite_cpuburn_spec(config, total_cpu=total_cpu, p=0.0, window=dim.window) for dim in dims]
+    races = run_required(
+        "validate-energy",
+        [finite_cpuburn_spec(config, total_cpu=total_cpu, p=0.0, window=dim.window) for dim in dims],
+        batch,
     )
     rows = [
         EnergyValidationRow(

@@ -38,7 +38,7 @@ themselves are grid definitions run by :mod:`repro.fleet.grid`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -225,19 +225,6 @@ def rack_cell_spec(config: Any, **params: Any) -> RunSpec:
     fingerprint of the kind's code.
     """
     return RunSpec(kind=RACK_CELL_KIND, config=config, params=params)
-
-
-def require_cells(
-    experiment: str, names: Sequence[str], results: Sequence[Optional[RackCellResult]]
-) -> None:
-    """Fail loudly when essential cells were abandoned (``--keep-going``
-    leaves ``None`` in a terminally failed cell's slot)."""
-    missing = [name for name, result in zip(names, results) if result is None]
-    if missing:
-        raise ExecutionError(
-            f"{experiment}: required rack cell(s) failed terminally and "
-            f"left no result: {', '.join(missing)} (see the failure report)"
-        )
 
 
 # ----------------------------------------------------------------------

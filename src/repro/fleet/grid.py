@@ -40,10 +40,10 @@ from ..errors import ConfigurationError
 from ..experiments.config import ExperimentConfig
 from ..experiments.reporting import format_table, percent
 from ..health import HealthParams
-from ..runtime.parallel import ParallelRunner, RunSpec
+from ..runtime.parallel import ParallelRunner, RunSpec, run_required
 from ..telemetry.registry import registry as _metrics_registry
 from ..workloads.webserver import QOS_TOLERABLE, check_scoring_span
-from .cells import SCENARIO_SHAPES, RackCellResult, RackRun, rack_cell_spec, require_cells
+from .cells import SCENARIO_SHAPES, RackCellResult, RackRun, rack_cell_spec
 from .scheduling.registry import POLICY_NAMES
 
 
@@ -159,10 +159,14 @@ def run_grid(grid: RackGrid, runner: Optional[ParallelRunner] = None) -> "RackGr
     ``--jobs`` results are bit-identical to serial).  Under
     ``--keep-going`` a failed row is dropped; a failed required row is
     an :class:`~repro.errors.ExecutionError`."""
-    batch = ParallelRunner() if runner is None else runner
     labels = list(grid.rows)
-    cells = dict(zip(labels, batch.run([grid.spec(label) for label in labels])))
-    require_cells(grid.name, grid.required, [cells[label] for label in grid.required])
+    results = run_required(
+        grid.name,
+        [grid.spec(label) for label in labels],
+        runner,
+        required={labels.index(label): label for label in grid.required},
+    )
+    cells = dict(zip(labels, results))
     rows = []
     for label, cell in cells.items():
         if cell is None:

@@ -21,7 +21,10 @@ those batches:
 - :class:`SweepJournal` is the crash-safe record of completed run
   keys (append-only fsync'd JSONL) behind ``--resume``;
 - :class:`RunnerMetrics` / progress hooks report runs completed, cache
-  hits/replays, retries, timeouts, and abandoned runs.
+  hits/replays, retries, timeouts, and abandoned runs;
+- :func:`run_required` runs a batch for an experiment that cannot do
+  without some (or all) of its runs, and fails it naming the ones an
+  abandoned run left without a result.
 
 Fault injection for all of the above lives in :mod:`repro.faults`.
 See ``docs/running-experiments.md`` and ``docs/robustness.md``.
@@ -45,6 +48,7 @@ from .parallel import (
     RunSpec,
     characterization_spec,
     finite_cpuburn_spec,
+    run_required,
 )
 from .policy import PERMANENT, PERMANENT_ERROR_TYPES, TIMEOUT, TRANSIENT, RetryPolicy
 
@@ -71,5 +75,6 @@ __all__ = [
     "freeze",
     "register_executor",
     "run_kind",
+    "run_required",
     "spec_key",
 ]

@@ -1,7 +1,9 @@
 """Parallel fan-out of independent experiment runs, hardened.
 
 Every run in a batch is built from its own config alone, so runs share
-no state and the fan-out is embarrassingly parallel.
+no state and the fan-out is embarrassingly parallel.  One attempt loop
+serves ``jobs=1`` and ``jobs=N`` alike; they differ only in whether an
+attempt runs in this process or in a worker process.
 :class:`ParallelRunner` guarantees:
 
 - **Batch tasks** — the cache misses of a kind declared with a batch
@@ -28,7 +30,8 @@ no state and the fan-out is embarrassingly parallel.
 - **Retries** — a :class:`~repro.runtime.policy.RetryPolicy` governs
   fault tolerance: transient failures (worker crashes, timeouts,
   corrupt payloads) are retried with exponential backoff and
-  deterministic jitter, while permanent errors (a
+  deterministic jitter (other tasks run while a retry waits), while
+  permanent errors (a
   :class:`~repro.errors.ConfigurationError` from a bad parameter, a
   ``TypeError`` from a bad spec) fail fast with the original traceback
   instead of wasting a pointless second simulation.
@@ -200,23 +203,32 @@ def _verify_payload(spec: RunSpec, result: Any, digest: str) -> None:
         )
 
 
-def _failure_info(error: BaseException, tb: Optional[str] = None) -> Dict[str, Any]:
+def _failure_info(error: BaseException) -> Dict[str, Any]:
     """A picklable description of a failed attempt."""
     return {
         "error_type": type(error).__name__,
         "lineage": error_lineage(error),
         "message": str(error),
-        "traceback": tb if tb is not None else traceback.format_exc(),
+        "traceback": traceback.format_exc(),
     }
 
 
-def _timeout_info(seconds: float, where: str) -> Dict[str, Any]:
+def _timeout_info(seconds: float) -> Dict[str, Any]:
     return {
         "error_type": "RunTimeoutError",
         "lineage": ("RunTimeoutError", "ExecutionError", "ReproError", "Exception"),
-        "message": f"run exceeded its {seconds:g}s wall-clock deadline ({where})",
+        "message": f"run exceeded its {seconds:g}s wall-clock deadline (worker killed)",
         "traceback": None,
     }
+
+
+#: A worker that died without reporting (hard crash, OOM kill).
+_WORKER_DIED = {
+    "error_type": "WorkerDied",
+    "lineage": ("WorkerDied",),
+    "message": "worker process exited without a result",
+    "traceback": None,
+}
 
 
 def _subprocess_main(conn, specs: List[RunSpec]) -> None:
@@ -244,8 +256,8 @@ def _deadline(seconds: Optional[float]):
 
     Uses ``SIGALRM`` (with sub-second resolution via ``setitimer``), so
     enforcement is only possible on the main thread of a Unix process;
-    anywhere else the block runs un-deadlined — pooled runs don't need
-    this, their parent kills the whole worker process instead.
+    anywhere else the block runs un-deadlined.  Worker processes don't
+    need this: the parent kills an overdue worker instead.
     """
     if (
         not seconds
@@ -268,6 +280,16 @@ def _deadline(seconds: Optional[float]):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def _attempt_in_process(specs: List[RunSpec], seconds: Optional[float]) -> Tuple[Any, ...]:
+    """One task attempt in this process, under a ``seconds`` deadline;
+    the outcome as a worker would send it.  An interrupt propagates."""
+    try:
+        with _deadline(seconds):
+            return ("ok",) + _execute_attempt(specs)
+    except Exception as error:
+        return ("err", _failure_info(error))
 
 
 def _terminate(process) -> None:
@@ -305,7 +327,9 @@ class RunnerMetrics:
     permanent_failures: int = 0
     #: Runs abandoned terminally under keep-going.
     abandoned: int = 0
-    #: Total seconds of retry backoff the batch waited through.
+    #: Total seconds of retry backoff granted by the policy.  A retry
+    #: waits them out in a queue while other tasks run, so this is not
+    #: time the batch slept.
     backoff_seconds: float = 0.0
     #: Batch tasks started (several runs on one fleet each).
     batches: int = 0
@@ -360,9 +384,11 @@ class ParallelRunner:
     Parameters
     ----------
     jobs:
-        Worker processes.  ``1`` (the default) runs in-process with no
-        pool overhead — the exact serial semantics every caller had
-        before this layer existed.
+        Most task attempts in flight.  With ``1`` (the default), or
+        when a batch is a single task, every attempt runs in this
+        process with no worker overhead; otherwise each runs in a
+        worker process.  Either way the same loop handles outcomes,
+        so results, cache entries and counters do not depend on it.
     cache:
         Optional :class:`ResultCache`; completed runs are stored and
         matching future runs are served without simulating.
@@ -546,10 +572,7 @@ class ParallelRunner:
         # Execute the misses.
         units = self._units(pending, plan)
         try:
-            if self.jobs > 1 and len(units) > 1:
-                self._run_pooled(units, plan, complete, on_attempt_failure)
-            else:
-                self._run_serial(units, plan, complete, on_attempt_failure)
+            self._execute(units, plan, complete, on_attempt_failure)
         finally:
             # Whatever happens — ExecutionError, KeyboardInterrupt — the
             # journal must reflect every completion already achieved, so
@@ -631,93 +654,66 @@ class ParallelRunner:
             task.attempt = 0
         return [[task] for task in unit]
 
-    @staticmethod
-    def _verify(specs: List[RunSpec], results: List[Any], digests: List[str]) -> None:
-        for spec, result, digest in zip(specs, results, digests):
-            _verify_payload(spec, result, digest)
-
-    @staticmethod
-    def _settle(
-        unit: List[_Task], results: List[Any], snapshot: Dict[str, Any], complete: Callable
-    ) -> None:
-        """Complete every member in spec order; the unit's telemetry is
-        merged at its first run's index."""
-        for position, (task, result) in enumerate(zip(unit, results)):
-            source = "run" if task.attempt == 1 else "retry"
-            complete(task, result, snapshot if position == 0 else None, source)
-
-    def _run_serial(
+    def _execute(
         self,
         units: List[List[_Task]],
         plan: Optional[FaultPlan],
         complete: Callable,
         on_attempt_failure: Callable,
     ) -> None:
-        """In-process execution with deadline + retry semantics."""
-        queue = deque(units)
-        while queue:
-            unit = queue.popleft()
-            specs = self._start(unit, plan)
-            try:
-                with _deadline(self._deadline_of(unit)):
-                    results, snapshot, digests = _execute_attempt(specs)
-                self._verify(specs, results, digests)
-            except KeyboardInterrupt:
-                raise
-            except Exception as error:
-                info = _failure_info(error)
-                if len(unit) > 1:
-                    queue.extendleft(reversed(self._fall_back(unit, info)))
-                    continue
-                action, delay = on_attempt_failure(unit[0], info)
-                if action == "retry":
-                    time.sleep(delay)
-                    queue.appendleft(unit)
-                # else: kept going; the slot stays None
-            else:
-                self._settle(unit, results, snapshot, complete)
+        """The one attempt loop: at most ``jobs`` unit attempts in
+        flight, retries waiting out their backoff in one queue.
 
-    def _run_pooled(
-        self,
-        units: List[List[_Task]],
-        plan: Optional[FaultPlan],
-        complete: Callable,
-        on_attempt_failure: Callable,
-    ) -> None:
-        """One worker process per unit attempt, at most ``jobs`` in
-        flight.
-
-        The parent multiplexes over result pipes, enforces deadlines by
-        killing overdue workers, re-queues retries after their backoff
-        delay, and re-queues a failed batch's members as solo units at
-        the front.  On any raise — a terminal ExecutionError or a
-        KeyboardInterrupt — every live worker is terminated before the
-        exception propagates.
+        With ``jobs == 1`` or a single unit every attempt runs in this
+        process under a ``SIGALRM`` deadline; otherwise each runs in
+        its own worker process, multiplexed over result pipes, and an
+        overdue worker is killed.  Either way an outcome is handled
+        once: a verified result settles its unit, a failed batch's
+        members re-queue solo at the front, and any other failure goes
+        to the retry policy.  On any raise — a terminal ExecutionError
+        or a KeyboardInterrupt — every live worker is terminated before
+        the exception propagates.
         """
-        context = multiprocessing.get_context(self.start_method)
+        in_process = self.jobs == 1 or len(units) == 1
+        context = None if in_process else multiprocessing.get_context(self.start_method)
         ready = deque(units)
         waiting: List[Tuple[float, List[_Task]]] = []  # (eligible_at, unit)
         # conn -> (unit, specs, proc, deadline_at)
         active: Dict[Any, Tuple[List[_Task], List[RunSpec], Any, float]] = {}
 
-        def failed(unit: List[_Task], info: Dict[str, Any]) -> None:
+        def handle(unit: List[_Task], specs: List[RunSpec], outcome: Tuple[Any, ...]) -> None:
+            if outcome[0] == "ok":
+                _, results, snapshot, digests = outcome
+                try:
+                    for spec, result, digest in zip(specs, results, digests):
+                        _verify_payload(spec, result, digest)
+                except CorruptResultError as error:
+                    outcome = ("err", _failure_info(error))
+                else:
+                    # Every member completes in spec order; the unit's
+                    # telemetry is merged at its first run's index.
+                    for position, (task, result) in enumerate(zip(unit, results)):
+                        source = "run" if task.attempt == 1 else "retry"
+                        complete(task, result, snapshot if position == 0 else None, source)
+                    return
             if len(unit) > 1:
-                ready.extendleft(reversed(self._fall_back(unit, info)))
+                ready.extendleft(reversed(self._fall_back(unit, outcome[1])))
                 return
-            action, delay = on_attempt_failure(unit[0], info)
+            action, delay = on_attempt_failure(unit[0], outcome[1])
             if action == "retry":
                 waiting.append((time.monotonic() + delay, unit))
 
         try:
             while ready or waiting or active:
                 now = time.monotonic()
-                still_waiting = []
-                for eligible_at, unit in waiting:
-                    if eligible_at <= now:
-                        ready.append(unit)
-                    else:
-                        still_waiting.append((eligible_at, unit))
-                waiting = still_waiting
+                ready.extend(unit for eligible_at, unit in waiting if eligible_at <= now)
+                waiting = [entry for entry in waiting if entry[0] > now]
+
+                if in_process and ready:
+                    unit = ready.popleft()
+                    specs = self._start(unit, plan)
+                    handle(unit, specs, _attempt_in_process(specs, self._deadline_of(unit)))
+                    continue
 
                 while ready and len(active) < self.jobs:
                     unit = ready.popleft()
@@ -749,37 +745,18 @@ class ParallelRunner:
                     try:
                         outcome = conn.recv()
                     except EOFError:
-                        # The worker died without reporting (hard crash,
-                        # OOM kill): a transient failure.
-                        outcome = (
-                            "err",
-                            {
-                                "error_type": "WorkerDied",
-                                "lineage": ("WorkerDied",),
-                                "message": "worker process exited without a result",
-                                "traceback": None,
-                            },
-                        )
+                        outcome = ("err", _WORKER_DIED)  # a transient failure
                     conn.close()
                     process.join()
-                    if outcome[0] == "ok":
-                        _, results, snapshot, digests = outcome
-                        try:
-                            self._verify(specs, results, digests)
-                        except CorruptResultError as error:
-                            outcome = ("err", _failure_info(error))
-                        else:
-                            self._settle(unit, results, snapshot, complete)
-                            continue
-                    failed(unit, outcome[1])
+                    handle(unit, specs, outcome)
 
                 now = time.monotonic()
                 overdue = [conn for conn, entry in active.items() if now >= entry[3]]
                 for conn in overdue:
-                    unit, _specs, process, _deadline_at = active.pop(conn)
+                    unit, specs, process, _deadline_at = active.pop(conn)
                     _terminate(process)
                     conn.close()
-                    failed(unit, _timeout_info(self._deadline_of(unit), "worker killed"))
+                    handle(unit, specs, ("err", _timeout_info(self._deadline_of(unit))))
         except BaseException:
             for _unit, _specs, process, _deadline_at in active.values():
                 _terminate(process)
@@ -797,3 +774,33 @@ class ParallelRunner:
     def _emit(self, index: int, done: int, total: int, source: str, spec: RunSpec) -> None:
         if self.progress is not None:
             self.progress(ProgressEvent(index=index, done=done, total=total, source=source, spec=spec))
+
+
+def run_required(
+    experiment: str,
+    specs: Sequence[RunSpec],
+    runner: Optional[ParallelRunner] = None,
+    required: Optional[Mapping[int, str]] = None,
+) -> List[Any]:
+    """Every spec's result, in order, through ``runner`` (None: a serial
+    uncached one), for an experiment that cannot do without some of
+    them: ``required`` labels those runs by index, None requires all.
+
+    A required run abandoned under keep-going (its slot is ``None``)
+    raises :class:`~repro.errors.ExecutionError` naming ``experiment``
+    and the missing runs.
+    """
+    results = (runner if runner is not None else ParallelRunner()).run(specs)
+    labels = required if required is not None else dict.fromkeys(range(len(specs)), "")
+    missing = [label for index, label in labels.items() if results[index] is None]
+    if missing:
+        lost = (
+            f"{len(missing)} of {len(specs)} runs"
+            if required is None
+            else f"the {', '.join(missing)} run" + "s" * (len(missing) > 1)
+        )
+        raise ExecutionError(
+            f"{experiment}: {lost} failed terminally and left no result "
+            "(see the failure report)"
+        )
+    return results

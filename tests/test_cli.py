@@ -278,8 +278,9 @@ def test_abandoned_run_fails_the_invocation_under_keep_going(capsys, tmp_path):
     "experiment, fault, message",
     [
         ("smoke", "crash@0", "baseline run failed"),  # a sweep baseline
+        ("validate-energy", "crash@0", "1 of 6 runs failed"),  # a validation run
         ("fig2", "crash@1", "1 of 4 runs failed"),  # a figure run
-        ("fleet", "crash@0", "required rack cell(s) failed"),  # the baseline cell
+        ("fleet", "crash@0", "the baseline run failed"),  # the baseline cell
     ],
 )
 def test_abort_under_keep_going_prints_the_failure_report(

@@ -18,11 +18,10 @@ from repro.fleet.cells import (
     RACK_CELL_KIND,
     RackCellResult,
     rack_cell_spec,
-    require_cells,
     run_rack_cell,
 )
 from repro.health import HealthParams
-from repro.runtime import ParallelRunner, ResultCache, code_fingerprint, run_kind
+from repro.runtime import ParallelRunner, ResultCache, code_fingerprint, run_kind, run_required
 from repro.runtime.hashing import PHYSICS_MODULES
 from repro.runtime.parallel import execute_spec
 from repro.telemetry import isolated
@@ -251,10 +250,23 @@ def test_unknown_result_kind_is_schema_stale_not_corrupt(tmp_path):
     assert path.exists()  # still there for the process that can read it
 
 
-def test_require_cells_raises_on_missing(config):
-    with pytest.raises(ExecutionError, match="baseline"):
-        require_cells("fleet", ["baseline", "injected"], [None, object()])
-    require_cells("fleet", ["baseline"], [object()])  # present: no error
+class _FixedRunner:
+    """A runner stand-in that hands back fixed results."""
+
+    def __init__(self, results):
+        self.results = results
+
+    def run(self, specs):
+        return list(self.results)
+
+
+def test_run_required_raises_on_missing():
+    required = {0: "baseline", 1: "injected"}
+    with pytest.raises(ExecutionError, match="fleet: the baseline run failed"):
+        run_required("fleet", [None, None], _FixedRunner([None, object()]), required)
+    run_required("fleet", [None, None], _FixedRunner([object(), None]), {0: "baseline"})
+    with pytest.raises(ExecutionError, match="fleet: 1 of 2 runs failed"):
+        run_required("fleet", [None, None], _FixedRunner([object(), None]))
 
 
 def test_rack_cell_executor_is_registered():

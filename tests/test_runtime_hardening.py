@@ -270,9 +270,11 @@ def test_hard_worker_death_is_transient_and_retried(tmp_path):
 # ----------------------------------------------------------------------
 # Interrupts
 # ----------------------------------------------------------------------
-def test_keyboard_interrupt_terminates_pool_and_flushes_journal(tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_keyboard_interrupt_terminates_pool_and_flushes_journal(tmp_path, jobs):
     """SIGINT mid-sweep: workers die, the journal keeps what finished,
-    and the interrupt propagates so the caller can resume later."""
+    and the interrupt propagates so the caller can resume later — also
+    when the runs execute in-process."""
     journal_path = tmp_path / "journal.jsonl"
     journal = SweepJournal(journal_path)
     quick = RunSpec(kind="test_value", config=None, params={"value": 1})
@@ -282,7 +284,7 @@ def test_keyboard_interrupt_terminates_pool_and_flushes_journal(tmp_path):
         os.kill(os.getpid(), signal.SIGINT)
 
     runner = ParallelRunner(
-        jobs=2,
+        jobs=jobs,
         journal=journal,
         progress=interrupt_after_first_completion,
         start_method="fork",

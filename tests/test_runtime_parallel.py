@@ -146,13 +146,20 @@ def _always_fail(config):
 
 
 def test_failed_run_is_retried_once_serial(tmp_path):
+    """The retry waits out its backoff while the healthy run behind it
+    runs, so it completes last."""
     register_executor("test_flaky", _flaky)
-    runner = ParallelRunner(jobs=1)
-    spec = RunSpec(kind="test_flaky", config=None, params={"marker": str(tmp_path / "m")})
-    assert runner.run([spec]) == [42]
+    events = []
+    runner = ParallelRunner(jobs=1, progress=events.append)
+    flaky = RunSpec(kind="test_flaky", config=None, params={"marker": str(tmp_path / "m")})
+    good = characterization_spec(CFG, p=0.5, duration=SHORT)
+    results = runner.run([flaky, good])
+    assert results[0] == 42
+    assert results[1].p == 0.5
     assert runner.metrics.failures == 1
     assert runner.metrics.retries == 1
-    assert runner.metrics.completed == 1
+    assert runner.metrics.completed == 2
+    assert [(event.index, event.source) for event in events] == [(1, "run"), (0, "retry")]
 
 
 def test_failed_run_is_retried_once_parallel(tmp_path):
