@@ -18,20 +18,15 @@ Two idle mechanisms are supported, matching §2.1:
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Optional
 
+# IdleMode is defined next to the dispatch code that carries it out and
+# re-exported here, the module that chooses it.
+from ..sched.scheduler import IdleMode
 from ..sched.thread import Thread, ThreadKind
 from ..telemetry.registry import registry as _metrics_registry
 from .policy import InjectionPolicy, PolicyTable
-
-
-class IdleMode(enum.Enum):
-    """What the core does during an injected idle quantum."""
-
-    HALT = "halt"
-    SPIN = "spin"
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,9 @@ controller that returns to an earlier setting rebuilds nothing.  A
 fleet hands every node's chip one dict of tables (its nodes share one
 power model), so a state one node built is a hit on every other.
 :meth:`Chip.power_vector` is the scalar per-core reference the
-coefficients are validated against.
+coefficients are validated against.  The speed factor the scheduler
+asks for at every dispatch is kept the same way, in one speed table
+per setting (:meth:`Chip.slice_speed`).
 
 Residency is logged per piece as one float add on the piece's
 interned C-state tuple; :attr:`Core.residency` is derived from that
@@ -65,6 +67,16 @@ _TABLE_LIMIT = 4096
 #: Table-key entries of an idle core: before and after its promotion.
 _C1_KEY = (CState.C1, 0.0, 0)
 _C1E_KEY = (CState.C1E, 0.0, 0)
+
+
+def _table_for(tables: Dict[tuple, dict], setting: tuple) -> dict:
+    """The table of ``setting`` in ``tables``, created on first use."""
+    table = tables.get(setting)
+    if table is None:
+        if len(tables) >= _TABLE_LIMIT:
+            tables.clear()
+        table = tables[setting] = {}
+    return table
 
 
 @dataclass
@@ -137,13 +149,19 @@ class Core:
     # ------------------------------------------------------------------
     def _refresh(self) -> None:
         """Re-derive the held state from the context lists."""
-        self.busy_contexts = sum(
-            1
-            for t, a in zip(self.context_threads, self.context_activity)
-            if t is not None or a > 0.0
-        )
-        self.running = self.busy_contexts > 0
-        self.activity = sum(self.context_activity)
+        if self.smt == 1:
+            activity = self.context_activity[0]
+            self.running = self.context_threads[0] is not None or activity > 0.0
+            self.busy_contexts = 1 if self.running else 0
+            self.activity = activity
+        else:
+            self.busy_contexts = sum(
+                1
+                for t, a in zip(self.context_threads, self.context_activity)
+                if t is not None or a > 0.0
+            )
+            self.running = self.busy_contexts > 0
+            self.activity = sum(self.context_activity)
         if self.running:
             self.power_key = (CState.C0, self.activity, self.busy_contexts)
         else:
@@ -301,6 +319,9 @@ class Chip:
             for i in range(num_cores)
         ]
         self._tables = coefficient_tables if coefficient_tables is not None else {}
+        #: Speed-factor tables, one per chip-wide setting like the
+        #: coefficient tables (see :meth:`slice_speed`).
+        self._speed_tables: Dict[tuple, Dict[tuple, float]] = {}
         self._switch_table()
         scope = _metrics_registry().scope("cpu.chip")
         self._metric_segment_rebuilds = scope.counter("power_segments.rebuilds")
@@ -342,21 +363,21 @@ class Chip:
         self._switch_table()
 
     def _switch_table(self) -> None:
-        """Point the chip at the coefficient table of its current
-        chip-wide setting, creating it on first use."""
+        """Point the chip at the coefficient and speed tables of its
+        current chip-wide setting, creating them on first use."""
         setting = (
             self.operating_point,
             self.tcc,
             tuple([core.operating_point_override for core in self.cores]),
         )
-        table = self._tables.get(setting)
-        if table is None:
-            if len(self._tables) >= _TABLE_LIMIT:
-                self._tables.clear()
-            table = self._tables[setting] = {}
         #: Interned ``(cstates, coefficients)`` per power state under
         #: the current setting (see :meth:`power_segment`).
-        self._coefficients: Dict[tuple, Tuple[Tuple[CState, ...], PowerCoefficients]] = table
+        self._coefficients: Dict[tuple, Tuple[Tuple[CState, ...], PowerCoefficients]] = (
+            _table_for(self._tables, setting)
+        )
+        #: Speed factor per ``(cpu_fraction, core index, contention)``
+        #: under the current setting (see :meth:`slice_speed`).
+        self._speeds: Dict[tuple, float] = _table_for(self._speed_tables, setting)
 
     def core_activity(self, core: Core) -> float:
         """Effective switching activity of a core for the power model.
@@ -394,6 +415,24 @@ class Chip:
         speed = dvfs_speed * self.tcc.speed_scale
         if smt_contention:
             speed *= self.power_model.params.smt_speed_factor
+        return speed
+
+    def slice_speed(self, cpu_fraction: float, core: Core, smt_contention: bool) -> float:
+        """:meth:`speed_factor` of a slice about to run on ``core``.
+
+        The scheduler asks this once per dispatch, and the answer only
+        changes with the chip-wide setting, so it is read from the
+        current setting's speed table; a new key is computed by
+        :meth:`speed_factor` (which validates ``cpu_fraction``) and
+        kept.
+        """
+        key = (cpu_fraction, core.index, smt_contention)
+        speed = self._speeds.get(key)
+        if speed is None:
+            speed = self.speed_factor(cpu_fraction, core=core, smt_contention=smt_contention)
+            if len(self._speeds) >= _TABLE_LIMIT:
+                self._speeds.clear()
+            self._speeds[key] = speed
         return speed
 
     # ------------------------------------------------------------------

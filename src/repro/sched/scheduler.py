@@ -23,11 +23,13 @@ of thermal substeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional
+import enum
+from dataclasses import dataclass, field
+from typing import Callable, List, Optional, Tuple
 
 from ..cpu.chip import Chip, Core
 from ..errors import SchedulerError
+from ..instruments.trace import SchedEvent
 from ..sim.engine import Event, Simulator
 from ..telemetry.registry import registry as _metrics_registry
 from .runqueue import MultiLevelFeedbackQueue
@@ -38,6 +40,16 @@ if False:  # pragma: no cover - import cycle breaker, type hints only
 
 #: Tolerance for "this burst is finished" comparisons, in work-seconds.
 _WORK_EPSILON = 1e-12
+
+
+class IdleMode(enum.Enum):
+    """What the core does during an injected idle quantum (§2.1): halt
+    into the platform's idle states, or spin in a nop loop.  The
+    injector (:mod:`repro.core.injector`) chooses the mode; the
+    scheduler carries it out."""
+
+    HALT = "halt"
+    SPIN = "spin"
 
 
 @dataclass
@@ -59,6 +71,9 @@ class CoreSlot:
     slice_end: Optional[Event] = None
     #: (start, exec_wall, speed, overhead) of the running slice.
     slice_info: tuple = (0.0, 0.0, 1.0, 0.0)
+    #: The other contexts of this slot's core, set once by the
+    #: :class:`Scheduler` that owns the slot (empty with SMT off).
+    siblings: Tuple["CoreSlot", ...] = field(default=(), repr=False, compare=False)
 
 
 @dataclass
@@ -104,6 +119,12 @@ class Scheduler:
             for core in chip.cores
             for context in range(core.smt)
         ]
+        for slot in self.slots:
+            slot.siblings = tuple(
+                other
+                for other in self.slots
+                if other.core is slot.core and other.context != slot.context
+            )
         self.threads: List[Thread] = []
         self.stats = SchedulerStats()
         scope = _metrics_registry().scope("sched.scheduler")
@@ -119,11 +140,10 @@ class Scheduler:
     def _emit(
         self, kind: str, slot: Optional[CoreSlot] = None, thread: Optional[Thread] = None
     ) -> None:
-        """Publish a scheduler event to any attached tracers."""
-        if not self.event_listeners:
-            return
-        from ..instruments.trace import SchedEvent  # deferred: optional dep
+        """Publish a scheduler event to the attached tracers.
 
+        Every call site tests :attr:`event_listeners` first, so an
+        untraced dispatch builds no event."""
         event = SchedEvent(
             time=self.sim.now,
             kind=kind,
@@ -148,13 +168,9 @@ class Scheduler:
             slot.idle = True
             slot.core.set_context_idle(slot.context, now)
 
-    def siblings(self, slot: CoreSlot) -> List[CoreSlot]:
+    def siblings(self, slot: CoreSlot) -> Tuple[CoreSlot, ...]:
         """The other hardware contexts sharing ``slot``'s core."""
-        return [
-            other
-            for other in self.slots
-            if other.core is slot.core and other.context != slot.context
-        ]
+        return slot.siblings
 
     def add_thread(self, thread: Thread, *, start_at: float = 0.0) -> Thread:
         """Register a thread; it becomes runnable at ``start_at``."""
@@ -176,7 +192,8 @@ class Scheduler:
         """Wake a BLOCKED thread (used by request queues etc.)."""
         if thread.state is not ThreadState.BLOCKED:
             return
-        self._emit("wake", None, thread)
+        if self.event_listeners:
+            self._emit("wake", None, thread)
         self.runqueue.on_wakeup(thread)
         self._load_and_queue(thread)
 
@@ -221,7 +238,8 @@ class Scheduler:
         self._exit_thread(thread)
 
     def _exit_thread(self, thread: Thread) -> None:
-        self._emit("exit", None, thread)
+        if self.event_listeners:
+            self._emit("exit", None, thread)
         thread.state = ThreadState.EXITED
         thread.stats.exit_time = self.sim.now
         for listener in self.exit_listeners:
@@ -256,12 +274,18 @@ class Scheduler:
     # Dispatch
     # ------------------------------------------------------------------
     def _kick_idle_cores(self) -> None:
-        """Give newly-runnable work to idle (but not injected) cores."""
+        """Give newly-runnable work to idle (but not injected) cores.
+
+        Only a dispatch changes the runqueue, so emptiness is tested on
+        entry and after each dispatch."""
+        runqueue = self.runqueue
+        if not runqueue:
+            return
         for slot in self.slots:
-            if not self.runqueue:
-                break
             if slot.current is None and not slot.injected:
                 self._dispatch(slot)
+                if not runqueue:
+                    return
 
     def _dispatch(self, slot: CoreSlot) -> None:
         """Pick the next thread for ``slot`` — the Dimetrodon hook site."""
@@ -275,7 +299,8 @@ class Scheduler:
                 slot.idle = True
                 slot.core.set_context_idle(slot.context, now)
                 self.stats.natural_idle_entries += 1
-                self._emit("idle", slot)
+                if self.event_listeners:
+                    self._emit("idle", slot)
             return
 
         decision = self.injector.decide(thread, now) if self.injector else None
@@ -286,8 +311,6 @@ class Scheduler:
 
     def _inject_idle(self, slot: CoreSlot, thread: Thread, decision) -> None:
         """Pin the chosen thread and run the idle thread for L seconds."""
-        from ..core.injector import IdleMode  # deferred: import cycle
-
         now = self.sim.now
         thread.state = ThreadState.PINNED
         thread.stats.injected_count += 1
@@ -296,7 +319,8 @@ class Scheduler:
         self._metric_injected_quanta.value += 1
         slot.injected = True
         slot.idle = False
-        self._emit("inject", slot, thread)
+        if self.event_listeners:
+            self._emit("inject", slot, thread)
         if decision.mode is IdleMode.SPIN:
             # Nop loop: the context stays in C0 at low switching activity.
             nop = self.chip.power_model.params.nop_loop_fraction
@@ -320,7 +344,7 @@ class Scheduler:
         that triggered the injection absorbs the policy's slowdown.
         """
         now = self.sim.now
-        for sibling in self.siblings(slot):
+        for sibling in slot.siblings:
             if sibling.injected:
                 continue  # already idling for its own quantum
             # Mark injected *before* preempting so the requeue kick
@@ -351,7 +375,8 @@ class Scheduler:
         thread.remaining_work -= progress
         self.stats.forced_preemptions += 1
         self._metric_preemptions.value += 1
-        self._emit("preempt", slot, thread)
+        if self.event_listeners:
+            self._emit("preempt", slot, thread)
 
         if thread.terminate_requested:
             self._exit_thread(thread)
@@ -369,7 +394,8 @@ class Scheduler:
         merely idled and has nothing to unpin.
         """
         slot.injected = False
-        self._emit("inject_end", slot, thread)
+        if self.event_listeners:
+            self._emit("inject_end", slot, thread)
         if thread is not None and thread.state is ThreadState.PINNED:
             thread.state = ThreadState.READY
             self.runqueue.enqueue(thread)
@@ -382,11 +408,13 @@ class Scheduler:
         now = self.sim.now
         if thread.remaining_work <= _WORK_EPSILON:
             raise SchedulerError(f"dispatching {thread.name} with no work")
-        overhead = self.context_switch_cost + slot.core.wake_latency(now)
-        contention = any(s.current is not None for s in self.siblings(slot))
-        speed = self.chip.speed_factor(
-            thread.workload.cpu_fraction, core=slot.core, smt_contention=contention
-        )
+        core = slot.core
+        overhead = self.context_switch_cost + core.wake_latency(now)
+        siblings = slot.siblings
+        contention = False
+        if siblings:
+            contention = any(s.current is not None for s in siblings)
+        speed = self.chip.slice_speed(thread.workload.cpu_fraction, core, contention)
         exec_wall = min(self.quantum, thread.remaining_work / speed)
 
         thread.state = ThreadState.RUNNING
@@ -400,10 +428,9 @@ class Scheduler:
         slot.current = thread
         slot.idle = False
         slot.slice_info = (now, exec_wall, speed, overhead)
-        slot.core.set_context_running(
-            slot.context, thread, thread.workload.activity, now
-        )
-        self._emit("run", slot, thread)
+        core.set_context_running(slot.context, thread, thread.workload.activity, now)
+        if self.event_listeners:
+            self._emit("run", slot, thread)
         slot.slice_end = self.sim.schedule(overhead + exec_wall, self._end_slice, slot)
 
     def _end_slice(self, slot: CoreSlot) -> None:
@@ -414,7 +441,8 @@ class Scheduler:
         _start, exec_wall, speed, overhead = slot.slice_info
         slot.current = None
         slot.slice_end = None
-        self._emit("slice_end", slot, thread)
+        if self.event_listeners:
+            self._emit("slice_end", slot, thread)
 
         progress = exec_wall * speed
         thread.stats.cpu_wall_time += overhead + exec_wall

@@ -6,21 +6,66 @@ or a kernel thread (exempt by the paper's policy, §3.1), has a position
 in the multi-level feedback queue, and accumulates the statistics the
 analytical model needs (times scheduled ``S``, CPU time ``R``, number
 of injected idles).
+
+The units a workload hands its thread — :class:`Burst` and the
+:data:`BLOCK` sentinel — are defined here, where the thread consumes
+them, and re-exported by :mod:`repro.workloads.base`, which documents
+the workload protocol.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
-from ..errors import SchedulerError
+from ..errors import SchedulerError, WorkloadError
 
 if False:  # pragma: no cover - import cycle breaker, type hints only
-    from ..workloads.base import Burst, Workload
+    from ..workloads.base import Workload
 
 _tid_counter = itertools.count(1)
+
+
+class _BlockSentinel:
+    """Unique marker object returned by blocking workloads."""
+
+    _instance: Optional["_BlockSentinel"] = None
+
+    def __new__(cls) -> "_BlockSentinel":
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self) -> str:
+        return "BLOCK"
+
+
+#: Sentinel: the thread should block until explicitly woken.
+BLOCK = _BlockSentinel()
+
+
+@dataclass
+class Burst:
+    """One span of CPU work, possibly followed by a sleep.
+
+    ``cpu_time`` is expressed in seconds of full-speed execution.
+    ``on_complete(now)`` fires when the burst's work is done (used to
+    record request completions and iteration counts).
+    """
+
+    cpu_time: float
+    sleep_time: float = 0.0
+    on_complete: Optional[Callable[[float], None]] = None
+    #: Free-form tag for tracing (e.g. a request id).
+    tag: Optional[object] = None
+
+    def __post_init__(self) -> None:
+        if self.cpu_time <= 0:
+            raise WorkloadError(f"burst cpu_time must be positive, got {self.cpu_time}")
+        if self.sleep_time < 0:
+            raise WorkloadError(f"burst sleep_time must be >= 0, got {self.sleep_time}")
 
 
 class ThreadKind(enum.Enum):
@@ -87,7 +132,7 @@ class Thread:
         #: injection policies (§2.1's "user-granted priority level").
         self.nice: int = 0
         self.stats = ThreadStats()
-        self.current_burst: Optional["Burst"] = None
+        self.current_burst: Optional[Burst] = None
         #: Remaining full-speed CPU seconds in the current burst.
         self.remaining_work: float = 0.0
         #: Set by Scheduler.terminate on a RUNNING thread; honoured at
@@ -109,8 +154,6 @@ class Thread:
         Returns one of ``"run"`` (a burst is loaded), ``"block"`` (the
         workload wants to wait), or ``"exit"``.
         """
-        from ..workloads.base import BLOCK, Burst  # deferred: import cycle
-
         result = self.workload.next_burst()
         if result is None:
             return "exit"
@@ -125,7 +168,7 @@ class Thread:
         self.remaining_work = result.cpu_time
         return "run"
 
-    def complete_burst(self, now: float) -> Optional["Burst"]:
+    def complete_burst(self, now: float) -> Optional[Burst]:
         """Mark the current burst finished; fires its callback."""
         burst = self.current_burst
         if burst is None:

@@ -23,49 +23,12 @@ performance models:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Union
 
-from ..errors import WorkloadError
-
-
-class _BlockSentinel:
-    """Unique marker object returned by blocking workloads."""
-
-    _instance: Optional["_BlockSentinel"] = None
-
-    def __new__(cls) -> "_BlockSentinel":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "BLOCK"
-
-
-#: Sentinel: the thread should block until explicitly woken.
-BLOCK = _BlockSentinel()
-
-
-@dataclass
-class Burst:
-    """One span of CPU work, possibly followed by a sleep.
-
-    ``cpu_time`` is expressed in seconds of full-speed execution.
-    ``on_complete(now)`` fires when the burst's work is done (used to
-    record request completions and iteration counts).
-    """
-
-    cpu_time: float
-    sleep_time: float = 0.0
-    on_complete: Optional[Callable[[float], None]] = None
-    #: Free-form tag for tracing (e.g. a request id).
-    tag: Optional[object] = None
-
-    def __post_init__(self) -> None:
-        if self.cpu_time <= 0:
-            raise WorkloadError(f"burst cpu_time must be positive, got {self.cpu_time}")
-        if self.sleep_time < 0:
-            raise WorkloadError(f"burst sleep_time must be >= 0, got {self.sleep_time}")
+# Burst and BLOCK are defined by the thread that consumes them, so the
+# scheduler needs nothing from this package; they are part of the
+# workload protocol and exported from here.
+from ..sched.thread import BLOCK, Burst, _BlockSentinel
 
 
 #: What ``next_burst`` may return.
