@@ -220,7 +220,10 @@ def score_windows(
     """Partition ``[start, end)`` into half-open windows and score each.
 
     ``requests`` may pool several servers' logs (the fleet case);
-    requests arriving outside ``[start, end)`` are ignored.  The last
+    requests arriving outside ``[start, end)`` are ignored.  A rack
+    cell passes its pooled log and the web run's
+    :func:`~repro.workloads.webserver.scoring_span`, so its windows
+    partition exactly the requests its whole-run QoS scores.  The last
     window is truncated at ``end`` when ``window`` does not divide the
     span evenly, so the partition always covers the span exactly.
     """

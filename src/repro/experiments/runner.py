@@ -41,7 +41,13 @@ from ..sched.thread import Thread
 from ..workloads.cpuburn import CpuBurn, FiniteCpuBurn
 from ..workloads.mixes import build_hot_cool_mix
 from ..workloads.spec import SpecWorkload
-from ..workloads.webserver import QOS_GOOD, QOS_TOLERABLE, WebServer, check_scoring_span
+from ..workloads.webserver import (
+    QOS_GOOD,
+    QOS_TOLERABLE,
+    WebServer,
+    check_scoring_span,
+    scoring_span,
+)
 from .config import ExperimentConfig
 from .machine import Machine
 
@@ -360,7 +366,8 @@ class _WebQos(_Plan):
 
     def result(self, node: FleetNode) -> WebQosResult:
         log = self._server.log
-        span = dict(start=self.warmup, end=self.duration - QOS_TOLERABLE)
+        start, end = scoring_span(self.duration, self.warmup)
+        span = dict(start=start, end=end)
         return WebQosResult(
             mean_temp=node.mean_core_temp_over_window(),
             idle_temp=node.idle_mean_temp,

@@ -9,13 +9,14 @@ one rack run as the :mod:`repro.runtime` unit of work:
 - :func:`rack_cell_spec` builds a picklable
   :class:`~repro.runtime.parallel.RunSpec` (kind ``"rack-cell"``)
   whose cache key covers the experiment config and every cell
-  parameter (policy, load shape, injection, health thresholds, scoring
-  windows);
+  parameter (policy, load shape, injection, health thresholds, SLO
+  window length);
 - :func:`run_rack_cell` is the registered executor: it rebuilds the
   rack from the declarative parameters (arrival shapes come from
   :func:`build_scenario_arrivals`, node programming from scalar flags
   — nothing unpicklable crosses a process boundary), runs and
-  monitors it, and scores it into a :class:`RackCellResult`;
+  monitors it, and scores its pooled requests over the one web scoring
+  span into a :class:`RackCellResult`;
 - :class:`RackCellResult` is the serialisable cell result — the
   :class:`RackRun` measurement, the health rollup and the windowed SLO
   report, all simulated data — which the result cache stores as JSON,
@@ -38,14 +39,14 @@ themselves are grid definitions run by :mod:`repro.fleet.grid`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from ..analysis.slo import SloReport, WindowScore, score_windows
 from ..core.migration import ThermalMigrationPolicy
 from ..cpu.tcc import TccSetting
-from ..errors import ConfigurationError, ExecutionError
+from ..errors import ConfigurationError
 from ..experiments.config import ExperimentConfig
 from ..health import HealthParams
 from ..runtime.hashing import PHYSICS_MODULES
@@ -64,7 +65,7 @@ from ..workloads.loadshapes import (
     TraceArrivals,
     synthesize_request_trace,
 )
-from ..workloads.webserver import QOS_GOOD, QOS_TOLERABLE, WebServer
+from ..workloads.webserver import QOS_GOOD, QOS_TOLERABLE, RequestLog, WebServer, scoring_span
 from .machine import FleetMachine
 from .scheduling.registry import build_policy
 
@@ -183,7 +184,8 @@ class RackCellResult:
     #: The rack's idle baseline (°C) — identical for every cell of a
     #: grid that shares a config, carried per cell for self-containment.
     idle_mean_temp: float
-    #: Health-monitor summary (JSON-safe) for the manifest.
+    #: The full health-monitor summary (JSON-safe), per-machine detail
+    #: included; the grid decides how much of it a manifest keeps.
     health: Dict[str, Any]
     #: Intra-chip heat-and-run migrations summed over nodes (the
     #: inter-chip count lives in ``run.migrations``).
@@ -268,42 +270,47 @@ def run_rack_cell(
     idle_quantum: float,
     policy: str = "round-robin",
     shape: Optional[str] = None,
-    rate: Optional[float] = None,
     dvfs_min: bool = False,
     tcc_duty: Optional[float] = None,
     heat_and_run: bool = False,
     health: Optional[HealthParams] = None,
-    health_per_machine: bool = True,
-    slo_window: Optional[Tuple[float, float, float]] = None,
+    slo_window: Optional[float] = None,
 ) -> RackCellResult:
     """Build, load-balance, monitor, run, and score one rack — the
     ``rack-cell`` executor.
 
     ``policy`` names the scheduling policy (``repro.fleet.scheduling``
     registry).  ``shape`` names a load shape from
-    :data:`SCENARIO_SHAPES` (``rate`` is the aggregate requests/s
-    envelope it is sized for); None keeps the web servers' default
-    fixed-rate Poisson front door.  ``dvfs_min``/``tcc_duty``/
-    ``heat_and_run`` program every node before the rack starts (the
-    technique knobs of ``fleet-compare``); heat-and-run reads only the
-    node's sampled telemetry, never live physics.  Every rack runs with
-    health monitors attached (``health`` overrides the default
+    :data:`SCENARIO_SHAPES`, sized for the rack's nominal aggregate
+    rate (``machines`` times one web server's arrival rate, what the
+    balancer is told); None keeps the web servers' default fixed-rate
+    Poisson front door.  ``dvfs_min``/``tcc_duty``/``heat_and_run``
+    program every node before the rack starts (the technique knobs of
+    ``fleet-compare``); heat-and-run reads only the node's sampled
+    telemetry, never live physics.  Every rack runs with health
+    monitors attached (``health`` overrides the default
     :class:`~repro.health.HealthParams`): the alert-reactive policy
     requires them.
 
-    QoS is scored rack-wide over the window fig6 scores per machine:
-    requests arriving in ``[warmup, duration - QOS_TOLERABLE)``, pooled
-    across every server (unanswered requests count as failures; a
-    window without arrivals scores NaN, the no-data convention of
-    ``RequestLog.qos_fraction``).  ``slo_window`` is
-    ``(start, end, window)``: when given, the pooled requests are also
-    scored with the windowed SLO scorer *inside the cell*, so only the
-    report — not the request log — crosses the process boundary.
+    QoS is scored rack-wide over fig6's span,
+    :func:`~repro.workloads.webserver.scoring_span`: the requests of
+    every server, pooled into one
+    :class:`~repro.workloads.webserver.RequestLog` and scored by its
+    ``qos_fraction``/``mean_response_time``.  ``slo_window`` is a
+    window length: when given, the same span is also scored in windows
+    of that length *inside the cell*, with its p95 response time, so
+    only the report — not the request log — crosses the process
+    boundary.  The span is not validated here; grids check it up front.
     """
+    fleet = FleetMachine(replica_configs(config, machines))
+    monitors = fleet.attach_health(health)
+    servers = [
+        WebServer(node.scheduler, node.rng.stream("web"), external_arrivals=True)
+        for node in fleet.nodes
+    ]
+    rate = machines * servers[0].arrival_rate
     arrivals = None
     if shape is not None:
-        if rate is None:
-            raise ExecutionError("a shaped rack cell needs an aggregate rate")
         # A fresh, identically seeded stream per cell: the trace shape
         # synthesizes the same frozen trace in every cell (bit-identical
         # replay), and the live shapes draw from the balancer's own
@@ -312,18 +319,11 @@ def run_rack_cell(
         arrivals = build_scenario_arrivals(
             shape, rate=rate, duration=duration, rng=trace_rng
         )
-
-    fleet = FleetMachine(replica_configs(config, machines))
-    monitors = fleet.attach_health(health)
-    servers = [
-        WebServer(node.scheduler, node.rng.stream("web"), external_arrivals=True)
-        for node in fleet.nodes
-    ]
     bundle = build_policy(
         policy,
         fleet,
         servers,
-        rate=machines * servers[0].arrival_rate,
+        rate=rate,
         rng=RngRegistry(config.seed).stream("fleet-balancer"),
         arrivals=arrivals,
         health=monitors,
@@ -356,23 +356,20 @@ def run_rack_cell(
         core_policy.stop()
     _metrics_registry().scope("fleet").counter("cells").inc()
 
-    start, end = warmup, duration - QOS_TOLERABLE
-    window = [r for s in servers for r in s.log.arrived_in(start, end)]
-    answered = [r.response_time for r in window if r.response_time is not None]
-    count = len(window)
-    good = sum(1 for t in answered if t <= QOS_GOOD)
-    tolerable = sum(1 for t in answered if t <= QOS_TOLERABLE)
+    start, end = scoring_span(duration, warmup)
+    log = RequestLog([r for s in servers for r in s.log.requests])
+    scored = log.arrived_in(start, end)
     run = RackRun(
         **_plain(
             dict(
-                qos_good=good / count if count else float("nan"),
-                qos_tolerable=tolerable / count if count else float("nan"),
-                mean_response=float(np.mean(answered)) if answered else float("inf"),
+                qos_good=log.qos_fraction(QOS_GOOD, start=start, end=end),
+                qos_tolerable=log.qos_fraction(QOS_TOLERABLE, start=start, end=end),
+                mean_response=log.mean_response_time(start=start, end=end),
                 mean_temp=fleet.mean_core_temp_over_window(),
                 peak_temp=_peak_temp(fleet, start=warmup),
                 energy=fleet.total_energy(),
                 work_done=fleet.total_work_done(),
-                requests=count,
+                requests=len(scored),
                 migrations=bundle.migrations,
                 migration_cost_s=bundle.migration_cost_seconds,
                 alerts=monitors.alerts,
@@ -388,20 +385,14 @@ def run_rack_cell(
     slo: Optional[SloReport] = None
     p95: Optional[float] = None
     if slo_window is not None:
-        start, end, length = slo_window
-        pooled = [r for s in servers for r in s.log.requests]
-        slo = score_windows(pooled, start=start, end=end, window=length)
-        scored = sorted(
-            r.response_time
-            for r in pooled
-            if start <= r.arrival < end and r.response_time is not None
-        )
-        p95 = float(np.percentile(scored, 95.0)) if scored else None
+        slo = score_windows(log.requests, start=start, end=end, window=slo_window)
+        answered = [r.response_time for r in scored if r.response_time is not None]
+        p95 = float(np.percentile(answered, 95.0)) if answered else None
 
     result = RackCellResult(
         run=run,
         idle_mean_temp=float(fleet.idle_mean_temp),
-        health=_plain(monitors.summary(per_machine=health_per_machine)),
+        health=_plain(monitors.summary()),
         core_migrations=int(sum(hr.migrations for hr in core_policies)),
         slo=slo,
         p95_response=p95,

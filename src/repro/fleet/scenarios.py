@@ -44,11 +44,10 @@ from ..experiments.config import ExperimentConfig
 from ..experiments.reporting import percent
 from ..health import HealthParams
 from ..workloads.webserver import (
-    CONNECTIONS,
     QOS_GOOD,
     QOS_TOLERABLE,
-    THINK_TIME,
     offered_load_per_core,
+    scoring_span,
 )
 from .cells import SCENARIO_SHAPES
 from .grid import RackGrid, RackGridResult, rack_experiment, rack_size
@@ -171,30 +170,26 @@ def scenarios_experiment(
     :data:`DEFAULT_POLICIES` is swept.  ``p = 0`` is always included —
     it is each shape's QoS/thermal baseline for the Pareto frontier.
 
-    Scoring: requests arriving in ``[warmup, duration - 5s)`` are
-    pooled rack-wide and scored in half-open windows of ``window``
-    seconds (default: a fifth of the scoring span) *inside each cell*,
-    so only the window series — never the raw request log — crosses a
-    process boundary.  Under ``--keep-going`` a failed cell drops its
-    row — the frontier of a shape that lost its baseline is simply
-    empty.
+    Scoring: each cell pools its rack's requests arriving in the web
+    scoring span ``[warmup, duration - 5s)`` and scores them whole-run
+    and in half-open windows of ``window`` seconds (default: a fifth of
+    the span) *inside the cell*, so only the window series — never the
+    raw request log — crosses a process boundary.  Under
+    ``--keep-going`` a failed cell drops its row — the frontier of a
+    shape that lost its baseline is simply empty.
     """
     machines, duration = rack_size(
         config, machines=machines, duration=duration, warmup=warmup, fast=2, full=16
     )
-    span = (warmup, duration - QOS_TOLERABLE)
     if window is None:
-        window = max(1.0, (span[1] - span[0]) / 5.0)
+        start, end = scoring_span(duration, warmup)
+        window = max(1.0, (end - start) / 5.0)
     if policy is not None:
         policies = (policy,)
     shapes = tuple(shapes) if shapes is not None else SCENARIO_SHAPES
     p_values = tuple(p_values)
     if 0.0 not in p_values:
         p_values = (0.0,) + p_values
-    # Each cell rebuilds its shape for the nominal aggregate rate (what
-    # one balancer feeds round-robin in the plain fleet experiment); the
-    # trace shape resynthesizes the identical frozen trace per cell.
-    rate = machines * CONNECTIONS / THINK_TIME
     load = percent(offered_load_per_core(config.num_cores))
     return RackGrid(
         name="scenarios",
@@ -209,9 +204,7 @@ def scenarios_experiment(
                 "p": p,
                 "policy": name,
                 "shape": shape,
-                "rate": rate,
-                "health_per_machine": False,
-                "slo_window": (*span, window),
+                "slo_window": window,
             }
             for shape in shapes
             for name in policies

@@ -34,7 +34,6 @@ from .registry import (
     POLICY_NAMES,
     PolicyBundle,
     build_policy,
-    policy_descriptions,
 )
 
 __all__ = [
@@ -50,6 +49,5 @@ __all__ = [
     "ThermalBalancer",
     "ZERO_COST",
     "build_policy",
-    "policy_descriptions",
     "sampled_machine_temps",
 ]

@@ -178,15 +178,3 @@ def build_policy(
         name=name, balancer=balancer, migration=migration, controllers=controllers
     )
 
-
-def policy_descriptions() -> List[str]:
-    """One ``name - summary`` line per registered policy (CLI help)."""
-    summaries = {
-        "round-robin": "blind cyclic placement (the PR6 baseline)",
-        "coolest": "coolest-first placement by sampled temperature",
-        "threshold": "round-robin below a temperature threshold",
-        "migrate": "round-robin placement + hot-to-cool queue migration",
-        "cache-aware": "migration only when thermal benefit buys warmup cost",
-        "alert-reactive": "TCC throttle + placement drain on critical alerts",
-    }
-    return [f"{name} - {summaries[name]}" for name in POLICY_NAMES]

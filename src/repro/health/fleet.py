@@ -126,8 +126,11 @@ class FleetHealth:
         return merged
 
     # ------------------------------------------------------------------
-    def summary(self, *, per_machine: bool = True) -> Dict[str, Any]:
-        """JSON-safe health section for :class:`RunManifest`.
+    def summary(self) -> Dict[str, Any]:
+        """JSON-safe health section for :class:`RunManifest`: the
+        monitoring ``config``, rack-wide ``totals`` and one
+        ``machines_detail`` entry per monitor (a compact manifest keeps
+        only the first two).
 
         ``config`` alone reproduces the monitoring setup: the rise
         thresholds and the absolute °C they pinned to, hysteresis,
@@ -141,7 +144,7 @@ class FleetHealth:
         config["machines"] = len(self.monitors)
         if self.controller_info is not None:
             config["controller"] = self.controller_info
-        summary: Dict[str, Any] = {
+        return {
             "config": config,
             "totals": {
                 "alerts": self.alerts,
@@ -159,7 +162,5 @@ class FleetHealth:
                     HealthState.CRITICAL
                 ),
             },
+            "machines_detail": [m.summary() for m in self.monitors],
         }
-        if per_machine:
-            summary["machines_detail"] = [m.summary() for m in self.monitors]
-        return summary

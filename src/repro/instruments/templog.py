@@ -7,15 +7,15 @@ temperature over the last 30 seconds of a 300 second execution",
 period and provides exactly those window statistics.
 
 Samples land in a geometrically grown NumPy buffer (amortised O(1) per
-sample, no per-sample Python list append), and trailing-window means
-are cached between samples — a controller polling the same window many
-times per sample period pays for the masked reduction once.
+sample, no per-sample Python list append).  A trailing-window mean is a
+masked reduction over the buffer, computed on each call; readers take
+one window at the end of a run.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -51,8 +51,6 @@ class TemperatureLog:
         self._count = 0
         self._time_buffer = np.empty(0)
         self._sample_buffer: Optional[np.ndarray] = None
-        #: (window, end) -> per-core mean; cleared whenever a sample lands.
-        self._window_cache: Dict[Tuple[float, Optional[float]], np.ndarray] = {}
         self._task = PeriodicTask(sim, period, self._sample, phase=0.0)
 
     def _sample(self) -> None:
@@ -70,7 +68,6 @@ class TemperatureLog:
         self._time_buffer[self._count] = self._sim.now
         self._sample_buffer[self._count] = sample
         self._count += 1
-        self._window_cache.clear()
 
     def _grow(self) -> None:
         capacity = max(_INITIAL_CAPACITY, 2 * self._count)
@@ -137,10 +134,6 @@ class TemperatureLog:
             raise ConfigurationError(f"averaging window must be positive, got {window}")
         if self._count == 0:
             raise AnalysisError("no temperature samples recorded")
-        key = (float(window), None if end is None else float(end))
-        cached = self._window_cache.get(key)
-        if cached is not None:
-            return cached.copy()
         times = self._time_buffer[: self._count]
         end_time = float(times[-1]) if end is None else end
         mask = (times >= end_time - window) & (times <= end_time)
@@ -148,6 +141,4 @@ class TemperatureLog:
             raise AnalysisError(
                 f"no samples in the trailing {window}s window ending at {end_time}s"
             )
-        result = self._sample_buffer[: self._count][mask].mean(axis=0)
-        self._window_cache[key] = result
-        return result.copy()
+        return self._sample_buffer[: self._count][mask].mean(axis=0)

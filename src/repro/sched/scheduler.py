@@ -81,7 +81,6 @@ class SchedulerStats:
     """Aggregate dispatch statistics."""
 
     dispatches: int = 0
-    context_switches: int = 0
     injected_quanta: int = 0
     natural_idle_entries: int = 0
     #: Sibling contexts preempted to co-schedule an idle quantum (SMT).
@@ -422,7 +421,6 @@ class Scheduler:
         if thread.stats.first_run is None:
             thread.stats.first_run = now
         self.stats.dispatches += 1
-        self.stats.context_switches += 1
         self._metric_dispatches.value += 1
 
         slot.current = thread

@@ -14,6 +14,11 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from ..core.policy import (
+    BernoulliInjectionPolicy,
+    DeterministicInjectionPolicy,
+    NoInjectionPolicy,
+)
 from ..errors import ConfigurationError
 from .scheduler import Scheduler
 from .thread import Thread
@@ -50,12 +55,6 @@ class DimetrodonControl:
     # Policy control
     # ------------------------------------------------------------------
     def _make_policy(self, p: float, idle_quantum: float, deterministic: bool):
-        from ..core.policy import (  # deferred: import cycle
-            BernoulliInjectionPolicy,
-            DeterministicInjectionPolicy,
-            NoInjectionPolicy,
-        )
-
         if p == 0.0:
             return NoInjectionPolicy()
         if deterministic:
@@ -102,8 +101,6 @@ class DimetrodonControl:
         (negative nice) gentler, on a 2x-per-13-nice-points exponential
         — the same flavour of weighting the scheduler itself uses.
         """
-        import numpy as np
-
         for thread in threads:
             scaled = float(np.clip(base_p * 2.0 ** (thread.nice / 13.0), 0.0, p_max))
             self.set_thread_policy(
@@ -116,8 +113,6 @@ class DimetrodonControl:
 
     def disable(self) -> None:
         """Turn Dimetrodon off system-wide (race-to-idle behaviour)."""
-        from ..core.policy import NoInjectionPolicy  # deferred: import cycle
-
         self.injector.set_default_policy(NoInjectionPolicy())
 
     # ------------------------------------------------------------------

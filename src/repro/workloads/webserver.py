@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, List, Optional
+from typing import Callable, Deque, List, Optional, Tuple
 
 import numpy as np
 
@@ -51,11 +51,18 @@ SERVICE_MEAN = 0.025
 KERNEL_OVERHEAD = 0.0002
 
 
+def scoring_span(duration: float, warmup: float) -> Tuple[float, float]:
+    """The arrival span ``[start, end)`` a web run is scored over: from
+    ``warmup`` to ``duration`` less the ``QOS_TOLERABLE`` drain, so every
+    scored request had time to be answered tolerably."""
+    return warmup, duration - QOS_TOLERABLE
+
+
 def check_scoring_span(duration: float, warmup: float) -> None:
-    """Reject a web run whose QoS scoring span — from ``warmup`` to
-    ``duration`` less the ``QOS_TOLERABLE`` drain — is empty: its QoS
+    """Reject a web run whose :func:`scoring_span` is empty: its QoS
     would be NaN, not a score."""
-    if not duration - QOS_TOLERABLE > warmup:  # also rejects NaN
+    start, end = scoring_span(duration, warmup)
+    if not end > start:  # also rejects NaN
         raise ConfigurationError(
             f"duration {duration}s leaves no scoring span past the "
             f"{warmup}s warmup and {QOS_TOLERABLE}s drain"

@@ -17,6 +17,7 @@ from repro.fleet.cells import (
     FLEET_MODULES,
     RACK_CELL_KIND,
     RackCellResult,
+    build_scenario_arrivals,
     rack_cell_spec,
     run_rack_cell,
 )
@@ -25,6 +26,7 @@ from repro.runtime import ParallelRunner, ResultCache, code_fingerprint, run_kin
 from repro.runtime.hashing import PHYSICS_MODULES
 from repro.runtime.parallel import execute_spec
 from repro.telemetry import isolated
+from repro.workloads.webserver import CONNECTIONS, QOS_TOLERABLE, THINK_TIME
 
 #: One tiny rack cell: enough simulated time for a QoS window
 #: (warmup 1s + scoring span + 5s drain) but cheap enough to run
@@ -51,11 +53,11 @@ def test_identical_cells_share_a_key(config):
         {"idle_quantum": 0.025},
         {"machines": 2},
         {"duration": 9.0},
+        {"warmup": 2.0},
         {"policy": "coolest"},
-        {"shape": "diurnal", "rate": 40.0},
+        {"shape": "diurnal"},
         {"health": HealthParams(warning_rise=2.0)},
-        {"health_per_machine": False},
-        {"slo_window": (1.0, 3.0, 1.0)},
+        {"slo_window": 1.0},
         {"dvfs_min": True},
         {"tcc_duty": 0.5},
         {"heat_and_run": True},
@@ -129,9 +131,7 @@ def test_fleet_fingerprint_is_distinct_from_physics():
 # ======================================================================
 @pytest.fixture(scope="module")
 def cell_result(config):
-    return run_rack_cell(
-        config, **CELL, shape="constant", rate=40.0, slo_window=(1.0, 3.0, 1.0)
-    )
+    return run_rack_cell(config, **CELL, shape="constant", slo_window=1.0)
 
 
 def test_run_rack_cell_measures_a_rack(cell_result):
@@ -139,6 +139,30 @@ def test_run_rack_cell_measures_a_rack(cell_result):
     assert cell_result.run.mean_temp > cell_result.idle_mean_temp
     assert cell_result.slo is not None and len(cell_result.slo.windows) > 0
     assert cell_result.health is not None and "totals" in cell_result.health
+
+
+def test_slo_windows_cover_the_scoring_span(cell_result):
+    """The windows partition ``[warmup, duration - QOS_TOLERABLE)``, the
+    span the whole-run QoS scores, so both count the same requests."""
+    windows = cell_result.slo.windows
+    assert windows[0].start == CELL["warmup"]
+    assert windows[-1].end == CELL["duration"] - QOS_TOLERABLE
+    assert cell_result.slo.window_length == 1.0
+    assert cell_result.slo.total_arrivals == cell_result.run.requests
+
+
+def test_shaped_cell_is_sized_by_its_servers(config, monkeypatch):
+    """A shaped cell sizes its load at ``machines`` times one web
+    server's arrival rate, the rate its balancer is told."""
+    rates = []
+
+    def capture(name, *, rate, duration, rng):
+        rates.append(rate)
+        return build_scenario_arrivals(name, rate=rate, duration=duration, rng=rng)
+
+    monkeypatch.setattr("repro.fleet.cells.build_scenario_arrivals", capture)
+    run_rack_cell(config, **{**CELL, "machines": 2, "duration": 1.0}, shape="constant")
+    assert rates == [2 * CONNECTIONS / THINK_TIME]
 
 
 #: Telemetry of one desynchronised 4-machine web rack cell (per-node
@@ -214,7 +238,7 @@ def test_pooled_cells_match_serial(config):
     specs = [rack_cell_spec(config, **{**CELL, "p": p}) for p in (0.0, 0.5)]
     # A recorded-trace load shape too: its replayed arrivals cross the
     # process boundary like every other cell input.
-    specs.append(rack_cell_spec(config, **CELL, shape="trace", rate=40.0))
+    specs.append(rack_cell_spec(config, **CELL, shape="trace"))
     serial = ParallelRunner(jobs=1).run(specs)
     pooled = ParallelRunner(jobs=2).run(specs)
     assert serial == pooled

@@ -83,8 +83,6 @@ def test_summary_carries_config_and_totals():
     )
     assert summary["totals"]["alerts"] == health.alerts
     assert len(summary["machines_detail"]) == 2
-    # The compact form drops the per-machine detail (scenarios grid).
-    assert "machines_detail" not in health.summary(per_machine=False)
 
 
 def test_controller_info_lands_in_summary():
