@@ -19,7 +19,7 @@ Two idle mechanisms are supported, matching §2.1:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 # IdleMode is defined next to the dispatch code that carries it out and
 # re-exported here, the module that chooses it.
@@ -59,7 +59,14 @@ class InjectorStats:
 
 
 class IdleInjector:
-    """Consults the policy table at each scheduling decision."""
+    """Consults the policy table at each scheduling decision.
+
+    Orders are immutable, so :meth:`decide` hands out one held
+    :class:`InjectionDecision` per ``(idle_quantum, mode,
+    co_schedule_smt)`` setting instead of building one per injection;
+    ``mode`` and ``co_schedule_smt`` are read at every decision, so
+    changing them between decisions takes effect.
+    """
 
     def __init__(
         self,
@@ -78,6 +85,9 @@ class IdleInjector:
         #: injected one so the core can halt fully (§3.2).
         self.co_schedule_smt = co_schedule_smt
         self.stats = InjectorStats()
+        #: Held orders by ``(idle_quantum, id(mode), co_schedule_smt)``:
+        #: members are singletons, and ``Enum.__hash__`` runs in Python.
+        self._orders: Dict[Tuple[float, int, bool], InjectionDecision] = {}
         scope = _metrics_registry().scope("core.injector")
         self._metric_decisions = scope.counter("decisions")
         self._metric_injections = scope.counter("injections")
@@ -97,11 +107,13 @@ class IdleInjector:
         self._metric_injections.value += 1
         # Policies validate the quantum positive, so no inc() check.
         self._metric_injected_time.value += policy.idle_quantum
-        return InjectionDecision(
-            length=policy.idle_quantum,
-            mode=self.mode,
-            co_schedule=self.co_schedule_smt,
-        )
+        mode, co_schedule = self.mode, self.co_schedule_smt
+        setting = (policy.idle_quantum, id(mode), co_schedule)
+        order = self._orders.get(setting)
+        if order is None:
+            order = InjectionDecision(policy.idle_quantum, mode, co_schedule)
+            self._orders[setting] = order
+        return order
 
     # ------------------------------------------------------------------
     # Convenience pass-throughs (the paper's syscall surface).

@@ -10,6 +10,16 @@ The queue holds only READY threads.  PINNED threads (idle-injected) are
 *off* the queue entirely, which is exactly the paper's mechanism: "we
 pin the thread that would have run on the runqueue (so it is not run by
 another processor)".
+
+The scheduler drives a runqueue through ``enqueue``, ``dequeue``,
+``remove``, the feedback hooks ``on_quantum_expired`` and
+``on_wakeup``, and ``hand_back``.  ``hand_back(thread, core_index)``
+is the one-candidate shortcut: when the thread a core just gave up
+would come straight back out of ``enqueue`` followed by
+``dequeue(core_index)``, it applies exactly those two calls' side
+effects and returns True, so the scheduler decides on the thread
+without queueing it; otherwise it changes nothing and returns False.
+:class:`~repro.sched.ule.UleRunqueue` implements the same protocol.
 """
 
 from __future__ import annotations
@@ -87,6 +97,21 @@ class MultiLevelFeedbackQueue:
             self._enqueued.discard(thread.tid)
             return True
         raise SchedulerError(f"queue bookkeeping corrupt for {thread.name}")
+
+    def hand_back(self, thread: Thread, core_index: int) -> bool:
+        """Return ``thread`` to core ``core_index`` without queueing it.
+
+        True when ``enqueue(thread)`` followed by ``dequeue(core_index)``
+        would return ``thread``: the queue is empty and the thread's
+        affinity allows the core.  The level clamp ``enqueue`` applies is
+        then the only side effect.
+        """
+        if self._enqueued:
+            return False
+        if thread.affinity is not None and thread.affinity != core_index:
+            return False
+        thread.queue_level = min(max(thread.queue_level, 0), self.num_levels - 1)
+        return True
 
     # ------------------------------------------------------------------
     # Feedback rules

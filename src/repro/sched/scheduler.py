@@ -287,22 +287,31 @@ class Scheduler:
                     return
 
     def _dispatch(self, slot: CoreSlot) -> None:
-        """Pick the next thread for ``slot`` — the Dimetrodon hook site."""
+        """Pick the next thread for ``slot`` and :meth:`_decide` on it.
+
+        A slot that gives up a thread which is the queue's only
+        candidate for it (a quantum expiry in :meth:`_end_slice`, an
+        unpinning in :meth:`_end_injection`) skips this: the runqueue's
+        ``hand_back`` confirms the dequeue would return that thread and
+        the decision is taken on it directly."""
         if slot.current is not None or slot.injected:
             return
-        now = self.sim.now
         thread = self.runqueue.dequeue(core_index=slot.core.index)
         if thread is None:
             # Natural idle: the context halts until work is kicked to it.
             if not slot.idle:
                 slot.idle = True
-                slot.core.set_context_idle(slot.context, now)
+                slot.core.set_context_idle(slot.context, self.sim.now)
                 self.stats.natural_idle_entries += 1
                 if self.event_listeners:
                     self._emit("idle", slot)
             return
+        self._decide(slot, thread)
 
-        decision = self.injector.decide(thread, now) if self.injector else None
+    def _decide(self, slot: CoreSlot, thread: Thread) -> None:
+        """The Dimetrodon hook: consult the injector about the thread
+        chosen for ``slot``, then inject idle or run it."""
+        decision = self.injector.decide(thread, self.sim.now) if self.injector else None
         if decision is not None:
             self._inject_idle(slot, thread, decision)
         else:
@@ -397,8 +406,13 @@ class Scheduler:
             self._emit("inject_end", slot, thread)
         if thread is not None and thread.state is ThreadState.PINNED:
             thread.state = ThreadState.READY
-            self.runqueue.enqueue(thread)
-        self._dispatch(slot)
+            if self.runqueue.hand_back(thread, slot.core.index):
+                self._decide(slot, thread)
+            else:
+                self.runqueue.enqueue(thread)
+                self._dispatch(slot)
+        else:
+            self._dispatch(slot)
         # The unpinned thread may have been picked up by this core; if
         # not, offer it to any other idle core.
         self._kick_idle_cores()
@@ -457,9 +471,13 @@ class Scheduler:
         else:
             # Quantum expired: feedback-penalise and requeue.
             thread.stats.preemptions += 1
-            self.runqueue.on_quantum_expired(thread)
+            runqueue = self.runqueue
+            runqueue.on_quantum_expired(thread)
             thread.state = ThreadState.READY
-            self.runqueue.enqueue(thread)
+            if runqueue.hand_back(thread, slot.core.index):
+                self._decide(slot, thread)
+                return
+            runqueue.enqueue(thread)
         self._dispatch(slot)
 
     def _finish_burst(self, thread: Thread) -> None:

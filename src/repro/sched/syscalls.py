@@ -18,6 +18,7 @@ from ..core.policy import (
     BernoulliInjectionPolicy,
     DeterministicInjectionPolicy,
     NoInjectionPolicy,
+    UniformDraws,
 )
 from ..errors import ConfigurationError
 from .scheduler import Scheduler
@@ -42,14 +43,20 @@ class ThreadInfo:
 
 
 class DimetrodonControl:
-    """User-facing policy control, mirroring the paper's syscalls."""
+    """User-facing policy control, mirroring the paper's syscalls.
+
+    Every Bernoulli policy it makes draws through one
+    :class:`~repro.core.policy.UniformDraws` over ``rng``, so the coin
+    flips follow ``rng``'s scalar sequence in decision order; nothing
+    else may draw from ``rng``.
+    """
 
     def __init__(self, scheduler: Scheduler, rng: Optional[np.random.Generator] = None):
         if scheduler.injector is None:
             raise ConfigurationError("scheduler has no idle injector attached")
         self.scheduler = scheduler
         self.injector: "IdleInjector" = scheduler.injector
-        self._rng = rng
+        self._draws = UniformDraws(rng) if rng is not None else None
 
     # ------------------------------------------------------------------
     # Policy control
@@ -59,12 +66,12 @@ class DimetrodonControl:
             return NoInjectionPolicy()
         if deterministic:
             return DeterministicInjectionPolicy(p, idle_quantum)
-        if self._rng is None:
+        if self._draws is None:
             raise ConfigurationError(
                 "a Bernoulli policy needs an RNG; construct DimetrodonControl "
                 "with rng=... or pass deterministic=True"
             )
-        return BernoulliInjectionPolicy(p, idle_quantum, self._rng)
+        return BernoulliInjectionPolicy(p, idle_quantum, self._draws)
 
     def set_global_policy(
         self, p: float, idle_quantum: float, *, deterministic: bool = False

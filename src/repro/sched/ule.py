@@ -70,8 +70,12 @@ class UleRunqueue:
 
     Implements the same protocol as
     :class:`~repro.sched.runqueue.MultiLevelFeedbackQueue` (``enqueue``,
-    ``dequeue(core_index)``, ``remove``, ``on_quantum_expired``,
-    ``on_wakeup``, containment/len), so the scheduler can use either.
+    ``dequeue(core_index)``, ``hand_back(thread, core_index)``,
+    ``remove``, ``on_quantum_expired``, ``on_wakeup``, containment/len),
+    so the scheduler can use either.  ``hand_back`` accepts only when
+    every CPU queue is empty and the thread would be placed on, and
+    popped from, CPU ``core_index % num_cores`` itself, so the round
+    trip it skips would have stolen nothing.
     """
 
     def __init__(self, num_cores: int = 4):
@@ -144,6 +148,24 @@ class UleRunqueue:
             self._enqueued.discard(thread.tid)
             self._last_cpu[thread.tid] = core_index
         return thread
+
+    def hand_back(self, thread: Thread, core_index: int) -> bool:
+        """True when ``enqueue(thread)`` then ``dequeue(core_index)``
+        would return ``thread`` from its own CPU's queue; applies their
+        side effects (the interactive flag is spent, the thread's last
+        CPU is ``core_index % num_cores``)."""
+        if self._enqueued:
+            return False
+        cpu = core_index % self.num_cores
+        affinity = thread.affinity
+        if affinity is None:
+            if self._last_cpu.get(thread.tid) != cpu:
+                return False
+        elif affinity != cpu:
+            return False
+        self._interactive.discard(thread.tid)
+        self._last_cpu[thread.tid] = cpu
+        return True
 
     def _pop_eligible(self, cpu: int, running_on: int) -> Optional[Thread]:
         queue = self._queues[cpu]

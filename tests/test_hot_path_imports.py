@@ -19,6 +19,7 @@ PER_EVENT_MODULES = (
     "sched/scheduler.py",
     "sched/thread.py",
     "sched/runqueue.py",
+    "sched/ule.py",
     "cpu/chip.py",
     "core/injector.py",
     "core/policy.py",
